@@ -353,7 +353,6 @@ def cmd_analytic(cfg: dict, args) -> list:
         e_gr = ground_state_spectral(classical, grid).energy
     e_gr = float(e_gr)
 
-    inversion = invert_transformation_law(classical, e_gr, grid)
     if quantum is not None:
         state = ground_state_from_quantum_action(quantum, grid)
         xs = grid.axes()[0]
@@ -365,6 +364,7 @@ def cmd_analytic(cfg: dict, args) -> list:
                 continue  # singular point at the trial minimum
         wkb = wkb_compare(classical, quantum, e_gr, grid)
     else:
+        inversion = invert_transformation_law(classical, e_gr, grid)
         state = inversion.ground_state()
         lx, lr = transformation_law_residual_grid(inversion)
         law_rows = [[float(x), float(r)] for x, r in zip(lx, lr)]

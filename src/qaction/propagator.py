@@ -23,6 +23,8 @@ from .model import ActionSpec
 
 # spectral terms lighter than this fraction of the leading one are dropped
 BOLTZMANN_CUTOFF = 1e-14
+# 2-D grids up to this many nodes are diagonalized densely, larger ones by shift-invert
+DENSE_MAX_NODES = 2048
 
 
 @dataclass(frozen=True)
@@ -152,13 +154,6 @@ class PropagatorTable:
             )
         object.__setattr__(self, "amplitudes", amps)
 
-    def value(self, xi, xf) -> float:
-        key = (tuple(np.atleast_1d(xi)), tuple(np.atleast_1d(xf)))
-        for p, g in zip(self.pairs, self.amplitudes):
-            if p == key:
-                return float(g)
-        raise KeyError(f"pair {key} not in table")
-
     def to_rows(self):
         dim = self.grid.dim
         for (xi, xf), g in zip(self.pairs, self.amplitudes):
@@ -205,9 +200,9 @@ def spectral_decompose(H, k: int, grid: Grid, maxiter: int = 5000) -> SpectralDa
         e = H.diagonal(1)
         vals, vecs = scipy.linalg.eigh_tridiagonal(d, e, select="i", select_range=(0, k - 1))
         vecs = vecs.T
-    elif n <= 2048:
-        vals, vecs = scipy.linalg.eigh(H.toarray())
-        vals, vecs = vals[:k], vecs[:, :k].T
+    elif n <= DENSE_MAX_NODES:
+        vals, vecs = scipy.linalg.eigh(H.toarray(), subset_by_index=[0, k - 1])
+        vecs = vecs.T
     else:
         # Gershgorin lower bound (= min V for this stencil): a shift strictly
         # below the spectrum makes shift-invert LM return the lowest pairs
@@ -241,17 +236,49 @@ def _cached_decomposition(action: ActionSpec, grid: Grid, k: int) -> SpectralDat
     return spectral_decompose(H, k, grid)
 
 
+@functools.lru_cache(maxsize=16)
+def _cached_eigenvalues(action: ActionSpec, grid: Grid) -> np.ndarray:
+    """Every eigenvalue of a densely solved grid Hamiltonian, ascending (read-only)."""
+    vals = scipy.linalg.eigvalsh(discretize_hamiltonian(action, grid).toarray())
+    vals.setflags(write=False)
+    return vals
+
+
+def _truncation_error(kept: int, dropped_gap: float, T: float, hbar: float) -> NumericalError:
+    weight = math.exp(-dropped_gap * T / hbar)
+    return NumericalError(
+        f"the grid's {kept} lowest states do not cover the Boltzmann window at T={T:g}: "
+        f"dropped states carry weight up to {weight:.3g} of the ground state's "
+        f"(cutoff {BOLTZMANN_CUTOFF:g}); use a finer grid or a longer T"
+    )
+
+
 def decompose_for_time(action: ActionSpec, grid: Grid, T: float) -> SpectralData:
-    """Decomposition with enough states that dropped Boltzmann weights < 1e-14."""
+    """Decomposition with enough states that dropped Boltzmann weights < 1e-14.
+
+    A dense 2-D grid takes all eigenvalues first and then solves for the
+    vectors of exactly the states with E - E_0 <= -hbar ln(1e-14) / T. Other
+    grids double k from 32 until the last state solved lies beyond that gap.
+    Raises NumericalError when the grid has too few states to cover it.
+    """
     if T <= 0:
         raise ValueError(f"transition time must be positive, got {T}")
     gap_needed = -action.hbar * math.log(BOLTZMANN_CUTOFF) / T
     kmax = grid.size - 2
+    if grid.dim == 2 and grid.size <= DENSE_MAX_NODES:
+        E = _cached_eigenvalues(action, grid)
+        k = int(np.count_nonzero(E - E[0] <= gap_needed))
+        if k > kmax:
+            raise _truncation_error(kmax, E[kmax] - E[0], T, action.hbar)
+        return _cached_decomposition(action, grid, k)
     k = min(32, kmax)
     while True:
         sd = _cached_decomposition(action, grid, k)
-        if sd.eigenvalues[-1] - sd.eigenvalues[0] >= gap_needed or k >= kmax:
+        gap = sd.eigenvalues[-1] - sd.eigenvalues[0]
+        if gap >= gap_needed:
             return sd
+        if k >= kmax:
+            raise _truncation_error(kmax, gap, T, action.hbar)
         k = min(2 * k, kmax)
 
 
@@ -260,14 +287,15 @@ def euclidean_propagate(action: ActionSpec, grid: Grid, T: float, pairs) -> Prop
     pairs = _normalize_pairs(pairs, grid.dim)
     if not pairs:
         raise ValueError("at least one boundary pair required")
+    # off-node pairs fail here, before any eigensolve
+    idx_i = [grid.index_of(p[0]) for p in pairs]
+    idx_f = [grid.index_of(p[1]) for p in pairs]
     sd = decompose_for_time(action, grid, T)
     E = sd.eigenvalues
     weights = np.exp(-(E - E[0]) * T / action.hbar)
     keep = weights >= BOLTZMANN_CUTOFF
     psis = sd.eigenvectors[keep]
     boltz = np.exp(-E[keep] * T / action.hbar)
-    idx_i = [grid.index_of(p[0]) for p in pairs]
-    idx_f = [grid.index_of(p[1]) for p in pairs]
     amps = np.array(
         [float(np.sum(psis[:, i] * psis[:, f] * boltz)) for i, f in zip(idx_i, idx_f)]
     )

@@ -3,7 +3,9 @@ import json
 import math
 
 import pytest
+import scipy.linalg
 
+from qaction import propagator
 from qaction.cli import main
 from qaction.qfit import FLOW_CSV_HEADER
 
@@ -30,6 +32,16 @@ COUPLED = {
             {"exp": [0, 2], "coef": 0.5},
             {"exp": [2, 2], "coef": 0.05},
         ],
+    },
+}
+
+
+UNCOUPLED = {
+    "mass": 1.0,
+    "hbar": 1.0,
+    "potential": {
+        "dim": 2,
+        "terms": [{"exp": [2, 0], "coef": 0.5}, {"exp": [0, 2], "coef": 0.5}],
     },
 }
 
@@ -135,6 +147,21 @@ def test_analytic_with_quantum_action(tmp_path):
     assert len(gs) == 301
     peak = max(gs, key=lambda r: float(r[1]))
     assert abs(float(peak[0])) < 0.03
+
+
+def test_analytic_quantum_action_skips_inversion(tmp_path):
+    """With a quantum action the law is never inverted, so the inversion's
+    failure at the spectral e_gr on this wide grid cannot abort the run."""
+    cfg = write_cfg(
+        tmp_path,
+        "wide.json",
+        {"action": HO, "grid": {"extents": [8.0], "npoints": [801]}, "quantum": HO_QUANTUM},
+    )
+    out = tmp_path / "wide"
+    assert main(["analytic", "--config", cfg, "--out", str(out)]) == 0
+    wkb = json.loads((out / "wkb.json").read_text())
+    assert wkb["ground_state_source"] == "quantum-action"
+    assert wkb["ground_state_energy_used"] == pytest.approx(0.5, abs=1e-3)
 
 
 def test_analytic_inversion_branch(tmp_path):
@@ -355,3 +382,75 @@ def test_numerical_failure_exit_3_leaves_no_files(tmp_path):
 def test_format_choices_enforced(tmp_path, prop_cfg):
     with pytest.raises(SystemExit):
         main(["propagate", "--config", prop_cfg, "--format", "gnuplot"])
+
+
+def _clear_spectral_caches():
+    propagator._cached_decomposition.cache_clear()
+    propagator._cached_eigenvalues.cache_clear()
+
+
+def test_off_node_pair_rejected_before_eigensolve(tmp_path, monkeypatch):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("eigensolver reached with an off-node pair")
+
+    _clear_spectral_caches()
+    monkeypatch.setattr(propagator, "spectral_decompose", no_solve)
+    monkeypatch.setattr(scipy.linalg, "eigvalsh", no_solve)
+    cfg = write_cfg(
+        tmp_path,
+        "off2d.json",
+        {
+            "action": UNCOUPLED,
+            "grid": {"extents": [6.6, 6.6], "npoints": [45, 45]},
+            "T": 3.0,
+            "pairs": [[[0.05, 0.0], [0.0, 0.0]]],
+        },
+    )
+    out = tmp_path / "off2d"
+    assert main(["propagate", "--config", cfg, "--out", str(out)]) == 2
+    assert not out.exists()
+
+
+def test_dense_propagate_solves_once_per_time(tmp_path, monkeypatch):
+    """One values-only solve per (action, grid), one vector solve per T, and
+    the spectrum.csv lookup after the amplitudes solves nothing again."""
+    calls = {"eigh": 0, "eigvalsh": 0}
+
+    def counted(name, func):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return func(*args, **kwargs)
+
+        return wrapper
+
+    _clear_spectral_caches()
+    monkeypatch.setattr(scipy.linalg, "eigh", counted("eigh", scipy.linalg.eigh))
+    monkeypatch.setattr(scipy.linalg, "eigvalsh", counted("eigvalsh", scipy.linalg.eigvalsh))
+    rows = {}
+    for T in (3.0, 1.5, 3.0):
+        cfg = write_cfg(
+            tmp_path,
+            "dense.json",
+            {
+                "action": UNCOUPLED,
+                "grid": {"extents": [6.6, 6.6], "npoints": [45, 45]},
+                "T": T,
+                "pairs": {"points_per_axis": 3, "span": [-1.5, 1.5]},
+            },
+        )
+        out = tmp_path / f"dense-{T}"
+        assert main(["propagate", "--config", cfg, "--out", str(out)]) == 0
+        rows[T] = len(read_rows(out / "spectrum.csv")[1])
+    assert calls == {"eigh": 2, "eigvalsh": 1}
+    assert rows[3.0] == 78 < rows[1.5]
+
+
+def test_truncated_spectrum_exit_3_leaves_no_files(tmp_path):
+    cfg = write_cfg(
+        tmp_path,
+        "short.json",
+        {"action": HO, "grid": {"extents": [8.0], "npoints": [17]}, "T": 1e-3, "pairs": [[0.0, 1.0]]},
+    )
+    out = tmp_path / "short"
+    assert main(["propagate", "--config", cfg, "--out", str(out)]) == 3
+    assert not out.exists()

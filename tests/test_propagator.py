@@ -3,6 +3,7 @@ import math
 import numpy as np
 import numpy.testing as npt
 import pytest
+import scipy.linalg
 
 from qaction import (
     ActionSpec,
@@ -18,6 +19,11 @@ from qaction import (
     spectral_decompose,
     tensor_pairs,
 )
+from qaction.propagator import BOLTZMANN_CUTOFF, decompose_for_time
+
+# 1681 nodes: decomposed by the dense 2-D branch
+DENSE_GRID = Grid((5.0, 5.0), (41, 41))
+HO_2D = ActionSpec(mass=1.0, potential=PolynomialPotential(2, {(2, 0): 0.5, (0, 2): 0.5}), hbar=1.0)
 
 
 def test_free_particle_kinetic_stencil():
@@ -178,3 +184,39 @@ def test_table_rejects_nonpositive_amplitude(ho, ho_grid):
         PropagatorTable(
             grid=ho_grid, T=1.0, pairs=(((0.0,), (0.0,)),), amplitudes=np.array([-0.1])
         )
+
+
+def test_dense_window_holds_exactly_the_kept_states(coupled_2d):
+    T = 1.5
+    sd = decompose_for_time(coupled_2d, DENSE_GRID, T)
+    H = discretize_hamiltonian(coupled_2d, DENSE_GRID).toarray()
+    full_vals, _ = scipy.linalg.eigh(H)
+    in_window = full_vals - full_vals[0] <= -math.log(BOLTZMANN_CUTOFF) / T
+    assert len(sd.eigenvalues) == np.count_nonzero(in_window) < DENSE_GRID.size - 2
+    npt.assert_allclose(sd.eigenvalues, full_vals[in_window], rtol=0, atol=1e-10)
+
+
+def test_dense_separable_amplitudes_factorize(ho):
+    """On a tensor grid, H = H_x + H_y for V = (x^2 + y^2)/2, so G is the
+    product of the 1-D amplitudes along each axis."""
+    axis_grid = Grid((5.0,), (41,))
+    T = 1.5
+    pts = (-1.0, 0.0, 0.5, 1.25)
+    axis_amp = dict(
+        zip(
+            [(a, b) for a in pts for b in pts],
+            euclidean_propagate(ho, axis_grid, T, tensor_pairs(pts, pts)).amplitudes,
+        )
+    )
+    pairs = [((-1.0, 0.5), (1.25, 0.0)), ((0.0, 0.0), (0.0, 0.0)), ((0.5, -1.0), (-1.0, 1.25))]
+    amps = euclidean_propagate(HO_2D, DENSE_GRID, T, pairs).amplitudes
+    product = [axis_amp[(xi[0], xf[0])] * axis_amp[(xi[1], xf[1])] for xi, xf in pairs]
+    npt.assert_allclose(amps, product, rtol=1e-10, atol=0)
+
+
+def test_truncated_window_raises(ho):
+    """T = 1e-3 needs every state up to E_0 + 3.2e4; 16 nodes have 14 usable."""
+    with pytest.raises(NumericalError, match=r"weight up to 0\.\d+ of the ground state"):
+        decompose_for_time(ho, Grid((8.0,), (16,)), 1e-3)
+    with pytest.raises(NumericalError, match="weight up to"):
+        decompose_for_time(HO_2D, Grid((8.0, 8.0), (16, 16)), 1e-3)
