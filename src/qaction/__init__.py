@@ -11,7 +11,6 @@ from .model import (
     PolynomialPotential,
     ScaleTransform,
     apply_scale_transform,
-    evaluate_potential,
 )
 from .propagator import (
     Grid,
@@ -95,7 +94,6 @@ __all__ = [
     "discretize_hamiltonian",
     "euclidean_propagate",
     "evaluate_action",
-    "evaluate_potential",
     "feynman_kac_energy",
     "fit_flow",
     "fit_quantum_action",

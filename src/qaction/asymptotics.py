@@ -161,7 +161,7 @@ def transformation_law_residual(
     xs = np.atleast_1d(np.asarray(x, dtype=float))
     vmin_t = quantum.potential((0.0,))
     u = 2.0 * quantum.mass * (quantum.potential.evaluate_points(xs[:, None]) - vmin_t)
-    du = 2.0 * quantum.mass * quantum.potential.derivative(0).evaluate_points(xs[:, None])
+    du = 2.0 * quantum.mass * quantum.potential.gradient_points(xs[:, None])[:, 0]
     if np.any(u <= 0.0):
         raise ValueError("law is singular where the trial potential meets its minimum")
     lhs = 2.0 * classical.mass * (
@@ -220,7 +220,7 @@ def invert_transformation_law(
 
     # cubic series around the origin: W = a1 x + a3 x^3 + ...
     f0 = f(0.0)
-    f2 = m * pot.derivative(0).derivative(0)((0.0,))  # x^2 coefficient of f
+    f2 = m * pot.hessian_points(np.zeros(1))[0, 0]  # x^2 coefficient of f
     a1 = -f0 / hb
     a3 = (a1 * a1 - f2) / (3.0 * hb)
 

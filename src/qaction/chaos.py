@@ -10,6 +10,7 @@ potential by the ground energy, and that shift must not read as dynamics.
 """
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -20,7 +21,7 @@ import scipy.optimize
 
 from .errors import NumericalError
 from .model import ActionSpec, PolynomialPotential
-from .trajectory import _FR_DRIFT, _FR_KICK, PhaseState, hamiltonian_energy, make_batch_force
+from .trajectory import PhaseState, _forest_ruth_steps, hamiltonian_energy
 
 _CONVENTIONS = ("above-minimum", "absolute")
 # R2 additive recurrence (plastic-number based): deterministic low-discrepancy
@@ -213,10 +214,10 @@ def _henon_refine(x, y_from, px, py, m, grad, axis, plane_axis, c):
     """One RK4 step using the plane coordinate as the independent variable."""
 
     def deriv(xx, yy, ppx, ppy):
-        z = np.zeros(2)
+        z = [0.0, 0.0]
         z[axis] = xx
         z[plane_axis] = yy
-        g = grad(z)
+        g = grad(*z)
         fx, fy = -g[axis], -g[plane_axis]
         return ppx / ppy, m * fx / ppy, m * fy / ppy
 
@@ -231,13 +232,62 @@ def _henon_refine(x, y_from, px, py, m, grad, axis, plane_axis, c):
     return x_c, px_c, py_c
 
 
+def _orbit_crossings(action: ActionSpec, spec: SectionSpec, e_abs: float, start: PhaseState) -> np.ndarray:
+    """Refined oriented crossings (x, p_x) of one orbit, stepped on its own."""
+    pot = action.potential
+    m = action.mass
+    grad = pot.kernel().gradient
+    axis = 1 - spec.plane_axis
+    pax = spec.plane_axis
+    c = spec.plane_value
+    orient = spec.orientation
+    prev = (*start.position, *start.momentum)
+    g_prev = prev[pax] - c
+    last_transit = 0  # +1 upward, -1 downward, 0 none yet
+    points = []
+    steps = _forest_ruth_steps(grad, m, spec.dt, *prev)
+    for state in itertools.islice(steps, spec.max_steps):
+        g_new = state[pax] - c
+        up = g_prev < 0.0 <= g_new
+        if up or g_new <= 0.0 < g_prev:
+            direction = 1 if up else -1
+            if direction == orient:
+                if last_transit == orient:
+                    raise NumericalError(
+                        "two same-orientation crossings without an "
+                        "opposite transit; reduce dt (grazing orbit)"
+                    )
+                if abs(prev[2 + pax]) < 1e-10:
+                    raise NumericalError("crossing with vanishing plane momentum; reduce dt")
+                x_c, px_c, py_c = _henon_refine(
+                    prev[axis], prev[pax], prev[2 + axis], prev[2 + pax], m, grad, axis, pax, c,
+                )
+                z = [0.0, 0.0]
+                z[axis] = x_c
+                z[pax] = c
+                e_cross = (px_c**2 + py_c**2) / (2.0 * m) + pot(z)
+                if abs(e_cross - e_abs) > 1e-8 * max(1.0, abs(e_abs)):
+                    raise NumericalError("energy at a refined crossing drifted beyond 1e-8")
+                points.append((x_c, px_c))
+                if len(points) == spec.max_crossings:
+                    return np.array(points, dtype=float)
+            last_transit = direction
+        prev, g_prev = state, g_new
+    raise NumericalError(
+        f"section did not reach {spec.max_crossings} crossings per "
+        f"orbit within {spec.max_steps} steps"
+    )
+
+
 def generate_section(action: ActionSpec, spec: SectionSpec) -> PoincareSection:
     """Integrate every initial condition and collect oriented plane crossings.
 
-    Crossings are detected as sign changes of the plane coordinate between
-    consecutive symplectic steps with the required momentum orientation;
-    opposite-orientation transits are tracked so a missed (grazing) return
-    is reported instead of silently double-counting.
+    Each orbit is stepped on its own until it has ``max_crossings``
+    crossings, within ``max_steps`` steps. Crossings are detected as sign
+    changes of the plane coordinate between consecutive symplectic steps
+    with the required momentum orientation; opposite-orientation transits
+    are tracked so a missed (grazing) return is reported instead of silently
+    double-counting.
     """
     if action.dimension != 2:
         raise ValueError("sections require a 2-D action")
@@ -252,84 +302,7 @@ def generate_section(action: ActionSpec, spec: SectionSpec) -> PoincareSection:
     _, vmin = _potential_minimum_2d(action.potential)
     if e_abs <= vmin:
         raise ValueError("section energy must exceed the potential minimum")
-
-    pot = action.potential
-    m = action.mass
-    dt = spec.dt
-    axis = 1 - spec.plane_axis
-    pax = spec.plane_axis
-    c = spec.plane_value
-    orient = spec.orientation
-    force = make_batch_force(pot)
-    grad_single = lambda z: pot.gradient_points(z[None, :])[0]
-
-    n = len(ics)
-    q = np.array([s.position for s in ics], dtype=float)
-    p = np.array([s.momentum for s in ics], dtype=float)
-    crossings = [[] for _ in range(n)]
-    counts = np.zeros(n, dtype=int)
-    active = np.ones(n, dtype=bool)
-    last_transit = np.zeros(n, dtype=int)  # +1 upward, -1 downward, 0 none yet
-
-    c1, c2 = _FR_DRIFT
-    d1, d2 = _FR_KICK
-    drift = np.array([c1, c2, c2, c1]) * dt
-    kick = np.array([d1, d2, d1]) * dt
-    g_prev = q[:, pax] - c
-    q_prev = q.copy()
-    p_prev = p.copy()
-    steps = 0
-    while active.any():
-        if steps >= spec.max_steps:
-            raise NumericalError(
-                f"section did not reach {spec.max_crossings} crossings per "
-                f"orbit within {spec.max_steps} steps"
-            )
-        np.copyto(q_prev, q)
-        np.copyto(p_prev, p)
-        q += drift[0] / m * p
-        for stage in range(3):
-            p += kick[stage] * force(q)  # force is already -grad V
-            q += drift[stage + 1] / m * p
-        steps += 1
-        g_new = q[:, pax] - c
-        up = (g_prev < 0.0) & (g_new >= 0.0)
-        down = (g_prev > 0.0) & (g_new <= 0.0)
-        moved = (up | down) & active
-        if moved.any():
-            for i in np.nonzero(moved)[0]:
-                direction = 1 if up[i] else -1
-                if direction == orient and counts[i] < spec.max_crossings:
-                    if last_transit[i] == orient:
-                        raise NumericalError(
-                            "two same-orientation crossings without an "
-                            "opposite transit; reduce dt (grazing orbit)"
-                        )
-                    if abs(p_prev[i, pax]) < 1e-10:
-                        raise NumericalError(
-                            "crossing with vanishing plane momentum; reduce dt"
-                        )
-                    x_c, px_c, py_c = _henon_refine(
-                        q_prev[i, axis], q_prev[i, pax], p_prev[i, axis],
-                        p_prev[i, pax], m, grad_single, axis, pax, c,
-                    )
-                    z = np.zeros(2)
-                    z[axis] = x_c
-                    z[pax] = c
-                    e_cross = (px_c**2 + py_c**2) / (2.0 * m) + pot(z)
-                    if abs(e_cross - e_abs) > 1e-8 * max(1.0, abs(e_abs)):
-                        raise NumericalError(
-                            "energy at a refined crossing drifted beyond 1e-8"
-                        )
-                    crossings[i].append((x_c, px_c))
-                    counts[i] += 1
-                    if counts[i] >= spec.max_crossings:
-                        active[i] = False
-                last_transit[i] = direction
-        g_prev = g_new
-    orbits = tuple(
-        np.array(pts, dtype=float).reshape(len(pts), 2) for pts in crossings
-    )
+    orbits = tuple(_orbit_crossings(action, spec, e_abs, s) for s in ics)
     return PoincareSection(spec=spec, action_used=action, e_absolute=e_abs, orbits=orbits)
 
 

@@ -92,14 +92,6 @@ def _parse_grid(data, where: str = "grid") -> Grid:
         raise ConfigError(f"{where}: {exc}") from exc
 
 
-def _snap_axis_points(grid: Grid, axis: int, lo: float, hi: float, count: int):
-    """Distinct grid nodes closest to an even subdivision of [lo, hi]."""
-    nodes = grid.axes()[axis]
-    want = np.linspace(lo, hi, count)
-    idx = sorted(set(int(np.argmin(np.abs(nodes - w))) for w in want))
-    return [float(nodes[i]) for i in idx]
-
-
 def _parse_pairs(data, grid: Grid, classical: ActionSpec = None, where: str = "pairs"):
     """Boundary pairs from one of the published forms.
 
@@ -126,14 +118,7 @@ def _parse_pairs(data, grid: Grid, classical: ActionSpec = None, where: str = "p
             len(span) == grid.dim and all(isinstance(s, list) and len(s) == 2 for s in span),
             f"{where}: span must be [lo, hi] (or one such pair per axis)",
         )
-        axes_points = [
-            _snap_axis_points(grid, a, float(span[a][0]), float(span[a][1]), count)
-            for a in range(grid.dim)
-        ]
-        if grid.dim == 1:
-            points = [(x,) for x in axes_points[0]]
-        else:
-            points = [(x, y) for x in axes_points[0] for y in axes_points[1]]
+        points = grid.subdivision_nodes([(float(lo), float(hi)) for lo, hi in span], count)
         pairs = tensor_pairs(points, points)
         sep = data.get("max_separation")
         if sep is not None:
@@ -485,8 +470,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, help="path to the JSON config")
         p.add_argument("--out", default=".", help="output directory (default: current)")
-        p.add_argument("--workers", type=int, default=os.cpu_count() or 1,
-                       help="parallel worker bound (results are worker-independent)")
+        p.add_argument("--workers", type=int, default=1,
+                       help="worker processes of a fit (results are worker-independent)")
         choices = ["csv", "json", "gnuplot"] if name == "poincare" else ["csv", "json"]
         p.add_argument("--format", choices=choices, default="csv",
                        help="table output format")

@@ -6,10 +6,11 @@ hashable, so they can be used as cache keys and shared freely.
 """
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Mapping, NamedTuple
 
 import numpy as np
 
@@ -39,6 +40,64 @@ def _canonical_terms(dimension: int, terms) -> tuple[tuple[Exponents, float], ..
         if coef != 0.0:
             out[exp] = coef
     return tuple(sorted(out.items()))
+
+
+def _derivative_terms(terms, axis: int) -> tuple:
+    """Canonical terms of d/dx_axis of canonical terms (order is preserved)."""
+    out = []
+    for exp, coef in terms:
+        e = exp[axis]
+        if e:
+            out.append((exp[:axis] + (e - 1,) + exp[axis + 1 :], coef * e))
+    return tuple(out)
+
+
+class PolynomialKernel(NamedTuple):
+    """Generated evaluators of one polynomial, taking one coordinate per axis.
+
+    Each accepts Python floats or equally shaped numpy arrays and does the
+    same left-to-right products and sums on both, so a point gives the same
+    bits either way. ``gradient`` returns one component per axis and
+    ``hessian`` the upper triangle row by row; a constant entry comes back
+    as a plain float, so array callers broadcast it.
+    """
+
+    value: Callable
+    gradient: Callable
+    hessian: Callable
+
+
+def _polynomial_source(terms, names) -> str:
+    monomials = [
+        "*".join([repr(coef)] + [name for name, e in zip(names, exp) for _ in range(e)])
+        for exp, coef in terms
+    ]
+    return " + ".join(monomials) or "0.0"
+
+
+@functools.lru_cache(maxsize=256)
+def _compile(dimension: int, terms: tuple) -> PolynomialKernel:
+    """Kernel of validated canonical terms.
+
+    Kept outside the potential so potentials stay picklable for the fit's
+    process pool. The generated source holds only float literals and the
+    coordinate names, so ``eval`` without builtins is safe.
+    """
+    names = ("x", "y")[:dimension]
+    grads = [_derivative_terms(terms, a) for a in range(dimension)]
+    hess = [_derivative_terms(grads[a], b) for a in range(dimension) for b in range(a, dimension)]
+
+    def generate(body: str):
+        return eval(f"lambda {', '.join(names)}: {body}", {"__builtins__": {}})
+
+    def generate_tuple(tables):
+        return generate("(" + "".join(_polynomial_source(t, names) + ", " for t in tables) + ")")
+
+    return PolynomialKernel(
+        value=generate(_polynomial_source(terms, names)),
+        gradient=generate_tuple(grads),
+        hessian=generate_tuple(hess),
+    )
 
 
 @dataclass(frozen=True)
@@ -102,95 +161,57 @@ class PolynomialPotential:
 
     # -- evaluation --------------------------------------------------------
 
+    def kernel(self) -> "PolynomialKernel":
+        """Compiled value, gradient and Hessian of this potential (cached)."""
+        return _compile(self.dimension, self.terms)
+
+    def _coordinates(self, points) -> tuple:
+        pts = np.asarray(points, dtype=float)
+        if pts.shape[-1] != self.dimension:
+            raise ValueError(f"points trailing axis {pts.shape[-1]} != dimension {self.dimension}")
+        return pts.shape[:-1], tuple(pts[..., a] for a in range(self.dimension))
+
     def __call__(self, point) -> float:
         pt = np.atleast_1d(np.asarray(point, dtype=float))
         if pt.shape != (self.dimension,):
             raise ValueError(f"point has shape {pt.shape}, expected ({self.dimension},)")
-        total = 0.0
-        for exp, coef in self.terms:
-            term = coef
-            for x, e in zip(pt, exp):
-                term *= x**e
-            total += term
-        return total
+        return float(self.kernel().value(*pt.tolist()))
 
     def evaluate_points(self, points: np.ndarray) -> np.ndarray:
         """Evaluate on an array of shape (..., dimension)."""
-        pts = np.asarray(points, dtype=float)
-        if pts.shape[-1] != self.dimension:
-            raise ValueError(f"points trailing axis {pts.shape[-1]} != dimension {self.dimension}")
-        out = np.zeros(pts.shape[:-1])
-        for exp, coef in self.terms:
-            term = np.full(pts.shape[:-1], coef)
-            for axis, e in enumerate(exp):
-                if e:
-                    term = term * pts[..., axis] ** e
-            out += term
-        return out
-
-    def evaluate_on_axes(self, axes: Sequence[np.ndarray]) -> np.ndarray:
-        """Evaluate on the tensor grid spanned by per-axis coordinate arrays."""
-        if len(axes) != self.dimension:
-            raise ValueError("one coordinate array per dimension required")
-        shape = tuple(len(a) for a in axes)
-        out = np.zeros(shape)
-        for exp, coef in self.terms:
-            term = np.asarray(coef)
-            for axis, e in enumerate(exp):
-                vec = np.asarray(axes[axis], dtype=float) ** e
-                term = np.multiply.outer(term, vec) if term.ndim else term * vec
-            # term now has shape of the axes processed; broadcast missing axes
-            while term.ndim < len(shape):
-                term = term[..., None]
-            out += term
+        shape, coords = self._coordinates(points)
+        out = np.empty(shape)
+        out[...] = self.kernel().value(*coords)
         return out
 
     def derivative(self, axis: int) -> "PolynomialPotential":
         if not 0 <= axis < self.dimension:
             raise ValueError(f"axis {axis} out of range for dimension {self.dimension}")
-        d = {}
-        for exp, coef in self.terms:
-            e = exp[axis]
-            if e == 0:
-                continue
-            new = list(exp)
-            new[axis] = e - 1
-            key = tuple(new)
-            d[key] = d.get(key, 0.0) + coef * e
-        return PolynomialPotential(self.dimension, d, confining=False)
-
-    def gradient(self, point) -> np.ndarray:
-        return np.array([self.derivative(a)(point) for a in range(self.dimension)])
+        return PolynomialPotential(self.dimension, _derivative_terms(self.terms, axis))
 
     def gradient_points(self, points: np.ndarray) -> np.ndarray:
-        pts = np.asarray(points, dtype=float)
-        out = np.empty_like(pts)
-        for a in range(self.dimension):
-            out[..., a] = self.derivative(a).evaluate_points(pts)
+        """Gradient at each point, shape (..., dimension)."""
+        shape, coords = self._coordinates(points)
+        out = np.empty(shape + (self.dimension,))
+        for a, component in enumerate(self.kernel().gradient(*coords)):
+            out[..., a] = component
         return out
 
     def hessian_points(self, points: np.ndarray) -> np.ndarray:
         """Hessian at each point, shape (..., dimension, dimension)."""
-        pts = np.asarray(points, dtype=float)
+        shape, coords = self._coordinates(points)
         n = self.dimension
-        out = np.empty(pts.shape[:-1] + (n, n))
+        out = np.empty(shape + (n, n))
+        entries = iter(self.kernel().hessian(*coords))
         for a in range(n):
-            da = self.derivative(a)
             for b in range(a, n):
-                val = da.derivative(b).evaluate_points(pts)
-                out[..., a, b] = val
-                out[..., b, a] = val
+                out[..., a, b] = out[..., b, a] = next(entries)
         return out
 
     def scaled(self, alpha: float) -> "PolynomialPotential":
         """All coefficients multiplied by alpha (alpha > 0 preserves confinement)."""
         d = {exp: alpha * coef for exp, coef in self.terms}
         return PolynomialPotential(self.dimension, d, confining=self.confining and alpha > 0)
-
-
-def evaluate_potential(potential: PolynomialPotential, point) -> float:
-    """Value of the potential at a single point."""
-    return potential(point)
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,7 @@ continuum 1/sqrt(h) scale per dimension and the sum needs no extra factor.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -85,8 +86,12 @@ class Grid:
             return ws[0]
         return np.multiply.outer(ws[0], ws[1]).ravel()
 
+    def nodes(self) -> np.ndarray:
+        """Node coordinates, shape (*shape, dim)."""
+        return np.stack(np.meshgrid(*self.axes(), indexing="ij"), axis=-1)
+
     def potential_flat(self, action: ActionSpec) -> np.ndarray:
-        return action.potential.evaluate_on_axes(self.axes()).ravel()
+        return action.potential.evaluate_points(self.nodes()).ravel()
 
     def index_of(self, point) -> int:
         """Flat index of a point that must coincide with a grid node."""
@@ -104,14 +109,32 @@ class Grid:
             return idx[0]
         return idx[0] * self.npoints[1] + idx[1]
 
-    def snap(self, point):
-        """Nearest grid node to an arbitrary point inside the box."""
+    def snap(self, point) -> tuple:
+        """Nearest grid node to a point, as coordinates taken from ``axes()``.
+
+        Points outside the box go to the nearest edge node. A point halfway
+        between two nodes goes to the one nearer the grid centre, so a
+        mirrored point snaps to the mirrored node.
+        """
         pt = np.atleast_1d(np.asarray(point, dtype=float))
+        if pt.shape != (self.dim,):
+            raise ValueError(f"point has shape {pt.shape}, expected ({self.dim},)")
         out = []
-        for x, L, n, h in zip(pt, self.extents, self.npoints, self.spacing):
-            k = min(max(int(round((x + L) / h)), 0), n - 1)
-            out.append(-L + k * h)
+        for x, L, ax, h in zip(pt.tolist(), self.extents, self.axes(), self.spacing):
+            x = min(max(x, -L), L)
+            centre = (len(ax) - 1) / 2.0
+            half = centre % 1.0  # 0.5 when no node sits at the centre
+            # offset from the centre in node spacings, rounded half toward the centre
+            offset = math.ceil(abs(x) / h - half - 0.5) + half
+            out.append(float(ax[int(centre + math.copysign(offset, x))]))
         return tuple(out)
+
+    def subdivision_nodes(self, spans, count: int) -> list:
+        """Tensor points of the distinct snapped nodes of ``count`` evenly
+        spaced points over each axis span [lo, hi]."""
+        cuts = zip(*(np.linspace(lo, hi, count) for lo, hi in spans))
+        snapped = [self.snap(p) for p in cuts]
+        return list(itertools.product(*(sorted({p[a] for p in snapped}) for a in range(self.dim))))
 
 
 @dataclass(frozen=True)

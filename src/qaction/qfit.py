@@ -317,9 +317,7 @@ def quantum_action_log_norm_sq(action: ActionSpec, grid: Grid) -> float:
     2-D). Used to pin ln Z = -ln of this integral.
     """
     pot = action.potential
-    pts = np.stack(
-        np.meshgrid(*grid.axes(), indexing="ij"), axis=-1
-    ).reshape(grid.size, grid.dim)
+    pts = grid.nodes().reshape(grid.size, grid.dim)
     r0, vmin = _grid_minimum(pot, grid)
     d = pts - r0
     dist = np.sqrt(np.sum(d * d, axis=1))
@@ -338,7 +336,7 @@ def _grid_minimum(pot: PolynomialPotential, grid: Grid):
         x0, vmin = _refine_minimum(xs, pot.evaluate_points(xs[:, None]))
         return np.array([x0]), vmin
     axes = grid.axes()
-    vals = pot.evaluate_on_axes(axes)
+    vals = pot.evaluate_points(grid.nodes())
     idx = np.unravel_index(int(np.argmin(vals)), vals.shape)
     point = []
     for axis, (ax, i) in enumerate(zip(axes, idx)):
@@ -598,20 +596,10 @@ def default_pairs(classical: ActionSpec, grid: Grid, points_per_axis: int = 11, 
     gs = ground_state_spectral(classical, grid)
     psi = gs.psi.reshape(grid.shape)
     mask = psi > threshold * float(psi.max())
-    points_1d = []
+    spans = []
     for axis, ax in enumerate(grid.axes()):
         proj = mask.any(axis=tuple(i for i in range(grid.dim) if i != axis))
         sel = ax[proj]
-        lo, hi = float(sel[0]), float(sel[-1])
-        h = grid.spacing[axis]
-        snapped = []
-        for v in np.linspace(lo, hi, points_per_axis):
-            node = ax[int(round((v - ax[0]) / h))]
-            if not snapped or abs(node - snapped[-1]) > 1e-12:
-                snapped.append(float(node))
-        points_1d.append(snapped)
-    if grid.dim == 1:
-        pts = [(v,) for v in points_1d[0]]
-    else:
-        pts = [(vx, vy) for vx in points_1d[0] for vy in points_1d[1]]
+        spans.append((float(sel[0]), float(sel[-1])))
+    pts = grid.subdivision_nodes(spans, points_per_axis)
     return tensor_pairs(pts, pts)

@@ -8,9 +8,9 @@ for real-time dynamics.
 """
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -257,48 +257,36 @@ _FR_DRIFT = (_FR_THETA / 2.0, (1.0 - _FR_THETA) / 2.0)
 _FR_KICK = (_FR_THETA, 1.0 - 2.0 * _FR_THETA)
 
 
-def make_batch_force(pot: PolynomialPotential) -> Callable[[np.ndarray], np.ndarray]:
-    """-grad V evaluated on arrays of shape (..., dim)."""
-    comps = [tuple(pot.derivative(a).terms) for a in range(pot.dimension)]
+def _forest_ruth_steps(grad, m: float, dt: float, x: float, y: float, px: float, py: float):
+    """Forest-Ruth steps of H = (px^2 + py^2)/2m + V from (x, y, px, py).
 
-    def force(q: np.ndarray) -> np.ndarray:
-        out = np.zeros_like(q)
-        for a, terms in enumerate(comps):
-            oa = out[..., a]
-            for exp, coef in terms:
-                t = np.full(q.shape[:-1], coef)
-                for ax, e in enumerate(exp):
-                    if e == 1:
-                        t *= q[..., ax]
-                    elif e > 1:
-                        t *= q[..., ax] ** e
-                oa -= t
-        return out
-
-    return force
-
-
-def _make_scalar_force(pot: PolynomialPotential):
-    """Compiled tuple-valued -grad V for dim <= 2 scalar stepping.
-
-    The generated source contains only literals from validated terms; a
-    compiled lambda keeps the 1e7-step drift runs affordable in pure Python.
+    ``grad(x, y)`` returns (dV/dx, dV/dy). Yields the state after each step,
+    without end; a 1-D action runs with y and py held at 0 by a zero dV/dy.
     """
-    names = ("x", "y")[: pot.dimension]
-    comps = []
-    for a in range(pot.dimension):
-        parts = []
-        for exp, coef in pot.derivative(a).terms:
-            factors = [repr(coef)]
-            for nm, e in zip(names, exp):
-                if e == 1:
-                    factors.append(nm)
-                elif e > 1:
-                    factors.append(f"{nm}**{e}")
-            parts.append("*".join(factors))
-        comps.append("-(" + " + ".join(parts) + ")" if parts else "0.0")
-    src = f"lambda {', '.join(names)}: ({', '.join(comps)},)"
-    return eval(src, {"__builtins__": {}})
+    m_inv = 1.0 / m
+    c1 = _FR_DRIFT[0] * dt * m_inv
+    c2 = _FR_DRIFT[1] * dt * m_inv
+    d1 = _FR_KICK[0] * dt
+    d2 = _FR_KICK[1] * dt
+    while True:
+        x += c1 * px
+        y += c1 * py
+        gx, gy = grad(x, y)
+        px -= d1 * gx
+        py -= d1 * gy
+        x += c2 * px
+        y += c2 * py
+        gx, gy = grad(x, y)
+        px -= d2 * gx
+        py -= d2 * gy
+        x += c2 * px
+        y += c2 * py
+        gx, gy = grad(x, y)
+        px -= d1 * gx
+        py -= d1 * gy
+        x += c1 * px
+        y += c1 * py
+        yield x, y, px, py
 
 
 def integrate_realtime(
@@ -324,80 +312,16 @@ def integrate_realtime(
     if store_every < 1:
         raise ValueError("store_every must be >= 1")
     n_steps = max(1, int(round(T / dt)))
-    m_inv = 1.0 / action.mass
-    c1 = _FR_DRIFT[0] * dt * m_inv
-    c2 = _FR_DRIFT[1] * dt * m_inv
-    d1 = _FR_KICK[0] * dt
-    d2 = _FR_KICK[1] * dt
-    force = _make_scalar_force(action.potential)
+    dim = s0.dim
+    x, y = (*s0.position, 0.0)[:2]
+    px, py = (*s0.momentum, 0.0)[:2]
+    grad = action.potential.kernel().gradient
+    if dim == 1:
+        grad_x = grad
+        grad = lambda x, y: (*grad_x(x), 0.0)
+    steps = _forest_ruth_steps(grad, action.mass, dt, x, y, px, py)
     out = [s0]
-    if s0.dim == 1:
-        (x,), (px,) = s0.position, s0.momentum
-        for k in range(1, n_steps + 1):
-            x += c1 * px
-            px += d1 * force(x)[0]
-            x += c2 * px
-            px += d2 * force(x)[0]
-            x += c2 * px
-            px += d1 * force(x)[0]
-            x += c1 * px
-            if k % store_every == 0 or k == n_steps:
-                out.append(PhaseState((x,), (px,)))
-    elif s0.dim == 2:
-        (x, y), (px, py) = s0.position, s0.momentum
-        for k in range(1, n_steps + 1):
-            x += c1 * px
-            y += c1 * py
-            fx, fy = force(x, y)
-            px += d1 * fx
-            py += d1 * fy
-            x += c2 * px
-            y += c2 * py
-            fx, fy = force(x, y)
-            px += d2 * fx
-            py += d2 * fy
-            x += c2 * px
-            y += c2 * py
-            fx, fy = force(x, y)
-            px += d1 * fx
-            py += d1 * fy
-            x += c1 * px
-            y += c1 * py
-            if k % store_every == 0 or k == n_steps:
-                out.append(PhaseState((x, y), (px, py)))
-    else:  # pragma: no cover - dimensions are validated to 1 or 2 upstream
-        raise ValueError("only 1-D and 2-D actions are supported")
+    for k, state in enumerate(itertools.islice(steps, n_steps), 1):
+        if k % store_every == 0 or k == n_steps:
+            out.append(PhaseState(state[:dim], state[2 : 2 + dim]))
     return out
-
-
-def step_batch(q, p, dt, m, force, n_steps=1):
-    """Advance arrays q, p of shape (n_orbits, dim) in place; returns (q, p)."""
-    m_inv = 1.0 / m
-    c1 = _FR_DRIFT[0] * dt * m_inv
-    c2 = _FR_DRIFT[1] * dt * m_inv
-    d1 = _FR_KICK[0] * dt
-    d2 = _FR_KICK[1] * dt
-    for _ in range(n_steps):
-        q += c1 * p
-        p += d1 * force(q)
-        q += c2 * p
-        p += d2 * force(q)
-        q += c2 * p
-        p += d1 * force(q)
-        q += c1 * p
-    return q, p
-
-
-def sample_steps(n_steps: int, store_every: int) -> list[int]:
-    """Step indices stored by integrate_realtime for the given sampling."""
-    ks = list(range(0, n_steps + 1, store_every))
-    if ks[-1] != n_steps:
-        ks.append(n_steps)
-    return ks
-
-
-def trajectory_to_rows(states: Sequence[PhaseState], T: float, dt: float, store_every: int = 1):
-    """CSV rows t, x[, y], px[, py] for a sampled real-time trajectory."""
-    ks = sample_steps(max(1, int(round(T / dt))), store_every)
-    for k, s in zip(ks, states):
-        yield [k * dt, *s.position, *s.momentum]

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -245,3 +246,12 @@ def test_occupancy_validation(coupled, coupled_section_low):
         section_occupancy(empty)
     with pytest.raises(ValueError):
         section_occupancy(coupled_section_low, (1, 5))
+
+
+def test_each_orbit_gives_the_same_crossings_alone(coupled):
+    ics = section_initial_conditions(coupled, 30.0, 3)
+    spec = SectionSpec(energy=30.0, initial_conditions=ics, dt=2e-3, max_crossings=10)
+    together = generate_section(coupled, spec)
+    for ic, pts in zip(ics, together.orbits):
+        alone = generate_section(coupled, dataclasses.replace(spec, initial_conditions=(ic,)))
+        assert np.array_equal(alone.orbits[0], pts)

@@ -5,8 +5,8 @@ import math
 import pytest
 import scipy.linalg
 
-from qaction import propagator
-from qaction.cli import main
+from qaction import Grid, propagator
+from qaction.cli import _parse_pairs, main
 from qaction.qfit import FLOW_CSV_HEADER
 
 HO = {
@@ -454,3 +454,12 @@ def test_truncated_spectrum_exit_3_leaves_no_files(tmp_path):
     out = tmp_path / "short"
     assert main(["propagate", "--config", cfg, "--out", str(out)]) == 3
     assert not out.exists()
+
+
+def test_span_pairs_snap_mirror_symmetrically():
+    # on 45 nodes over [-6.6, 6.6], -0.75 and 0.75 lie halfway between nodes
+    grid = Grid((6.6, 6.6), (45, 45))
+    pairs = _parse_pairs({"points_per_axis": 5, "span": [-1.5, 1.5]}, grid)
+    assert len(pairs) == 625
+    indices = {grid.index_of(xi) for xi, _ in pairs}
+    assert indices == {44 * 45 + 44 - i for i in indices}

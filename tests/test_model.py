@@ -1,32 +1,35 @@
+import itertools
 import json
 import math
+import pickle
 
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qaction import (
     ActionSpec,
     PolynomialPotential,
     ScaleTransform,
     apply_scale_transform,
-    evaluate_potential,
 )
 
 
 def test_evaluate_coupled_2d_at_unit_point():
     pot = PolynomialPotential(2, {(2, 0): 0.5, (0, 2): 0.5, (2, 2): 0.05})
-    assert evaluate_potential(pot, (1.0, 1.0)) == pytest.approx(1.05, abs=1e-15)
+    assert pot((1.0, 1.0)) == pytest.approx(1.05, abs=1e-15)
 
 
 def test_evaluate_origin_without_constant_term_is_zero():
     pot = PolynomialPotential(2, {(2, 0): 0.3, (2, 2): 0.7})
-    assert evaluate_potential(pot, (0.0, 0.0)) == 0.0
+    assert pot((0.0, 0.0)) == 0.0
 
 
 def test_evaluate_ho_at_two():
     pot = PolynomialPotential(1, {(2,): 0.5})
-    assert evaluate_potential(pot, (2.0,)) == pytest.approx(2.0, abs=1e-15)
+    assert pot((2.0,)) == pytest.approx(2.0, abs=1e-15)
 
 
 def test_evaluation_linear_in_coefficients():
@@ -34,15 +37,13 @@ def test_evaluation_linear_in_coefficients():
     b = PolynomialPotential(1, {(0,): 0.2, (2,): 0.25})
     s = PolynomialPotential(1, {(0,): 0.2, (2,): 0.65, (4,): 0.1})
     for x in (-2.0, -0.3, 0.0, 1.7):
-        assert evaluate_potential(s, (x,)) == pytest.approx(
-            evaluate_potential(a, (x,)) + evaluate_potential(b, (x,)), rel=1e-15
-        )
+        assert s((x,)) == pytest.approx(a((x,)) + b((x,)), rel=1e-15)
 
 
 def test_arity_mismatch_rejected():
     pot = PolynomialPotential(1, {(2,): 0.5})
     with pytest.raises(ValueError):
-        evaluate_potential(pot, (1.0, 1.0))
+        pot((1.0, 1.0))
     with pytest.raises(ValueError):
         PolynomialPotential(1, {(2, 0): 0.5})
 
@@ -64,9 +65,7 @@ def test_confining_potential_grows_along_each_axis():
     for axis in range(2):
         e = np.zeros(2)
         e[axis] = 1.0
-        assert evaluate_potential(pot, tuple(1e3 * e)) > evaluate_potential(
-            pot, tuple(1e2 * e)
-        )
+        assert pot(tuple(1e3 * e)) > pot(tuple(1e2 * e))
 
 
 def test_action_spec_validation():
@@ -81,8 +80,8 @@ def test_derivative_and_gradient():
     pot = PolynomialPotential(2, {(2, 0): 0.5, (0, 2): 0.5, (2, 2): 0.05})
     gx = pot.derivative(0)
     # d/dx [x^2/2 + 0.05 x^2 y^2] = x + 0.1 x y^2
-    assert evaluate_potential(gx, (2.0, 3.0)) == pytest.approx(2.0 + 0.1 * 2.0 * 9.0)
-    npt.assert_allclose(pot.gradient((1.0, -1.0)), [1.0 + 0.1, -1.0 - 0.1], rtol=1e-15)
+    assert gx((2.0, 3.0)) == pytest.approx(2.0 + 0.1 * 2.0 * 9.0)
+    npt.assert_allclose(pot.gradient_points([1.0, -1.0]), [1.0 + 0.1, -1.0 - 0.1], rtol=1e-15)
 
 
 def test_scale_transform_ho_example():
@@ -120,7 +119,106 @@ def test_constant_term_never_affects_forces():
     base = PolynomialPotential(1, {(2,): 0.5})
     lifted = base.with_terms({(0,): 3.7})
     x = (1.3,)
-    npt.assert_allclose(lifted.gradient(x), base.gradient(x), rtol=0, atol=0)
-    assert evaluate_potential(lifted, x) == pytest.approx(
-        evaluate_potential(base, x) + 3.7
+    npt.assert_allclose(lifted.gradient_points(x), base.gradient_points(x), rtol=0, atol=0)
+    assert lifted(x) == pytest.approx(base(x) + 3.7)
+
+
+@st.composite
+def confining_potentials(draw, dimension):
+    """Even leading power on each axis plus random lower-order terms."""
+    degree = draw(st.sampled_from([2, 4, 6]))
+    terms = {}
+    for exp in itertools.product(range(degree), repeat=dimension):
+        if sum(exp) < degree and draw(st.booleans()):
+            terms[exp] = draw(st.floats(-1.0, 1.0))
+    for axis in range(dimension):
+        lead = [0] * dimension
+        lead[axis] = degree
+        terms[tuple(lead)] = draw(st.floats(0.1, 2.0))
+    return PolynomialPotential(dimension, terms, confining=True)
+
+
+def naive_derivative(pot, point, orders, magnitude=False):
+    """Monomial-by-monomial sum of d^orders V at point (or of its term sizes)."""
+    total = 0.0
+    for exp, coef in pot.terms:
+        term = abs(coef) if magnitude else coef
+        for x, e, k in zip(point, exp, orders):
+            if e < k:
+                term = 0.0
+                break
+            x = abs(x) if magnitude else x
+            term *= math.perm(e, k) * x ** (e - k)
+        total += term
+    return total
+
+
+def potentials_and_points(dimension):
+    coordinate = st.floats(-2.0, 2.0)
+    return st.tuples(
+        confining_potentials(dimension), st.tuples(*[coordinate] * dimension)
     )
+
+
+@pytest.mark.parametrize("dimension", [1, 2])
+def test_kernel_matches_naive_sum_and_finite_differences(dimension):
+    step = 1e-5
+
+    @settings(max_examples=60, deadline=None)
+    @given(potentials_and_points(dimension))
+    def check(case):
+        pot, point = case
+        scale = 1.0 + naive_derivative(pot, point, (0,) * dimension, magnitude=True)
+        assert abs(pot(point) - naive_derivative(pot, point, (0,) * dimension)) <= 1e-13 * scale
+        grad = pot.gradient_points(point)
+        hess = pot.hessian_points(point)
+        for a in range(dimension):
+            unit = np.eye(dimension)[a] * step
+            orders = tuple(int(i == a) for i in range(dimension))
+            assert abs(grad[a] - naive_derivative(pot, point, orders)) <= 1e-12 * scale
+            central = (pot(point + unit) - pot(point - unit)) / (2.0 * step)
+            assert abs(grad[a] - central) <= 1e-6 * scale
+            hess_central = (
+                pot.gradient_points(point + unit) - pot.gradient_points(point - unit)
+            ) / (2.0 * step)
+            for b in range(dimension):
+                orders = tuple(int(i == a) + int(i == b) for i in range(dimension))
+                assert hess[a, b] == hess[b, a]
+                assert abs(hess[a, b] - naive_derivative(pot, point, orders)) <= 1e-12 * scale
+                assert abs(hess[a, b] - hess_central[b]) <= 1e-5 * scale
+
+    check()
+
+
+@pytest.mark.parametrize("dimension", [1, 2])
+def test_scalar_and_array_evaluation_agree_bitwise(dimension):
+    @settings(max_examples=60, deadline=None)
+    @given(potentials_and_points(dimension))
+    def check(case):
+        pot, point = case
+        assert pot(point) == pot.evaluate_points([point])[0]
+
+    check()
+
+
+def test_constant_entries_broadcast_over_arrays():
+    pot = PolynomialPotential(2, {(0, 0): 1.5, (2, 0): 0.5})
+    pts = np.zeros((3, 4, 2))
+    npt.assert_array_equal(pot.evaluate_points(pts), np.full((3, 4), 1.5))
+    npt.assert_array_equal(pot.gradient_points(pts)[..., 1], np.zeros((3, 4)))
+    hess = pot.hessian_points(pts)
+    assert hess.shape == (3, 4, 2, 2)
+    npt.assert_array_equal(hess[..., 0, 0], np.ones((3, 4)))
+    npt.assert_array_equal(hess[..., 0, 1], np.zeros((3, 4)))
+    free = PolynomialPotential(1, {})
+    npt.assert_array_equal(free.evaluate_points(np.ones((5, 1))), np.zeros(5))
+
+
+def test_potential_pickles_after_its_kernel_is_built():
+    pot = PolynomialPotential(2, {(2, 0): 0.5, (0, 2): 0.5, (2, 2): 0.05}, confining=True)
+    value = pot((0.3, -1.1))
+    back = pickle.loads(pickle.dumps(pot))
+    assert back == pot and hash(back) == hash(pot)
+    assert back((0.3, -1.1)) == value
+    action = ActionSpec(mass=1.0, potential=pot, hbar=1.0)
+    assert pickle.loads(pickle.dumps(action)) == action

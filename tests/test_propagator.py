@@ -4,6 +4,8 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qaction import (
     ActionSpec,
@@ -220,3 +222,49 @@ def test_truncated_window_raises(ho):
         decompose_for_time(ho, Grid((8.0,), (16,)), 1e-3)
     with pytest.raises(NumericalError, match="weight up to"):
         decompose_for_time(HO_2D, Grid((8.0, 8.0), (16, 16)), 1e-3)
+
+
+def _node_indices(grid, point):
+    flat = grid.index_of(point)
+    return (flat,) if grid.dim == 1 else divmod(flat, grid.npoints[1])
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(1, 2).flatmap(
+        lambda dim: st.tuples(
+            st.tuples(*[st.floats(0.5, 10.0)] * dim),
+            st.tuples(*[st.integers(16, 64)] * dim),
+            st.tuples(*[st.floats(-12.0, 12.0)] * dim),
+        )
+    )
+)
+def test_snap_lands_on_a_node_idempotently_and_mirrors(case):
+    extents, npoints, point = case
+    grid = Grid(extents, npoints)
+    snapped = grid.snap(point)
+    index = _node_indices(grid, snapped)
+    assert grid.snap(snapped) == snapped
+    for x, s, L, h in zip(point, snapped, extents, grid.spacing):
+        # nearest node inside the box, nearest edge node outside it
+        assert abs(s - min(max(x, -L), L)) <= 0.5 * h * (1.0 + 1e-9)
+    mirrored = _node_indices(grid, grid.snap(tuple(-x for x in point)))
+    assert mirrored == tuple(n - 1 - i for n, i in zip(npoints, index))
+
+
+def test_snap_sends_ties_toward_the_centre():
+    odd = Grid((2.0,), (17,))  # nodes every 0.25, one at 0
+    assert [odd.snap((x,))[0] for x in (0.125, -0.125, 0.375, -0.375)] == [0.0, 0.0, 0.25, -0.25]
+    even = Grid((7.5,), (16,))  # nodes at the half-integers
+    assert [even.snap((x,))[0] for x in (1.0, -1.0, 0.0, -0.0)] == [0.5, -0.5, 0.5, -0.5]
+    assert odd.snap((9.0,)) == (2.0,) and odd.snap((-9.0,)) == (-2.0,)
+
+
+def test_subdivision_nodes_are_mirror_symmetric():
+    # 45 nodes on [-6.6, 6.6]: -0.75 and 0.75 fall halfway between nodes
+    grid = Grid((6.6, 6.6), (45, 45))
+    points = grid.subdivision_nodes([(-1.5, 1.5), (-1.5, 1.5)], 5)
+    assert len(points) == 25
+    xs = sorted({p[0] for p in points})
+    npt.assert_allclose(xs, [-1.5, -0.6, 0.0, 0.6, 1.5], atol=1e-12)
+    assert [grid.index_of((x, 0.0)) // 45 for x in xs] == [17, 20, 22, 24, 27]

@@ -15,12 +15,6 @@ from qaction import (
     integrate_realtime,
     solve_euclidean_bvp,
 )
-from qaction.trajectory import (
-    make_batch_force,
-    sample_steps,
-    step_batch,
-    trajectory_to_rows,
-)
 
 COTH1_OVER_2 = 0.5 / math.tanh(1.0)
 
@@ -179,31 +173,38 @@ def test_integrate_realtime_validation(ho):
         integrate_realtime(ho, PhaseState((1.0, 0.0), (0.0, 0.0)), 1.0, 1e-3)
 
 
-def test_batch_force_matches_gradient(coupled_2d):
-    force = make_batch_force(coupled_2d.potential)
+def test_kernel_gradient_matches_closed_form(coupled_2d):
+    pot = coupled_2d.potential
     pts = np.array([[0.3, -0.7], [1.2, 0.4], [0.0, 0.0]])
-    expected = -np.array([coupled_2d.potential.gradient(p) for p in pts])
-    npt.assert_allclose(force(pts), expected, atol=1e-14)
+    x, y = pts[:, 0], pts[:, 1]
+    # grad [x^2/2 + y^2/2 + 0.05 x^2 y^2] = (x + 0.1 x y^2, y + 0.1 x^2 y)
+    expected = np.stack([x + 0.1 * x * y**2, y + 0.1 * x**2 * y], axis=1)
+    npt.assert_allclose(pot.gradient_points(pts), expected, atol=1e-14)
+    for p, g in zip(pts, expected):
+        npt.assert_allclose(pot.kernel().gradient(*p.tolist()), g, atol=1e-14)
 
 
-def test_step_batch_matches_integrate(ho):
-    s0 = PhaseState((0.8,), (-0.2,))
-    states = integrate_realtime(ho, s0, 1.0, 1e-3, store_every=10**9)
-    q = np.array([[0.8]])
-    p = np.array([[-0.2]])
-    force = make_batch_force(ho.potential)
-    step_batch(q, p, 1e-3, 1.0, force, n_steps=1000)
-    assert abs(q[0, 0] - states[-1].position[0]) < 1e-12
-    assert abs(p[0, 0] - states[-1].momentum[0]) < 1e-12
+def test_1d_run_matches_its_2d_embedding(ho):
+    # the 1-D path holds y = py = 0 in the shared 2-D stepper, so an x-only
+    # orbit of the separable 2-D oscillator must repeat it to the bit
+    planar = ActionSpec(
+        mass=1.0, potential=PolynomialPotential(2, {(2, 0): 0.5, (0, 2): 0.5}), hbar=1.0
+    )
+    line = integrate_realtime(ho, PhaseState((0.8,), (-0.2,)), 1.0, 1e-3, store_every=100)
+    plane = integrate_realtime(
+        planar, PhaseState((0.8, 0.0), (-0.2, 0.0)), 1.0, 1e-3, store_every=100
+    )
+    assert len(line) == len(plane) == 11
+    for a, b in zip(line, plane):
+        assert a.position == b.position[:1] and a.momentum == b.momentum[:1]
+        assert b.position[1] == 0.0 and b.momentum[1] == 0.0
 
 
 def test_sampling_and_rows(ho):
     s0 = PhaseState((1.0,), (0.0,))
     states = integrate_realtime(ho, s0, 0.01, 1e-3, store_every=4)
-    ks = sample_steps(10, 4)
-    assert ks == [0, 4, 8, 10]
-    assert len(states) == len(ks)
-    rows = list(trajectory_to_rows(states, 0.01, 1e-3, store_every=4))
-    assert len(rows) == len(ks)
-    assert rows[0] == [0.0, 1.0, 0.0]
-    assert rows[-1][0] == pytest.approx(0.01)
+    every = integrate_realtime(ho, s0, 0.01, 1e-3)
+    # steps 0, 4 and 8, then the final step 10
+    assert len(states) == 4
+    assert states == [every[k] for k in (0, 4, 8, 10)]
+    assert states[0] == s0
