@@ -27,7 +27,6 @@ from .propagator import (
 from .trajectory import (
     PhaseState,
     TrajectorySolution,
-    evaluate_action,
     hamiltonian_energy,
     integrate_realtime,
     solve_euclidean_bvp,
@@ -93,7 +92,6 @@ __all__ = [
     "default_pairs",
     "discretize_hamiltonian",
     "euclidean_propagate",
-    "evaluate_action",
     "feynman_kac_energy",
     "fit_flow",
     "fit_quantum_action",

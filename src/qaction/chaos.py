@@ -67,12 +67,19 @@ class SectionSpec:
 
 
 def _potential_minimum_2d(pot: PolynomialPotential):
-    """Deterministic local minimum of a confining 2-D polynomial from the origin."""
+    """Deterministic local minimum of a confining 2-D polynomial.
+
+    Trust-region Newton on the kernel's gradient and Hessian, started at the
+    origin, or just off it along the most negative curvature when the origin
+    is a maximum or saddle.
+    """
+    z = np.zeros(2)
+    curvature, directions = np.linalg.eigh(pot.hessian_points(z))
+    if curvature[0] < 0.0:
+        z = 1e-3 * directions[:, 0]
     res = scipy.optimize.minimize(
-        lambda z: pot(z),
-        np.zeros(2),
-        method="Nelder-Mead",
-        options={"xatol": 1e-13, "fatol": 1e-14, "maxiter": 4000},
+        pot, z, jac=pot.gradient_points, hess=pot.hessian_points,
+        method="trust-exact", options={"gtol": 1e-12},
     )
     return np.asarray(res.x, dtype=float), float(res.fun)
 

@@ -115,8 +115,12 @@ def _parse_pairs(data, grid: Grid, classical: ActionSpec = None, where: str = "p
         if len(span) == 2 and not isinstance(span[0], list):
             span = [span] * grid.dim
         _expect(
-            len(span) == grid.dim and all(isinstance(s, list) and len(s) == 2 for s in span),
-            f"{where}: span must be [lo, hi] (or one such pair per axis)",
+            len(span) == grid.dim
+            and all(
+                isinstance(s, list) and len(s) == 2 and all(isinstance(v, (int, float)) for v in s)
+                for s in span
+            ),
+            f"{where}: span must be numeric [lo, hi] (or one such pair per axis)",
         )
         points = grid.subdivision_nodes([(float(lo), float(hi)) for lo, hi in span], count)
         pairs = tensor_pairs(points, points)
@@ -261,7 +265,7 @@ def cmd_propagate(cfg: dict, args) -> list:
 def _fit_result_payload(result) -> dict:
     payload = result.to_json_dict()
     if not result.converged:
-        payload["warning"] = "fit did not converge to the requested simplex tolerance"
+        payload["warning"] = "fit stopped at its evaluation limit before meeting a least-squares tolerance"
     return payload
 
 
@@ -273,7 +277,7 @@ def cmd_fit(cfg: dict, args) -> list:
     ansatz = _parse_ansatz(_get(cfg, "ansatz", list), classical.dimension)
     fit_mass = bool(_get(cfg, "fit_mass", bool, default=True))
     n_nodes = _parse_n_nodes(_get(cfg, "n_nodes", None, default=257))
-    restarts = _get(cfg, "restarts", int, default=3)
+    _get(cfg, "restarts", int, default=None)  # accepted and ignored: least squares needs no restarts
     initial = cfg.get("initial")
     if initial is not None:
         initial = _parse_action(initial, "initial")
@@ -295,8 +299,6 @@ def cmd_fit(cfg: dict, args) -> list:
             make_problem(T),
             initial=initial,
             n_nodes=n_nodes,
-            restarts=restarts,
-            workers=args.workers,
         )
         return [_json_artifact("fit.json", _fit_result_payload(result))]
 
@@ -310,8 +312,6 @@ def cmd_fit(cfg: dict, args) -> list:
         [float(t) for t in t_list],
         initial=initial,
         n_nodes=n_nodes,
-        restarts=restarts,
-        workers=args.workers,
     )
     return [
         _json_artifact("fit.json", {"results": [_fit_result_payload(r) for r in results]}),
@@ -471,7 +471,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="path to the JSON config")
         p.add_argument("--out", default=".", help="output directory (default: current)")
         p.add_argument("--workers", type=int, default=1,
-                       help="worker processes of a fit (results are worker-independent)")
+                       help="accepted for compatibility; no command uses it today")
         choices = ["csv", "json", "gnuplot"] if name == "poincare" else ["csv", "json"]
         p.add_argument("--format", choices=choices, default="csv",
                        help="table output format")

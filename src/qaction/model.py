@@ -79,8 +79,8 @@ def _polynomial_source(terms, names) -> str:
 def _compile(dimension: int, terms: tuple) -> PolynomialKernel:
     """Kernel of validated canonical terms.
 
-    Kept outside the potential so potentials stay picklable for the fit's
-    process pool. The generated source holds only float literals and the
+    Kept outside the potential so potentials stay plain picklable values.
+    The generated source holds only float literals and the
     coordinate names, so ``eval`` without builtins is safe.
     """
     names = ("x", "y")[:dimension]

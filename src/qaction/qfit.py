@@ -4,7 +4,11 @@ A single trial action (mass plus polynomial coefficients) is adjusted until
 G = Z exp(-S/hbar) holds across a whole table of boundary pairs, where S is
 the extremal Euclidean action of the trial dynamics for each pair. Residuals
 live in log space, the offset ln Z enters linearly and is eliminated
-analytically, and the remaining parameters are searched derivative-free.
+analytically (variable projection), and the remaining parameters are fitted
+by trust-region Gauss-Newton. The quoted action is the discrete action that
+the trajectory solver makes stationary, so its parameter derivatives are
+plain sums along the converged path (envelope theorem) and every objective
+evaluation returns its exact Jacobian with no extra solve.
 
 When the ansatz carries a constant term, its coefficient is not searchable:
 shifting it trades exactly against ln Z. The fit pins it after convergence
@@ -16,7 +20,6 @@ from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -170,32 +173,30 @@ def _trial_from_theta(problem: FitProblem, theta: np.ndarray, v0: float = 0.0) -
     return ActionSpec(mass=mass, potential=pot, hbar=problem.classical.hbar)
 
 
-def _solve_pair_task(args):
-    action, x_i, x_f, T, n_nodes, init_path = args
+def _solve_pair(action, x_i, x_f, T, n_nodes, init_path, values):
+    """values(sol) of one boundary pair's solution, plus its path; None on failure.
+
+    A (coarse, fine) node pair solves on both meshes, the fine one started
+    from the interpolated coarse path, and returns (4 fine - coarse)/3 of
+    the values, removing their leading O(dt^2) error.
+    """
+    sols = []
     try:
-        if isinstance(n_nodes, tuple):
-            # solve on a coarse and a halved-step grid and eliminate the
-            # leading quadrature error of the discrete action
-            coarse, fine = n_nodes
-            sol = solve_euclidean_bvp(action, x_i, x_f, T, n_nodes=coarse, init_path=init_path)
-            if not sol.converged or not math.isfinite(sol.action):
-                return False, math.nan, None
-            t_c = np.linspace(0.0, T, coarse)
-            t_f = np.linspace(0.0, T, fine)
-            init_f = np.stack(
-                [np.interp(t_f, t_c, sol.path[:, a]) for a in range(sol.path.shape[1])],
-                axis=1,
-            )
-            sol_f = solve_euclidean_bvp(action, x_i, x_f, T, n_nodes=fine, init_path=init_f)
-            if not sol_f.converged or not math.isfinite(sol_f.action):
-                return False, math.nan, None
-            return True, (4.0 * sol_f.action - sol.action) / 3.0, sol.path
-        sol = solve_euclidean_bvp(action, x_i, x_f, T, n_nodes=n_nodes, init_path=init_path)
+        for n in n_nodes if isinstance(n_nodes, tuple) else (n_nodes,):
+            if sols:
+                prev, t = sols[0], np.linspace(0.0, T, n)
+                init_path = np.stack(
+                    [np.interp(t, prev.times, prev.path[:, a]) for a in range(prev.dim)], axis=1
+                )
+            sol = solve_euclidean_bvp(action, x_i, x_f, T, n_nodes=n, init_path=init_path)
+            if not sol.converged:
+                return None
+            sols.append(sol)
     except (NumericalError, np.linalg.LinAlgError, FloatingPointError):
-        return False, math.nan, None
-    if not sol.converged or not math.isfinite(sol.action):
-        return False, math.nan, None
-    return True, sol.action, sol.path
+        return None
+    out = [values(sol) for sol in sols]
+    out = out[0] if len(out) == 1 else (4.0 * out[1] - out[0]) / 3.0
+    return (out, sols[0].path) if np.all(np.isfinite(out)) else None
 
 
 def _normalize_n_nodes(n_nodes):
@@ -212,21 +213,36 @@ def _normalize_n_nodes(n_nodes):
 
 @dataclass
 class _EvalDetail:
-    objective: float
     log_z_free: float  # optimal offset before any gauge fixing
-    residuals: np.ndarray  # r_j minus the offset actually used (nan if failed)
     failed: tuple
+    vector: np.ndarray  # r_j minus the offset actually used, penalties where failed
+    jacobian: np.ndarray  # d vector / d theta, one row per pair
+
+    @property
+    def objective(self) -> float:
+        return math.sqrt(float(np.mean(self.vector**2)))
+
+    @property
+    def residuals(self) -> np.ndarray:
+        """The residuals of ``vector`` with nan where the pair failed."""
+        res = self.vector.copy()
+        res[list(self.failed)] = np.nan
+        return res
 
 
 class _Evaluator:
-    """Maps a trial action to the RMS log residual over the pair set.
+    """Maps a trial action to the log residuals over the pair set and their
+    Jacobian in the search parameters (log-mass, then one coefficient per
+    non-constant ansatz group).
 
     Mirrored pairs share one boundary-value solve (the Euclidean action is
     reversal-invariant) and every solve warm-starts from the path found at
-    the previous parameter point.
+    the previous parameter point. On a converged path dS/d ln m is the
+    kinetic part of the action and dS/dc_g the trapezoid sum of the group's
+    basis polynomial (coefficient 1 on each tied exponent).
     """
 
-    def __init__(self, problem: FitProblem, n_nodes, workers: int = 1):
+    def __init__(self, problem: FitProblem, n_nodes):
         self.problem = problem
         self.n_nodes = _normalize_n_nodes(n_nodes)
         keys = []
@@ -241,50 +257,56 @@ class _Evaluator:
         self.keys = keys
         self.key_of_pair = np.array(key_of_pair)
         self.paths = [None] * len(keys)
-        self.workers = max(1, int(workers))
-        self.pool = ProcessPoolExecutor(self.workers) if self.workers > 1 else None
+        const = problem.constant_index
+        self.bases = [
+            PolynomialPotential(problem.dimension, {exp: 1.0 for exp in group})
+            for i, group in enumerate(problem.ansatz)
+            if i != const
+        ]
+        self.n_params = len(self.bases) + (1 if problem.fit_mass else 0)
         self.n_evaluations = 0
 
-    def close(self):
-        if self.pool is not None:
-            self.pool.shutdown()
-            self.pool = None
+    def _values(self, mass: float, sol) -> np.ndarray:
+        """The action of a converged path, then its gradient in the search parameters."""
+        dt = float(sol.times[1])
+        out = [sol.action]
+        if self.problem.fit_mass:
+            out.append(0.5 * mass * float(np.sum(np.diff(sol.path, axis=0) ** 2)) / dt)
+        for basis in self.bases:
+            b = basis.evaluate_points(sol.path)
+            out.append(dt * (float(np.sum(b)) - 0.5 * (b[0] + b[-1])))
+        return np.array(out)
+
+    def _penalty(self, value: float, failed: tuple) -> _EvalDetail:
+        n = len(self.problem.pairs)
+        return _EvalDetail(math.nan, failed, np.full(n, value), np.zeros((n, self.n_params)))
 
     def detail(self, trial: ActionSpec, log_z=None) -> _EvalDetail:
         self.n_evaluations += 1
-        npairs = len(self.problem.pairs)
         viol = _confinement_violation(trial.potential)
         if viol > 0.0:
-            return _EvalDetail(
-                1e9 * viol, math.nan, np.full(npairs, np.nan), tuple(range(npairs))
+            return self._penalty(1e9 * viol, tuple(range(len(self.problem.pairs))))
+        values = np.full((len(self.keys), 1 + self.n_params), np.nan)
+        for i, k in enumerate(self.keys):
+            out = _solve_pair(
+                trial, np.array(k[0]), np.array(k[1]), self.problem.T, self.n_nodes,
+                self.paths[i], lambda sol: self._values(trial.mass, sol),
             )
-        T = self.problem.T
-        tasks = [
-            (trial, np.array(k[0]), np.array(k[1]), T, self.n_nodes, self.paths[i])
-            for i, k in enumerate(self.keys)
-        ]
-        if self.pool is not None:
-            chunk = max(1, len(tasks) // (4 * self.workers))
-            results = list(self.pool.map(_solve_pair_task, tasks, chunksize=chunk))
-        else:
-            results = [_solve_pair_task(t) for t in tasks]
-        sigma = np.full(len(self.keys), np.nan)
-        ok = np.zeros(len(self.keys), dtype=bool)
-        for i, (conv, act, path) in enumerate(results):
-            if conv:
-                self.paths[i] = path
-                sigma[i] = act
-                ok[i] = True
-        r = self.problem._log_g + sigma[self.key_of_pair] / self.problem.classical.hbar
-        okp = ok[self.key_of_pair]
+            if out is not None:
+                values[i], self.paths[i] = out
+        values = values[self.key_of_pair] / self.problem.classical.hbar
+        okp = np.isfinite(values[:, 0])
         failed = tuple(int(i) for i in np.nonzero(~okp)[0])
         if not okp.any():
-            return _EvalDetail(PENALTY_FAILED, math.nan, np.full(npairs, np.nan), failed)
+            return self._penalty(PENALTY_FAILED, failed)
+        r = self.problem._log_g + values[:, 0]
+        jac = values[:, 1:]
         z_free = float(np.mean(r[okp]))
         z = z_free if log_z is None else float(log_z)
-        res = np.where(okp, r - z, np.nan)
-        sq = np.where(okp, (r - z) ** 2, PENALTY_FAILED**2)
-        return _EvalDetail(math.sqrt(float(np.mean(sq))), z_free, res, failed)
+        if log_z is None:
+            jac = jac - np.mean(jac[okp], axis=0)
+        vector = np.where(okp, r - z, PENALTY_FAILED)
+        return _EvalDetail(z_free, failed, vector, np.where(okp[:, None], jac, 0.0))
 
 
 def fit_residual(
@@ -357,6 +379,10 @@ def _grid_minimum(pot: PolynomialPotential, grid: Grid):
     return point, float(pot(point))
 
 
+def _finite_or_none(v: float):
+    return v if math.isfinite(v) else None
+
+
 @dataclass(frozen=True, eq=False)
 class FitResult:
     """Optimized trial action with its offset and residual diagnostics."""
@@ -370,6 +396,8 @@ class FitResult:
     converged: bool
     failed_pairs: tuple
     potential_minimum: float
+    gradient_norm: float
+    parameter_uncertainties: tuple
 
     def __post_init__(self):
         if self.rms_residual < 0.0:
@@ -386,9 +414,7 @@ class FitResult:
         return 2.0 * self.quantum.mass * (vals - self.potential_minimum)
 
     def to_json_dict(self) -> dict:
-        res = [
-            None if not math.isfinite(v) else v for v in self.per_pair_residuals
-        ]
+        res = [_finite_or_none(v) for v in self.per_pair_residuals]
         return {
             "quantum": self.quantum.to_json_dict(),
             "T": self.T,
@@ -399,19 +425,31 @@ class FitResult:
             "failed_pairs": list(self.failed_pairs),
             "potential_minimum": self.potential_minimum,
             "per_pair_residuals": res,
+            "gradient_norm": self.gradient_norm,
+            "parameter_uncertainties": [_finite_or_none(v) for v in self.parameter_uncertainties],
         }
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict(), indent=2, sort_keys=True)
 
 
-def _simplex_around(y0: np.ndarray) -> np.ndarray:
-    n = len(y0)
-    simplex = np.tile(y0, (n + 1, 1))
-    for i in range(n):
-        step = 0.05 * abs(y0[i])
-        simplex[i + 1, i] += step if step > 1e-3 else 0.02
-    return simplex
+def _fit_diagnostics(det: _EvalDetail) -> tuple:
+    """(||J^T r||_inf, sqrt diag sigma^2 (J^T J)^+) over the pairs that solved.
+
+    sigma^2 = sum r^2 / (N - p - 1): the fitted offset ln Z costs one more
+    degree of freedom than the p search parameters.
+    """
+    res = det.residuals
+    ok = np.isfinite(res)
+    r, jac = res[ok], det.jacobian[ok]
+    p = jac.shape[1]
+    if p == 0:
+        return 0.0, ()
+    gradient_norm = float(np.max(np.abs(jac.T @ r)))
+    dof = len(r) - p - 1
+    sigma2 = float(np.dot(r, r)) / dof if dof > 0 else math.nan
+    var = sigma2 * np.diag(np.linalg.pinv(jac.T @ jac))
+    return gradient_norm, tuple(float(v) for v in np.sqrt(np.maximum(var, 0.0)))
 
 
 def fit_quantum_action(
@@ -419,18 +457,19 @@ def fit_quantum_action(
     *,
     initial: ActionSpec = None,
     n_nodes=257,
-    restarts: int = 3,
-    workers: int = 1,
-    maxiter: int = None,
-    polish: bool = True,
+    max_nfev: int = None,
 ) -> FitResult:
-    """Derivative-free minimization of the RMS log residual.
+    """Trust-region Gauss-Newton fit of the log residuals.
 
-    Nelder-Mead starts at the classical parameters (or ``initial``), is
-    restarted on a fresh simplex around each optimum, and finishes with one
-    coordinate-wise quadratic polish sweep. Convergence means the final
-    simplex diameter fell below 1e-8 in scaled parameters. The offset ln Z
-    is eliminated analytically inside every evaluation.
+    Starts at the classical parameters (or ``initial``) and runs
+    ``scipy.optimize.least_squares`` (method "trf", at most ``max_nfev``
+    evaluations; scipy's default when None) on the search vector scaled by
+    its starting magnitudes, with the mean projected out of residuals and
+    Jacobian so the offset ln Z stays analytic. One evaluation is one set of
+    warm-started boundary-value solves and yields the residuals and their
+    exact Jacobian together. Failed pairs and non-confining trials cost
+    penalty residuals, so the trust region rejects such steps. ``converged``
+    means least squares met one of its tolerances.
     """
     if len(problem.pairs) < 2 * problem.n_free:
         raise ValueError(
@@ -439,48 +478,39 @@ def fit_quantum_action(
         )
     theta0 = _theta_vector(problem, initial if initial is not None else problem.classical)
     scales = np.maximum(np.abs(theta0), 0.25)
-    ev = _Evaluator(problem, n_nodes, workers=workers)
-    try:
-        def objective(y):
-            return ev.detail(_trial_from_theta(problem, y * scales)).objective
+    ev = _Evaluator(problem, n_nodes)
+    last = {}
 
-        y = theta0 / scales
-        f_best = objective(y)
-        iterations = 0
-        diameter = 0.0
-        if len(y) > 0:
-            cap = maxiter if maxiter is not None else 400 * (len(y) + 2)
-            for _ in range(max(1, restarts)):
-                res = scipy.optimize.minimize(
-                    objective,
-                    y,
-                    method="Nelder-Mead",
-                    options={
-                        "initial_simplex": _simplex_around(y),
-                        "xatol": 1e-9,
-                        "fatol": 1e-11,
-                        "maxiter": cap,
-                        "maxfev": 2 * cap,
-                    },
-                )
-                iterations += int(res.nit)
-                verts = res.final_simplex[0]
-                diameter = float(np.max(np.abs(verts - verts[0])))
-                improved = f_best - float(res.fun)
-                if float(res.fun) <= f_best:
-                    f_best = float(res.fun)
-                    y = np.asarray(res.x, dtype=float)
-                if improved < 1e-12 and diameter < 1e-8:
-                    break
-            if polish:
-                y, f_best = _quadratic_polish(objective, y, f_best)
-        converged = bool(diameter < 1e-8)
+    def evaluate(y):
+        # fun and jac at one point share one set of solves
+        key = y.tobytes()
+        if last.get("key") != key:
+            last.update(key=key, detail=ev.detail(_trial_from_theta(problem, y * scales)))
+        return last["detail"]
 
-        theta = y * scales
-        shape = _trial_from_theta(problem, theta)
-        det = ev.detail(shape)
-    finally:
-        ev.close()
+    y = theta0 / scales
+    converged = True
+    if len(y) > 0:
+        res = scipy.optimize.least_squares(
+            lambda y: evaluate(y).vector,
+            y,
+            jac=lambda y: evaluate(y).jacobian * scales,
+            method="trf",
+            max_nfev=max_nfev,
+        )
+        y = np.asarray(res.x, dtype=float)
+        converged = bool(res.status >= 1)
+        if converged:
+            # the cost is flat to rounding near the optimum, which stalls the
+            # trust region short of it; the exact gradient still resolves the
+            # root, so finish with one Gauss-Newton step if it is that small
+            det = evaluate(y)
+            step = np.linalg.lstsq(det.jacobian * scales, det.vector, rcond=None)[0]
+            if np.max(np.abs(step)) <= 1e-6:
+                y = y - step
+    theta = y * scales
+    det = evaluate(y)
+    shape = _trial_from_theta(problem, theta)
 
     if not math.isfinite(det.log_z_free):
         raise NumericalError(
@@ -496,40 +526,20 @@ def fit_quantum_action(
         log_z = det.log_z_free
         quantum = shape
     _, vmin = _grid_minimum(quantum.potential, problem.table.grid)
+    gradient_norm, uncertainties = _fit_diagnostics(det)
     return FitResult(
         quantum=quantum,
         T=T,
         log_z=log_z,
         rms_residual=det.objective,
         per_pair_residuals=tuple(float(v) for v in det.residuals),
-        iterations=iterations,
+        iterations=ev.n_evaluations,
         converged=converged,
         failed_pairs=det.failed,
         potential_minimum=vmin,
+        gradient_norm=gradient_norm,
+        parameter_uncertainties=uncertainties,
     )
-
-
-def _quadratic_polish(objective, y, f0, step: float = 1e-5):
-    """One parabolic line-minimization sweep along each coordinate."""
-    y = y.copy()
-    for i in range(len(y)):
-        yp, ym = y.copy(), y.copy()
-        yp[i] += step
-        ym[i] -= step
-        fp, fm = objective(yp), objective(ym)
-        denom = fp - 2.0 * f0 + fm
-        if denom <= 0.0:
-            if fp < f0 or fm < f0:
-                (y, f0) = (yp, fp) if fp <= fm else (ym, fm)
-            continue
-        dy = 0.5 * step * (fm - fp) / denom
-        dy = max(-5.0 * step, min(5.0 * step, dy))
-        yt = y.copy()
-        yt[i] += dy
-        ft = objective(yt)
-        if ft < f0:
-            y, f0 = yt, ft
-    return y, f0
 
 
 def fit_flow(

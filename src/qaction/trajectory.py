@@ -209,45 +209,30 @@ def solve_euclidean_bvp(
 
 
 def _finish_solution(action, path, T, res, ok) -> TrajectorySolution:
+    """Wrap a relaxed path with its discrete action and Euclidean energy.
+
+    The action is the variational sum sum_k dt [m/2 ((x_{k+1} - x_k)/dt)^2
+    + (V_k + V_{k+1})/2], the one whose stationarity in the interior nodes
+    is exactly the Newton stencil, so its parameter derivatives along a
+    converged path are the partial derivatives of the summand.
+    """
     n = path.shape[0]
     times = np.linspace(0.0, T, n)
     dt = T / (n - 1)
     v_half = np.diff(path, axis=0) / dt
     ke_half = 0.5 * action.mass * np.sum(v_half**2, axis=1)
     v_nodes = action.potential.evaluate_points(path)
-    eps_half = -ke_half + 0.5 * (v_nodes[:-1] + v_nodes[1:])
-    sol = TrajectorySolution(
+    v_half_mean = 0.5 * (v_nodes[:-1] + v_nodes[1:])
+    eps_half = -ke_half + v_half_mean
+    return TrajectorySolution(
         times=times,
         path=path,
-        action=0.0,
+        action=float(dt * np.sum(ke_half + v_half_mean)),
         euclidean_energy=float(np.mean(eps_half)),
         energy_spread=float(np.max(eps_half) - np.min(eps_half)),
         converged=ok,
         residual=res,
     )
-    sol.action = evaluate_action(action, sol, kind="euclidean")
-    return sol
-
-
-def node_velocities(path: np.ndarray, dt: float) -> np.ndarray:
-    """Second-order velocity estimates at every mesh node."""
-    v = np.empty_like(path)
-    v[1:-1] = (path[2:] - path[:-2]) / (2.0 * dt)
-    v[0] = (-3.0 * path[0] + 4.0 * path[1] - path[2]) / (2.0 * dt)
-    v[-1] = (3.0 * path[-1] - 4.0 * path[-2] + path[-3]) / (2.0 * dt)
-    return v
-
-
-def evaluate_action(action: ActionSpec, sol: TrajectorySolution, kind: str = "euclidean") -> float:
-    """Trapezoidal action of a discrete path; +V Euclidean, -V real time."""
-    if kind not in ("euclidean", "real"):
-        raise ValueError(f"kind must be 'euclidean' or 'real', got {kind!r}")
-    dt = float(sol.times[1] - sol.times[0])
-    v = node_velocities(sol.path, dt)
-    kin = 0.5 * action.mass * np.sum(v**2, axis=1)
-    pot = action.potential.evaluate_points(sol.path)
-    dens = kin + pot if kind == "euclidean" else kin - pot
-    return float(np.trapezoid(dens, dx=dt))
 
 
 # -- real-time symplectic integration ---------------------------------------

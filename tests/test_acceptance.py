@@ -150,8 +150,6 @@ def test_criterion_4_transformation_law():
     stage1 = fit_quantum_action(
         FitProblem(classical=soft, table=table, ansatz=((0,), (2,), (4,)), fit_mass=False),
         n_nodes=257,
-        restarts=1,
-        polish=False,
     )
     fit = fit_quantum_action(
         FitProblem(
@@ -162,8 +160,7 @@ def test_criterion_4_transformation_law():
         ),
         initial=stage1.quantum,
         n_nodes=(1025, 2049),
-        restarts=1,
-        maxiter=500,
+        max_nfev=500,
     )
     xs = np.linspace(0.2, 2.0, 181)
     xs = np.concatenate([-xs[::-1], xs])
@@ -243,7 +240,7 @@ def test_criterion_7_scale_symmetry():
     pts = [(x,) for x in (-1.0, -0.5, 0.0, 0.5, 1.0)]
     table = euclidean_propagate(HO, grid, 2.0, tensor_pairs(pts, pts))
     prob = FitProblem(classical=HO, table=table, ansatz=((0,), (2,)), fit_mass=True)
-    base = fit_quantum_action(prob, n_nodes=(257, 513), restarts=1)
+    base = fit_quantum_action(prob, n_nodes=(257, 513))
     fit_dev = 0.0
     for alpha in (0.5, 2.0):
         moved, t_new = apply_scale_transform(HO, 2.0, ScaleTransform(alpha))
@@ -251,7 +248,7 @@ def test_criterion_7_scale_symmetry():
         prob_s = FitProblem(
             classical=moved, table=table_s, ansatz=((0,), (2,)), fit_mass=True
         )
-        scaled = fit_quantum_action(prob_s, n_nodes=(257, 513), restarts=1)
+        scaled = fit_quantum_action(prob_s, n_nodes=(257, 513))
         fit_dev = max(fit_dev, abs(scaled.quantum.mass - base.quantum.mass / alpha))
         fit_dev = max(
             fit_dev,
@@ -311,7 +308,7 @@ def test_criterion_8_chaos_pipeline():
         ansatz=(((0, 0),), ((2, 0), (0, 2)), ((2, 2),)),
         fit_mass=True,
     )
-    fit = fit_quantum_action(prob, n_nodes=257, restarts=1)
+    fit = fit_quantum_action(prob, n_nodes=257)
     v22 = fit.quantum.potential.coefficient((2, 2))
 
     # (iv) symplectic energy drift over 1e7 real-time steps

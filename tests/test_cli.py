@@ -203,6 +203,10 @@ def test_fit_command_deterministic(tmp_path):
     data = json.loads((out1 / "fit.json").read_text())
     assert data["converged"] is True
     assert data["failed_pairs"] == []
+    # one search parameter: the x^2 coefficient (mass fixed, constant pinned)
+    assert data["gradient_norm"] < 1e-8
+    assert len(data["parameter_uncertainties"]) == 1
+    assert data["parameter_uncertainties"][0] > 0.0
     terms = {tuple(t["exp"]): t["coef"] for t in data["quantum"]["potential"]["terms"]}
     assert terms[(2,)] == pytest.approx(0.5, abs=5e-3)
     assert data["rms_residual"] < 1e-3
@@ -463,3 +467,20 @@ def test_span_pairs_snap_mirror_symmetrically():
     assert len(pairs) == 625
     indices = {grid.index_of(xi) for xi, _ in pairs}
     assert indices == {44 * 45 + 44 - i for i in indices}
+
+
+@pytest.mark.parametrize("span", [[None, 1.0], [[-1.0, 1.0], ["a", 1.0]], [[-1.0, 1.0], [-1.0, None]]])
+def test_non_numeric_span_exit_2_leaves_no_files(tmp_path, span):
+    cfg = write_cfg(
+        tmp_path,
+        "span.json",
+        {
+            "action": UNCOUPLED,
+            "grid": {"extents": [6.6, 6.6], "npoints": [45, 45]},
+            "T": 3.0,
+            "pairs": {"points_per_axis": 3, "span": span},
+        },
+    )
+    out = tmp_path / "span"
+    assert main(["propagate", "--config", cfg, "--out", str(out)]) == 2
+    assert not out.exists()

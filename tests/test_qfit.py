@@ -18,7 +18,7 @@ from qaction import (
     quantum_action_log_norm_sq,
     tensor_pairs,
 )
-from qaction.qfit import FLOW_CSV_HEADER
+from qaction.qfit import FLOW_CSV_HEADER, _Evaluator, _trial_from_theta
 
 
 @pytest.fixture(scope="module")
@@ -93,7 +93,7 @@ def test_ho_fit_recovers_parameters(ho_spec, ho_tensor_table_t2):
     prob = FitProblem(
         classical=ho_spec, table=ho_tensor_table_t2, ansatz=((0,), (2,)), fit_mass=True
     )
-    res = fit_quantum_action(prob, n_nodes=(257, 513), restarts=1)
+    res = fit_quantum_action(prob, n_nodes=(257, 513))
     assert res.converged
     assert abs(res.quantum.mass - 1.0) < 1e-3
     assert abs(res.quantum.potential.coefficient((2,)) - 0.5) < 1e-3
@@ -108,9 +108,83 @@ def test_fit_starts_from_perturbed_initial(ho_spec, ho_tensor_table_t2):
     start = ActionSpec(
         mass=1.3, potential=PolynomialPotential(1, {(2,): 0.4}), hbar=1.0
     )
-    res = fit_quantum_action(prob, initial=start, n_nodes=(257, 513), restarts=1)
+    res = fit_quantum_action(prob, initial=start, n_nodes=(257, 513))
     assert abs(res.quantum.mass - 1.0) < 1e-3
     assert abs(res.quantum.potential.coefficient((2,)) - 0.5) < 1e-3
+
+
+def test_fit_from_far_start(ho_spec, ho_tensor_table_t2):
+    prob = FitProblem(
+        classical=ho_spec, table=ho_tensor_table_t2, ansatz=((0,), (2,)), fit_mass=True
+    )
+    start = ActionSpec(mass=3.0, potential=PolynomialPotential(1, {(2,): 0.1}), hbar=1.0)
+    res = fit_quantum_action(prob, initial=start, n_nodes=(257, 513))
+    assert res.converged
+    assert abs(res.quantum.mass - 1.0) < 1e-3
+    assert abs(res.quantum.potential.coefficient((2,)) - 0.5) < 1e-3
+
+
+def test_ho_fit_converges_in_few_evaluations(ho_spec):
+    """Gauss-Newton on exact Jacobians: the large-T HO fit of the benchmark
+    (81 pairs, fitted mass, 1025 nodes) needs at most 20 evaluations."""
+    pts = [(-2.0 + 0.5 * k,) for k in range(9)]
+    table = euclidean_propagate(ho_spec, Grid((8.0,), (1601,)), 8.0, tensor_pairs(pts, pts))
+    prob = FitProblem(classical=ho_spec, table=table, ansatz=((0,), (2,)), fit_mass=True)
+    res = fit_quantum_action(prob, n_nodes=1025)
+    assert res.converged
+    assert res.iterations <= 20
+    assert abs(res.quantum.mass - 1.0) < 1e-3
+    assert abs(res.quantum.potential.coefficient((2,)) - 0.5) < 1e-3
+    assert abs(res.quantum.potential.coefficient((0,)) - 0.5) < 1e-3
+    # at the optimum the gradient vanishes and the uncertainties are finite
+    assert res.gradient_norm < 1e-8
+    assert len(res.parameter_uncertainties) == 2
+    assert all(0.0 < u < 1e-3 for u in res.parameter_uncertainties)
+
+
+def _jacobian_and_differences(problem, theta, n_nodes, h=1e-5):
+    """Envelope Jacobian of the projected residual and its central differences."""
+    ev = _Evaluator(problem, n_nodes)
+    det = ev.detail(_trial_from_theta(problem, theta))
+    assert det.failed == ()
+    fd = np.empty_like(det.jacobian)
+    for j in range(len(theta)):
+        step = np.zeros_like(theta)
+        step[j] = h
+        up = ev.detail(_trial_from_theta(problem, theta + step)).vector
+        down = ev.detail(_trial_from_theta(problem, theta - step)).vector
+        fd[:, j] = (up - down) / (2.0 * h)
+    return det.jacobian, fd
+
+
+def _assert_columns_close(jac, fd, rtol=1e-6):
+    for j in range(jac.shape[1]):
+        assert np.max(np.abs(jac[:, j] - fd[:, j])) <= rtol * np.max(np.abs(fd[:, j]))
+
+
+@pytest.mark.parametrize("n_nodes", [257, (129, 257)])
+def test_jacobian_matches_differences_1d(ho_spec, ho_tensor_table_t2, n_nodes):
+    prob = FitProblem(
+        classical=ho_spec, table=ho_tensor_table_t2, ansatz=((0,), (2,)), fit_mass=True
+    )
+    jac, fd = _jacobian_and_differences(prob, np.array([math.log(1.2), 0.4]), n_nodes)
+    assert jac.shape == (25, 2)
+    _assert_columns_close(jac, fd)
+
+
+def test_jacobian_matches_differences_tied_2d(coupled_2d):
+    grid = Grid((3.0, 3.0), (31, 31))
+    pts = [(0.0, 0.0), (0.6, 0.2), (-0.4, 0.6), (0.8, -0.8)]
+    table = euclidean_propagate(coupled_2d, grid, 1.5, tensor_pairs(pts, pts))
+    prob = FitProblem(
+        classical=coupled_2d,
+        table=table,
+        ansatz=(((0, 0),), ((2, 0), (0, 2)), ((2, 2),)),
+        fit_mass=True,
+    )
+    jac, fd = _jacobian_and_differences(prob, np.array([math.log(1.1), 0.45, 0.08]), 129)
+    assert jac.shape == (16, 3)
+    _assert_columns_close(jac, fd)
 
 
 def test_flow_approaches_ground_energy_gauge(ho_spec):
@@ -123,7 +197,7 @@ def test_flow_approaches_ground_energy_gauge(ho_spec):
             classical=ho_spec, table=table, ansatz=((0,), (2,)), fit_mass=False
         )
 
-    results = fit_flow(make_problem, [2.0, 4.0, 8.0], n_nodes=257, restarts=1)
+    results = fit_flow(make_problem, [2.0, 4.0, 8.0], n_nodes=257)
     v0_err = [abs(r.quantum.potential.coefficient((0,)) - 0.5) for r in results]
     assert v0_err[0] > v0_err[1] > v0_err[2]
     assert v0_err[2] < 1e-3
@@ -144,7 +218,7 @@ def test_flow_duplicate_time_is_stable(ho_spec):
             classical=ho_spec, table=table, ansatz=((0,), (2,)), fit_mass=False
         )
 
-    a, b = fit_flow(make_problem, [2.0, 2.0], n_nodes=257, restarts=1)
+    a, b = fit_flow(make_problem, [2.0, 2.0], n_nodes=257)
     assert abs(a.quantum.mass - b.quantum.mass) < 1e-12
     assert (
         abs(a.quantum.potential.coefficient((2,)) - b.quantum.potential.coefficient((2,)))
@@ -191,7 +265,7 @@ def test_symmetric_pairs_keep_antisymmetric_terms_silent():
         ansatz=(((0, 0),), ((2, 0), (0, 2)), ((2, 2),), ((1, 1),), ((3, 1), (1, 3))),
         fit_mass=True,
     )
-    res = fit_quantum_action(prob, n_nodes=129, restarts=1, polish=False)
+    res = fit_quantum_action(prob, n_nodes=129)
     bound = max(10.0 * res.rms_residual, 1e-8)
     assert abs(res.quantum.potential.coefficient((1, 1))) < bound
     assert abs(res.quantum.potential.coefficient((3, 1))) < bound
@@ -207,13 +281,13 @@ def test_scale_covariance_of_fit(ho_spec, ho_tensor_table_t2):
     prob = FitProblem(
         classical=ho_spec, table=ho_tensor_table_t2, ansatz=((0,), (2,)), fit_mass=True
     )
-    base = fit_quantum_action(prob, n_nodes=(257, 513), restarts=1)
+    base = fit_quantum_action(prob, n_nodes=(257, 513))
 
     alpha = 2.0
     moved, t_new = apply_scale_transform(ho_spec, 2.0, ScaleTransform(alpha))
     table_s = euclidean_propagate(moved, grid, t_new, tensor_pairs(pts, pts))
     prob_s = FitProblem(classical=moved, table=table_s, ansatz=((0,), (2,)), fit_mass=True)
-    scaled = fit_quantum_action(prob_s, n_nodes=(257, 513), restarts=1)
+    scaled = fit_quantum_action(prob_s, n_nodes=(257, 513))
 
     assert abs(scaled.quantum.mass - base.quantum.mass / alpha) < 1e-6
     assert (

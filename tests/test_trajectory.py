@@ -8,7 +8,6 @@ from qaction import (
     ActionSpec,
     PhaseState,
     PolynomialPotential,
-    evaluate_action,
     hamiltonian_energy,
     ho_euclidean_action,
     ho_exact_propagator,
@@ -108,13 +107,31 @@ def test_bvp_validation(ho):
         solve_euclidean_bvp(ho, (0.0, 0.0), (1.0, 1.0), 1.0)
 
 
-def test_evaluate_action_kinds(ho):
-    sol = solve_euclidean_bvp(ho, (0.0,), (1.0,), 1.0, n_nodes=257)
-    s_e = evaluate_action(ho, sol, kind="euclidean")
-    s_r = evaluate_action(ho, sol, kind="real")
-    assert s_e > s_r
-    with pytest.raises(ValueError):
-        evaluate_action(ho, sol, kind="imaginary")
+@pytest.mark.parametrize("fixture", ["quartic", "coupled_2d"])
+def test_action_is_the_stationary_variational_sum(fixture, request):
+    """sol.action is sum_k dt [m/2 ((x_{k+1} - x_k)/dt)^2 + (V_k + V_{k+1})/2],
+    and that sum is stationary in every interior node of the converged path."""
+    action = request.getfixturevalue(fixture)
+    dim, T, n = action.dimension, 1.5, 257
+    x_i, x_f = (0.3, 0.2)[:dim], (-0.4, 0.5)[:dim]
+    sol = solve_euclidean_bvp(action, x_i, x_f, T, n_nodes=n)
+    assert sol.converged
+    m, pot, path = action.mass, action.potential, sol.path
+    dt = T / (n - 1)
+    v = pot.evaluate_points(path)
+    steps = np.diff(path, axis=0)
+    total = sum(
+        dt * (0.5 * m * float(np.dot(d, d)) / dt**2 + 0.5 * (v[k] + v[k + 1]))
+        for k, d in enumerate(steps)
+    )
+    assert sol.action == pytest.approx(total, rel=1e-13)
+    # dS/dx_k = m (2 x_k - x_{k-1} - x_{k+1}) / dt + dt grad V(x_k)
+    inner = path[1:-1]
+    grad_v = pot.gradient_points(inner)
+    grad = m * (2.0 * inner - path[:-2] - path[2:]) / dt + dt * grad_v
+    scale = m * (np.abs(path[2:]) + 2.0 * np.abs(inner) + np.abs(path[:-2])) / dt**2
+    scale = 1.0 + float(np.max(scale + np.abs(grad_v)))
+    assert float(np.max(np.abs(grad))) <= 1e-10 * dt * scale
 
 
 def test_phase_state_validation():
