@@ -17,10 +17,9 @@ from fractions import Fraction
 from typing import Callable, Sequence
 
 import numpy as np
-import scipy.optimize
 
 from .errors import NumericalError
-from .model import ActionSpec, PolynomialPotential
+from .model import ActionSpec, PolynomialPotential, _bisect_root
 from .propagator import Grid, discretize_hamiltonian, spectral_decompose
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(15)
@@ -342,9 +341,7 @@ def wkb_compare(classical: ActionSpec, quantum, e_gr: float, grid: Grid) -> WkbR
     kappa2 = 2.0 * m * (pot.evaluate_points(xs[:, None]) - e_gr)
     if kappa2[len(xs) // 2] >= 0.0 or kappa2[-1] <= 0.0:
         raise ValueError("energy must sit between the well bottom and the wall")
-    b = float(
-        scipy.optimize.brentq(lambda x: 2.0 * m * (pot((x,)) - e_gr), 0.0, xs[-1])
-    )
+    b = _bisect_root(lambda x: 2.0 * m * (pot((x,)) - e_gr), 0.0, float(xs[-1]))
 
     def mom(x):  # |p| inside the well
         return np.sqrt(np.maximum(-2.0 * m * (pot.evaluate_points(x[:, None]) - e_gr), 0.0))
@@ -409,15 +406,6 @@ class HydrogenSector:
     def trial_potential_value(self, r: Fraction) -> Fraction:
         r = Fraction(r)
         return self.mu / r**2 - self.nu / r
-
-    def classical_potential_value(self, r: Fraction) -> Fraction:
-        r = Fraction(r)
-        return self.barrier_coefficient / r**2 - self.e_squared / r
-
-    @property
-    def e_squared(self) -> Fraction:
-        # nu = e^2 l/(l+1)  =>  e^2 = nu (l+1)/l
-        return self.nu * (self.l + 1) / self.l
 
     def wavefunction(self, r: float) -> float:
         a0 = float(self.bohr_radius)

@@ -17,10 +17,9 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-import scipy.optimize
 
 from .errors import NumericalError
-from .model import ActionSpec, PolynomialPotential
+from .model import ActionSpec, PolynomialPotential, _bisect_root
 from .trajectory import PhaseState, _forest_ruth_steps, hamiltonian_energy
 
 _CONVENTIONS = ("above-minimum", "absolute")
@@ -67,21 +66,39 @@ class SectionSpec:
 
 
 def _potential_minimum_2d(pot: PolynomialPotential):
-    """Deterministic local minimum of a confining 2-D polynomial.
+    """Deterministic local minimum (point, value) of a confining 2-D polynomial.
 
-    Trust-region Newton on the kernel's gradient and Hessian, started at the
-    origin, or just off it along the most negative curvature when the origin
-    is a maximum or saddle.
+    Newton on the kernel's analytic gradient and Hessian, started at the
+    origin, or 1e-3 off it along the most negative curvature when the origin
+    is a maximum or saddle. In the Hessian's eigenbasis a step is Newton's
+    along positive curvature and the negative gradient elsewhere, plus a unit
+    step down a negative curvature, so saddles are left. Each step is halved
+    until V does not rise beyond rounding. Stops at |grad V|_inf <= 1e-12.
     """
     z = np.zeros(2)
     curvature, directions = np.linalg.eigh(pot.hessian_points(z))
     if curvature[0] < 0.0:
         z = 1e-3 * directions[:, 0]
-    res = scipy.optimize.minimize(
-        pot, z, jac=pot.gradient_points, hess=pot.hessian_points,
-        method="trust-exact", options={"gtol": 1e-12},
-    )
-    return np.asarray(res.x, dtype=float), float(res.fun)
+    v = pot(z)
+    for _ in range(200):
+        g = pot.gradient_points(z)
+        curvature, directions = np.linalg.eigh(pot.hessian_points(z))
+        if curvature[0] >= 0.0 and np.max(np.abs(g)) <= 1e-12:
+            return z, v
+        along = directions.T @ g
+        coords = -along / np.where(curvature > 0.0, curvature, 1.0)
+        if curvature[0] < 0.0:
+            coords[0] -= math.copysign(1.0, along[0])
+        step = directions @ coords
+        for _ in range(60):
+            v_trial = pot(z + step)
+            if v_trial <= v + 4e-15 * (1.0 + abs(v)):  # a rise within rounding is none
+                break
+            step = 0.5 * step
+        else:
+            break
+        z, v = z + step, v_trial
+    raise NumericalError("potential minimum search did not converge")
 
 
 def _absolute_energy(action: ActionSpec, spec: SectionSpec) -> float:
@@ -110,8 +127,8 @@ def _plane_extent(action: ActionSpec, spec: SectionSpec, e_abs: float) -> tuple:
         span *= 2.0
         if span > 1e8:
             raise NumericalError("allowed region of the section plane is unbounded")
-    hi = scipy.optimize.brentq(lambda u: v_line(u) - e_abs, 0.0, span)
-    lo = scipy.optimize.brentq(lambda u: v_line(u) - e_abs, -span, 0.0)
+    hi = _bisect_root(lambda u: v_line(u) - e_abs, 0.0, span)
+    lo = _bisect_root(lambda u: v_line(u) - e_abs, -span, 0.0)
     x_max = max(abs(hi), abs(lo))
     p_max = math.sqrt(2.0 * action.mass * (e_abs - v_line(0.0)))
     return x_max, p_max

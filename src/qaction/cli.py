@@ -92,6 +92,14 @@ def _parse_grid(data, where: str = "grid") -> Grid:
         raise ConfigError(f"{where}: {exc}") from exc
 
 
+def _parse_time(value, what: str = "T") -> float:
+    _expect(
+        isinstance(value, (int, float)) and math.isfinite(value) and value > 0,
+        f"{what} must be positive and finite, got {value!r}",
+    )
+    return float(value)
+
+
 def _parse_pairs(data, grid: Grid, classical: ActionSpec = None, where: str = "pairs"):
     """Boundary pairs from one of the published forms.
 
@@ -249,8 +257,7 @@ def cmd_propagate(cfg: dict, args) -> list:
     action = _parse_action(_get(cfg, "action", dict), "action", confining=True)
     grid = _parse_grid(_get(cfg, "grid", dict))
     _expect(grid.dim == action.dimension, "grid and action dimensions differ")
-    T = float(_get(cfg, "T", (int, float)))
-    _expect(T > 0.0, "T must be positive")
+    T = _parse_time(_get(cfg, "T", (int, float)))
     pairs = _parse_pairs(_get(cfg, "pairs", None), grid, classical=action)
 
     table = euclidean_propagate(action, grid, T, pairs)
@@ -293,8 +300,7 @@ def cmd_fit(cfg: dict, args) -> list:
         )
 
     if has_T:
-        T = float(_get(cfg, "T", (int, float)))
-        _expect(T > 0.0, "T must be positive")
+        T = _parse_time(_get(cfg, "T", (int, float)))
         result = fit_quantum_action(
             make_problem(T),
             initial=initial,
@@ -303,13 +309,10 @@ def cmd_fit(cfg: dict, args) -> list:
         return [_json_artifact("fit.json", _fit_result_payload(result))]
 
     t_list = _get(cfg, "T_list", list)
-    _expect(
-        len(t_list) >= 2 and all(isinstance(t, (int, float)) and t > 0 for t in t_list),
-        "T_list must hold at least two positive times",
-    )
+    _expect(len(t_list) >= 2, "T_list must hold at least two times")
     results = fit_flow(
         make_problem,
-        [float(t) for t in t_list],
+        [_parse_time(t, "T_list entries") for t in t_list],
         initial=initial,
         n_nodes=n_nodes,
     )
@@ -329,7 +332,8 @@ def cmd_analytic(cfg: dict, args) -> list:
         quantum = _parse_action(quantum, "quantum", confining=True)
     e_gr = cfg.get("e_gr")
     _expect(
-        e_gr is None or isinstance(e_gr, (int, float)), "e_gr must be a number"
+        e_gr is None or (isinstance(e_gr, (int, float)) and math.isfinite(e_gr)),
+        "e_gr must be a finite number",
     )
     l_max = _get(cfg, "hydrogen_l_max", int, default=3)
     _expect(l_max >= 1, "hydrogen_l_max must be >= 1")

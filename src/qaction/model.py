@@ -52,6 +52,28 @@ def _derivative_terms(terms, axis: int) -> tuple:
     return tuple(out)
 
 
+def _bisect_root(f: Callable, a: float, b: float) -> float:
+    """Root of f in [a, b], where f(a) and f(b) differ in sign.
+
+    Bisects until the midpoint equals an endpoint, so f changes sign between
+    the result and its neighbouring float; the one of the two with the
+    smaller |f| is returned.
+    """
+    fa, fb = f(a), f(b)
+    if (fa < 0.0 and fb < 0.0) or (fa > 0.0 and fb > 0.0):
+        raise ValueError(f"f({a!r}) and f({b!r}) have the same sign")
+    while fa != 0.0 and fb != 0.0:
+        mid = 0.5 * (a + b)
+        if mid == a or mid == b:
+            return a if abs(fa) <= abs(fb) else b
+        fm = f(mid)
+        if (fm < 0.0) == (fa < 0.0):
+            a, fa = mid, fm
+        else:
+            b, fb = mid, fm
+    return a if fa == 0.0 else b
+
+
 class PolynomialKernel(NamedTuple):
     """Generated evaluators of one polynomial, taking one coordinate per axis.
 

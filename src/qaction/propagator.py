@@ -15,9 +15,6 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
-import scipy.linalg
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .errors import NumericalError
 from .model import ActionSpec
@@ -39,13 +36,15 @@ class Grid:
         ext = self.extents if isinstance(self.extents, (tuple, list)) else (self.extents,)
         npt = self.npoints if isinstance(self.npoints, (tuple, list)) else (self.npoints,)
         ext = tuple(float(x) for x in ext)
+        if not all(float(n).is_integer() for n in npt):
+            raise ValueError(f"npoints must be whole numbers, got {list(npt)}")
         npt = tuple(int(n) for n in npt)
         if len(ext) != len(npt):
             raise ValueError("extents and npoints must have the same length")
         if len(ext) not in (1, 2):
             raise ValueError("only 1-D and 2-D grids are supported")
-        if any(x <= 0 for x in ext):
-            raise ValueError("extents must be positive")
+        if not all(math.isfinite(x) and x > 0 for x in ext):
+            raise ValueError(f"extents must be positive and finite, got {list(ext)}")
         if any(n < 16 for n in npt):
             raise ValueError("at least 16 points per axis required")
         object.__setattr__(self, "extents", ext)
@@ -188,8 +187,10 @@ class PropagatorTable:
         return ["xi", "yi", "xf", "yf", "T", "G"]
 
 
-def discretize_hamiltonian(action: ActionSpec, grid: Grid) -> sp.csr_matrix:
-    """Sparse Hermitian H = -(hbar^2/2m) Laplacian + V with Dirichlet walls."""
+def discretize_hamiltonian(action: ActionSpec, grid: Grid):
+    """Sparse Hermitian H = -(hbar^2/2m) Laplacian + V with Dirichlet walls (CSR)."""
+    import scipy.sparse as sp
+
     if action.dimension != grid.dim:
         raise ValueError(
             f"action dimension {action.dimension} != grid dimension {grid.dim}"
@@ -213,6 +214,9 @@ def discretize_hamiltonian(action: ActionSpec, grid: Grid) -> sp.csr_matrix:
 
 def spectral_decompose(H, k: int, grid: Grid, maxiter: int = 5000) -> SpectralData:
     """Lowest-k eigenpairs, trapezoid-normalized with a deterministic sign."""
+    import scipy.linalg
+    import scipy.sparse.linalg as spla
+
     n = H.shape[0]
     if not 1 <= k <= n - 2:
         raise ValueError(f"need 1 <= k <= {n - 2}, got {k}")
@@ -262,6 +266,8 @@ def _cached_decomposition(action: ActionSpec, grid: Grid, k: int) -> SpectralDat
 @functools.lru_cache(maxsize=16)
 def _cached_eigenvalues(action: ActionSpec, grid: Grid) -> np.ndarray:
     """Every eigenvalue of a densely solved grid Hamiltonian, ascending (read-only)."""
+    import scipy.linalg
+
     vals = scipy.linalg.eigvalsh(discretize_hamiltonian(action, grid).toarray())
     vals.setflags(write=False)
     return vals
@@ -284,8 +290,8 @@ def decompose_for_time(action: ActionSpec, grid: Grid, T: float) -> SpectralData
     grids double k from 32 until the last state solved lies beyond that gap.
     Raises NumericalError when the grid has too few states to cover it.
     """
-    if T <= 0:
-        raise ValueError(f"transition time must be positive, got {T}")
+    if not (math.isfinite(T) and T > 0):
+        raise ValueError(f"transition time must be positive and finite, got {T}")
     gap_needed = -action.hbar * math.log(BOLTZMANN_CUTOFF) / T
     kmax = grid.size - 2
     if grid.dim == 2 and grid.size <= DENSE_MAX_NODES:

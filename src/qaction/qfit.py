@@ -24,7 +24,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-import scipy.optimize
 
 from .asymptotics import _refine_minimum, ground_state_spectral
 from .errors import NumericalError
@@ -405,14 +404,6 @@ class FitResult:
         if not self.quantum.potential.is_confining():
             raise ValueError("fitted potential must be confining")
 
-    def extraction_product(self, points) -> np.ndarray:
-        """2 m (V - V_min) of the trial action, the combination that the
-        large-T extraction actually determines (mass and potential
-        separately are a finite-T statement)."""
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        vals = self.quantum.potential.evaluate_points(pts)
-        return 2.0 * self.quantum.mass * (vals - self.potential_minimum)
-
     def to_json_dict(self) -> dict:
         res = [_finite_or_none(v) for v in self.per_pair_residuals]
         return {
@@ -471,6 +462,8 @@ def fit_quantum_action(
     penalty residuals, so the trust region rejects such steps. ``converged``
     means least squares met one of its tolerances.
     """
+    import scipy.optimize
+
     if len(problem.pairs) < 2 * problem.n_free:
         raise ValueError(
             f"{len(problem.pairs)} pairs cannot determine {problem.n_free} "

@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import NumericalError
 from .model import ActionSpec, PolynomialPotential
@@ -94,6 +93,8 @@ def _defect_scale(path, dt, m, pot):
 
 def _newton_relax(pot, m, path, dt, max_iter):
     """Damped Newton on the interior nodes; returns (path, scaled residual, ok)."""
+    import scipy.linalg
+
     n, dim = path.shape
     c = m / dt**2
     for _ in range(max_iter):

@@ -1,6 +1,10 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 import scipy.linalg
@@ -35,6 +39,19 @@ COUPLED = {
     },
 }
 
+COUPLED_TRIAL = {
+    "mass": 1.0,
+    "hbar": 1.0,
+    "potential": {
+        "dim": 2,
+        "terms": [
+            {"exp": [0, 0], "coef": 1.0},
+            {"exp": [2, 0], "coef": 0.52},
+            {"exp": [0, 2], "coef": 0.52},
+            {"exp": [2, 2], "coef": 0.04},
+        ],
+    },
+}
 
 UNCOUPLED = {
     "mass": 1.0,
@@ -267,21 +284,8 @@ def test_poincare_classical_only(tmp_path):
 
 
 def test_poincare_with_fit_result_gnuplot(tmp_path):
-    quantum = {
-        "mass": 1.0,
-        "hbar": 1.0,
-        "potential": {
-            "dim": 2,
-            "terms": [
-                {"exp": [0, 0], "coef": 1.0},
-                {"exp": [2, 0], "coef": 0.52},
-                {"exp": [0, 2], "coef": 0.52},
-                {"exp": [2, 2], "coef": 0.04},
-            ],
-        },
-    }
     fit_path = tmp_path / "fitres.json"
-    fit_path.write_text(json.dumps({"quantum": quantum}))
+    fit_path.write_text(json.dumps({"quantum": COUPLED_TRIAL}))
     cfg = write_cfg(
         tmp_path,
         "poincq.json",
@@ -483,4 +487,103 @@ def test_non_numeric_span_exit_2_leaves_no_files(tmp_path, span):
     )
     out = tmp_path / "span"
     assert main(["propagate", "--config", cfg, "--out", str(out)]) == 2
+    assert not out.exists()
+
+
+# -- cold start: a command loads only the scipy it calls ---------------------
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+
+
+def _fresh_run(argv=None) -> tuple:
+    """(exit code, loaded scipy modules) of a new interpreter that imports
+    ``qaction.cli`` and, given ``argv``, runs that command."""
+    probe = (
+        "import json, sys\n"
+        "from qaction.cli import main\n"
+        f"code = main({argv!r}) if {argv!r} is not None else 0\n"
+        "mods = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+        "print(json.dumps([code, mods]))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=SRC + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    done = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=300
+    )
+    assert done.returncode == 0, done.stderr
+    code, mods = json.loads(done.stdout.splitlines()[-1])
+    return code, mods
+
+
+def test_import_cli_loads_no_scipy():
+    assert _fresh_run() == (0, [])
+
+
+def test_poincare_loads_no_scipy(tmp_path):
+    fit_path = tmp_path / "fitres.json"
+    fit_path.write_text(json.dumps({"quantum": COUPLED_TRIAL}))
+    cfg = write_cfg(
+        tmp_path,
+        "poinc.json",
+        {"action": COUPLED, "energy": 2.0, "n_orbits": 2, "max_crossings": 4, "fit_result": str(fit_path)},
+    )
+    out = tmp_path / "p"
+    assert _fresh_run(["poincare", "--config", cfg, "--out", str(out)]) == (0, [])
+    assert (out / "section_quantum.csv").exists()
+
+
+def test_propagate_and_analytic_skip_scipy_optimize(tmp_path, prop_cfg):
+    analytic_cfg = write_cfg(
+        tmp_path,
+        "analytic.json",
+        {"action": HO, "grid": {"extents": [6.0], "npoints": [301]}, "quantum": HO_QUANTUM, "e_gr": 0.5},
+    )
+    for command, cfg in (("propagate", prop_cfg), ("analytic", analytic_cfg)):
+        code, mods = _fresh_run([command, "--config", cfg, "--out", str(tmp_path / command)])
+        assert code == 0
+        assert "scipy.linalg" in mods
+        assert not [m for m in mods if m.startswith("scipy.optimize")]
+
+
+# -- time and grid input outside the validated range -------------------------
+
+FIT_BASE = {
+    "classical": HO,
+    "grid": {"extents": [8.0], "npoints": [401]},
+    "pairs": {"points": [-1.0, 0.0, 1.0]},
+    "ansatz": [[0], [2]],
+}
+PROPAGATE_BASE = {
+    "action": HO,
+    "grid": {"extents": [8.0], "npoints": [401]},
+    "T": 1.0,
+    "pairs": {"points": [0.0]},
+}
+
+
+@pytest.mark.parametrize(
+    "command, payload",
+    [
+        ("propagate", dict(PROPAGATE_BASE, T=math.inf)),
+        ("propagate", dict(PROPAGATE_BASE, T=math.nan)),
+        ("propagate", dict(PROPAGATE_BASE, grid={"extents": [math.inf], "npoints": [401]})),
+        ("propagate", dict(PROPAGATE_BASE, grid={"extents": [math.nan], "npoints": [401]})),
+        ("propagate", dict(PROPAGATE_BASE, grid={"extents": [8.0], "npoints": [401.5]})),
+        ("propagate", dict(PROPAGATE_BASE, grid={"extents": [8.0], "npoints": [math.inf]})),
+        ("fit", dict(FIT_BASE, T=math.inf)),
+        ("fit", dict(FIT_BASE, T_list=[2.0, math.inf])),
+        ("fit", dict(FIT_BASE, T_list=[2.0, 3.0], grid={"extents": [8.0], "npoints": [401.5]})),
+        ("analytic", {"action": HO, "grid": {"extents": [math.inf], "npoints": [301]}}),
+        ("analytic", {"action": HO, "grid": {"extents": [6.0], "npoints": [301]}, "e_gr": math.inf}),
+    ],
+)
+def test_non_finite_or_fractional_input_exit_2_before_eigensolve(tmp_path, monkeypatch, command, payload):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("eigensolver reached with invalid input")
+
+    _clear_spectral_caches()
+    for solver in ("eigh_tridiagonal", "eigh", "eigvalsh"):
+        monkeypatch.setattr(scipy.linalg, solver, no_solve)
+    cfg = write_cfg(tmp_path, "bad.json", payload)
+    out = tmp_path / "bad"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 2
     assert not out.exists()

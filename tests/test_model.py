@@ -6,6 +6,7 @@ import pickle
 import numpy as np
 import numpy.testing as npt
 import pytest
+import scipy.optimize
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -15,6 +16,7 @@ from qaction import (
     ScaleTransform,
     apply_scale_transform,
 )
+from qaction.model import _bisect_root
 
 
 def test_evaluate_coupled_2d_at_unit_point():
@@ -222,3 +224,35 @@ def test_potential_pickles_after_its_kernel_is_built():
     assert back((0.3, -1.1)) == value
     action = ActionSpec(mass=1.0, potential=pot, hbar=1.0)
     assert pickle.loads(pickle.dumps(action)) == action
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    coefs=st.tuples(st.floats(0.01, 10.0), st.floats(0.0, 10.0), st.floats(0.0, 10.0)),
+    root=st.floats(-3.0, 3.0),
+    below=st.floats(1e-3, 5.0),
+    above=st.floats(1e-3, 5.0),
+    sign=st.sampled_from([-1.0, 1.0]),
+)
+def test_bisect_root_of_bracketed_monotone_polynomial(coefs, root, below, above, sign):
+    """f = sign (p(x) - p(root)) with p = c1 x + c3 x^3 + c5 x^5 is monotone."""
+    c1, c3, c5 = coefs
+
+    def p(x):
+        return c1 * x + c3 * x**3 + c5 * x**5
+
+    def f(x):
+        return sign * (p(x) - p(root))
+
+    a, b = root - below, root + above
+    x = _bisect_root(f, a, b)
+    assert a <= x <= b
+    fx = f(x)
+    neighbours = (math.nextafter(x, -math.inf), math.nextafter(x, math.inf))
+    assert fx == 0.0 or any(f(n) == 0.0 or (f(n) < 0.0) != (fx < 0.0) for n in neighbours)
+    assert abs(x - scipy.optimize.brentq(f, a, b, xtol=1e-15)) <= 1e-14
+
+
+def test_bisect_root_rejects_an_unbracketed_interval():
+    with pytest.raises(ValueError):
+        _bisect_root(lambda x: x * x + 1.0, -1.0, 1.0)
