@@ -10,7 +10,6 @@ potential by the ground energy, and that shift must not read as dynamics.
 """
 from __future__ import annotations
 
-import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -20,7 +19,7 @@ import numpy as np
 
 from .errors import NumericalError
 from .model import ActionSpec, PolynomialPotential, _bisect_root
-from .trajectory import PhaseState, _forest_ruth_steps, hamiltonian_energy
+from .trajectory import PhaseState, _step_loop, hamiltonian_energy
 
 _CONVENTIONS = ("above-minimum", "absolute")
 # R2 additive recurrence (plastic-number based): deterministic low-discrepancy
@@ -261,46 +260,45 @@ def _orbit_crossings(action: ActionSpec, spec: SectionSpec, e_abs: float, start:
     pot = action.potential
     m = action.mass
     grad = pot.kernel().gradient
+    loop = _step_loop(pot.dimension, pot.terms, m, spec.dt, spec.plane_axis)
     axis = 1 - spec.plane_axis
     pax = spec.plane_axis
     c = spec.plane_value
     orient = spec.orientation
-    prev = (*start.position, *start.momentum)
-    g_prev = prev[pax] - c
+    state = (*start.position, *start.momentum)
+    used = 0
     last_transit = 0  # +1 upward, -1 downward, 0 none yet
     points = []
-    steps = _forest_ruth_steps(grad, m, spec.dt, *prev)
-    for state in itertools.islice(steps, spec.max_steps):
-        g_new = state[pax] - c
-        up = g_prev < 0.0 <= g_new
-        if up or g_new <= 0.0 < g_prev:
-            direction = 1 if up else -1
-            if direction == orient:
-                if last_transit == orient:
-                    raise NumericalError(
-                        "two same-orientation crossings without an "
-                        "opposite transit; reduce dt (grazing orbit)"
-                    )
-                if abs(prev[2 + pax]) < 1e-10:
-                    raise NumericalError("crossing with vanishing plane momentum; reduce dt")
-                x_c, px_c, py_c = _henon_refine(
-                    prev[axis], prev[pax], prev[2 + axis], prev[2 + pax], m, grad, axis, pax, c,
+    while True:
+        k, prev, state = loop(spec.max_steps - used, c, *state)
+        used += k
+        if not (prev[pax] < c <= state[pax] or state[pax] <= c < prev[pax]):
+            raise NumericalError(
+                f"section did not reach {spec.max_crossings} crossings per "
+                f"orbit within {spec.max_steps} steps"
+            )
+        direction = 1 if prev[pax] < c else -1  # the side left: a down step can land on c
+        if direction == orient:
+            if last_transit == orient:
+                raise NumericalError(
+                    "two same-orientation crossings without an "
+                    "opposite transit; reduce dt (grazing orbit)"
                 )
-                z = [0.0, 0.0]
-                z[axis] = x_c
-                z[pax] = c
-                e_cross = (px_c**2 + py_c**2) / (2.0 * m) + pot(z)
-                if abs(e_cross - e_abs) > 1e-8 * max(1.0, abs(e_abs)):
-                    raise NumericalError("energy at a refined crossing drifted beyond 1e-8")
-                points.append((x_c, px_c))
-                if len(points) == spec.max_crossings:
-                    return np.array(points, dtype=float)
-            last_transit = direction
-        prev, g_prev = state, g_new
-    raise NumericalError(
-        f"section did not reach {spec.max_crossings} crossings per "
-        f"orbit within {spec.max_steps} steps"
-    )
+            if abs(prev[2 + pax]) < 1e-10:
+                raise NumericalError("crossing with vanishing plane momentum; reduce dt")
+            x_c, px_c, py_c = _henon_refine(
+                prev[axis], prev[pax], prev[2 + axis], prev[2 + pax], m, grad, axis, pax, c,
+            )
+            z = [0.0, 0.0]
+            z[axis] = x_c
+            z[pax] = c
+            e_cross = (px_c**2 + py_c**2) / (2.0 * m) + pot(z)
+            if abs(e_cross - e_abs) > 1e-8 * max(1.0, abs(e_abs)):
+                raise NumericalError("energy at a refined crossing drifted beyond 1e-8")
+            points.append((x_c, px_c))
+            if len(points) == spec.max_crossings:
+                return np.array(points, dtype=float)
+        last_transit = direction
 
 
 def generate_section(action: ActionSpec, spec: SectionSpec) -> PoincareSection:

@@ -68,8 +68,9 @@ def _get(cfg: dict, key: str, kinds, default=KeyError, where: str = "config"):
             raise ConfigError(f"{where}: missing required key '{key}'")
         return default
     val = cfg[key]
-    if kinds is not None and not isinstance(val, kinds):
-        names = getattr(kinds, "__name__", None) or "/".join(k.__name__ for k in kinds)
+    kinds = kinds if kinds is None or isinstance(kinds, tuple) else (kinds,)
+    if kinds is not None and (not isinstance(val, kinds) or (type(val) is bool and bool not in kinds)):
+        names = "/".join(k.__name__ for k in kinds)
         raise ConfigError(f"{where}: key '{key}' must be {names}, got {type(val).__name__}")
     return val
 
@@ -92,9 +93,13 @@ def _parse_grid(data, where: str = "grid") -> Grid:
         raise ConfigError(f"{where}: {exc}") from exc
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _parse_time(value, what: str = "T") -> float:
     _expect(
-        isinstance(value, (int, float)) and math.isfinite(value) and value > 0,
+        _is_number(value) and math.isfinite(value) and value > 0,
         f"{what} must be positive and finite, got {value!r}",
     )
     return float(value)
@@ -125,7 +130,7 @@ def _parse_pairs(data, grid: Grid, classical: ActionSpec = None, where: str = "p
         _expect(
             len(span) == grid.dim
             and all(
-                isinstance(s, list) and len(s) == 2 and all(isinstance(v, (int, float)) for v in s)
+                isinstance(s, list) and len(s) == 2 and all(_is_number(v) for v in s)
                 for s in span
             ),
             f"{where}: span must be numeric [lo, hi] (or one such pair per axis)",
@@ -154,10 +159,10 @@ def _parse_pairs(data, grid: Grid, classical: ActionSpec = None, where: str = "p
 
 
 def _parse_point(p, dim: int, where: str):
-    if isinstance(p, (int, float)) and dim == 1:
+    if _is_number(p) and dim == 1:
         return (float(p),)
     _expect(
-        isinstance(p, list) and len(p) == dim and all(isinstance(v, (int, float)) for v in p),
+        isinstance(p, list) and len(p) == dim and all(_is_number(v) for v in p),
         f"{where}: point must have {dim} coordinate(s)",
     )
     return tuple(float(v) for v in p)
@@ -169,14 +174,14 @@ def _parse_ansatz(data, dim: int, where: str = "ansatz"):
     out = []
     for entry in data:
         _expect(isinstance(entry, list) and len(entry) > 0, f"{where}: bad entry {entry!r}")
-        if all(isinstance(v, int) for v in entry):
+        if all(type(v) is int for v in entry):
             _expect(len(entry) == dim, f"{where}: exponent {entry!r} must have {dim} entries")
             out.append(tuple(entry))
             continue
         group = []
         for exp in entry:
             _expect(
-                isinstance(exp, list) and len(exp) == dim and all(isinstance(v, int) for v in exp),
+                isinstance(exp, list) and len(exp) == dim and all(type(v) is int for v in exp),
                 f"{where}: exponent {exp!r} must be a list of {dim} integers",
             )
             group.append(tuple(exp))
@@ -185,10 +190,10 @@ def _parse_ansatz(data, dim: int, where: str = "ansatz"):
 
 
 def _parse_n_nodes(data, where: str = "n_nodes"):
-    if isinstance(data, int):
+    if type(data) is int:
         return data
     _expect(
-        isinstance(data, list) and len(data) == 2 and all(isinstance(v, int) for v in data),
+        isinstance(data, list) and len(data) == 2 and all(type(v) is int for v in data),
         f"{where} must be an integer or a [coarse, fine] pair",
     )
     return (data[0], data[1])
@@ -332,7 +337,7 @@ def cmd_analytic(cfg: dict, args) -> list:
         quantum = _parse_action(quantum, "quantum", confining=True)
     e_gr = cfg.get("e_gr")
     _expect(
-        e_gr is None or (isinstance(e_gr, (int, float)) and math.isfinite(e_gr)),
+        e_gr is None or (_is_number(e_gr) and math.isfinite(e_gr)),
         "e_gr must be a finite number",
     )
     l_max = _get(cfg, "hydrogen_l_max", int, default=3)

@@ -8,14 +8,14 @@ for real-time dynamics.
 """
 from __future__ import annotations
 
-import itertools
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NumericalError
-from .model import ActionSpec, PolynomialPotential
+from .model import ActionSpec, PolynomialPotential, _derivative_terms, _polynomial_source
 
 NEWTON_RTOL = 1e-10
 
@@ -243,36 +243,37 @@ _FR_DRIFT = (_FR_THETA / 2.0, (1.0 - _FR_THETA) / 2.0)
 _FR_KICK = (_FR_THETA, 1.0 - 2.0 * _FR_THETA)
 
 
-def _forest_ruth_steps(grad, m: float, dt: float, x: float, y: float, px: float, py: float):
-    """Forest-Ruth steps of H = (px^2 + py^2)/2m + V from (x, y, px, py).
+@functools.lru_cache(maxsize=64)
+def _step_loop(dimension: int, terms: tuple, mass: float, dt: float, plane_axis: int):
+    """Forest-Ruth loop ``loop(n, c, x, y, px, py) -> (k, before, after)``.
 
-    ``grad(x, y)`` returns (dV/dx, dV/dy). Yields the state after each step,
-    without end; a 1-D action runs with y and py held at 0 by a zero dV/dy.
+    Takes at most n steps of H = (px^2 + py^2)/2m + V and returns after the
+    first step k at which the plane coordinate (x or y by plane_axis) changes
+    side of c, with the states (x, y, px, py) before and after that step; c =
+    nan is a plane no step crosses. The source holds the gradient polynomial and
+    the drift and kick coefficients as float literals, so it runs without
+    builtins but ``range``. A 1-D potential has dV/dy = 0.0, keeping y and py
+    at 0.
     """
-    m_inv = 1.0 / m
-    c1 = _FR_DRIFT[0] * dt * m_inv
-    c2 = _FR_DRIFT[1] * dt * m_inv
-    d1 = _FR_KICK[0] * dt
-    d2 = _FR_KICK[1] * dt
-    while True:
-        x += c1 * px
-        y += c1 * py
-        gx, gy = grad(x, y)
-        px -= d1 * gx
-        py -= d1 * gy
-        x += c2 * px
-        y += c2 * py
-        gx, gy = grad(x, y)
-        px -= d2 * gx
-        py -= d2 * gy
-        x += c2 * px
-        y += c2 * py
-        gx, gy = grad(x, y)
-        px -= d1 * gx
-        py -= d1 * gy
-        x += c1 * px
-        y += c1 * py
-        yield x, y, px, py
+    names = ("x", "y")[:dimension]
+    grad = [_polynomial_source(_derivative_terms(terms, a), names) for a in range(dimension)] + ["0.0"]
+    m_inv = 1.0 / mass
+    drift = [f"x += {d * dt * m_inv!r} * px; y += {d * dt * m_inv!r} * py" for d in _FR_DRIFT]
+    kick = [f"px -= {k * dt!r} * ({grad[0]}); py -= {k * dt!r} * ({grad[1]})" for k in _FR_KICK]
+    q = "xy"[plane_axis]
+    body = [drift[0], kick[0], drift[1], kick[1], drift[1], kick[0], drift[0],
+            f"if {q}0 < c <= {q} or {q} <= c < {q}0: break"]
+    source = "\n".join([
+        "def loop(n, c, x, y, px, py):",
+        "    k, x0, y0, px0, py0 = 0, x, y, px, py",
+        "    for k in range(1, n + 1):",
+        "        x0 = x; y0 = y; px0 = px; py0 = py",
+        *("        " + line for line in body),
+        "    return k, (x0, y0, px0, py0), (x, y, px, py)",
+    ])
+    namespace = {"__builtins__": {"range": range}}
+    exec(source, namespace)
+    return namespace["loop"]
 
 
 def integrate_realtime(
@@ -299,15 +300,10 @@ def integrate_realtime(
         raise ValueError("store_every must be >= 1")
     n_steps = max(1, int(round(T / dt)))
     dim = s0.dim
-    x, y = (*s0.position, 0.0)[:2]
-    px, py = (*s0.momentum, 0.0)[:2]
-    grad = action.potential.kernel().gradient
-    if dim == 1:
-        grad_x = grad
-        grad = lambda x, y: (*grad_x(x), 0.0)
-    steps = _forest_ruth_steps(grad, action.mass, dt, x, y, px, py)
+    loop = _step_loop(dim, action.potential.terms, action.mass, dt, 1)
+    state = (*s0.position, 0.0)[:2] + (*s0.momentum, 0.0)[:2]
     out = [s0]
-    for k, state in enumerate(itertools.islice(steps, n_steps), 1):
-        if k % store_every == 0 or k == n_steps:
-            out.append(PhaseState(state[:dim], state[2 : 2 + dim]))
+    for done in range(0, n_steps, store_every):
+        _, _, state = loop(min(store_every, n_steps - done), math.nan, *state)
+        out.append(PhaseState(state[:dim], state[2 : 2 + dim]))
     return out

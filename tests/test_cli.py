@@ -587,3 +587,32 @@ def test_non_finite_or_fractional_input_exit_2_before_eigensolve(tmp_path, monke
     out = tmp_path / "bad"
     assert main([command, "--config", cfg, "--out", str(out)]) == 2
     assert not out.exists()
+
+
+# -- JSON booleans are not numbers -------------------------------------------
+
+POINCARE_BASE = {"action": COUPLED, "energy": 2.0, "n_orbits": 2, "max_crossings": 6}
+
+
+@pytest.mark.parametrize(
+    "command, payload",
+    [
+        ("poincare", dict(POINCARE_BASE, n_orbits=True)),
+        ("poincare", dict(POINCARE_BASE, plane={"axis": True})),
+        ("propagate", dict(PROPAGATE_BASE, T=True)),
+        ("fit", dict(FIT_BASE, T=True)),
+        ("fit", dict(FIT_BASE, T=2.0, ansatz=[[0], [True]])),
+        ("fit", dict(FIT_BASE, T=2.0, n_nodes=True)),
+        ("analytic", {"action": HO, "grid": {"extents": [6.0], "npoints": [301]}, "e_gr": True}),
+    ],
+)
+def test_boolean_for_a_number_exits_2_leaving_no_files(tmp_path, command, payload):
+    cfg = write_cfg(tmp_path, "bool.json", payload)
+    out = tmp_path / "bool"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    assert not out.exists()
+
+
+def test_boolean_still_accepted_where_a_flag_is_expected(tmp_path):
+    cfg = write_cfg(tmp_path, "flag.json", dict(FIT_BASE, T=2.0, fit_mass=False, n_nodes=65))
+    assert main(["fit", "--config", cfg, "--out", str(tmp_path / "flag")]) == 0

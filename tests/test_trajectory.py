@@ -1,19 +1,28 @@
+import dataclasses
+import itertools
 import math
 
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qaction import (
     ActionSpec,
+    NumericalError,
     PhaseState,
     PolynomialPotential,
+    SectionSpec,
+    generate_section,
     hamiltonian_energy,
     ho_euclidean_action,
     ho_exact_propagator,
     integrate_realtime,
     solve_euclidean_bvp,
 )
+from qaction.chaos import _henon_refine, _orbit_crossings
+from qaction.trajectory import _step_loop
 
 COTH1_OVER_2 = 0.5 / math.tanh(1.0)
 
@@ -225,3 +234,119 @@ def test_sampling_and_rows(ho):
     assert len(states) == 4
     assert states == [every[k] for k in (0, 4, 8, 10)]
     assert states[0] == s0
+
+
+# -- the generated step loop against a plain Forest-Ruth loop ----------------
+
+THETA = 1.0 / (2.0 - 2.0 ** (1.0 / 3.0))
+
+
+def reference_states(action, state, dt, n):
+    """States after steps 1..n of a plain Forest-Ruth loop on kernel().gradient."""
+    grad = action.potential.kernel().gradient
+    if action.dimension == 1:
+        grad_x = grad
+        grad = lambda x, y: (*grad_x(x), 0.0)
+    m_inv = 1.0 / action.mass
+    c1, c2 = THETA / 2.0 * dt * m_inv, (1.0 - THETA) / 2.0 * dt * m_inv
+    d1, d2 = THETA * dt, (1.0 - 2.0 * THETA) * dt
+    x, y, px, py = state
+    out = []
+    for _ in range(n):
+        for c, d in ((c1, d1), (c2, d2), (c2, d1)):
+            x += c * px
+            y += c * py
+            gx, gy = grad(x, y)
+            px -= d * gx
+            py -= d * gy
+        x += c1 * px
+        y += c1 * py
+        out.append((x, y, px, py))
+    return out
+
+
+def bits(state):
+    return tuple(v.hex() for v in state)
+
+
+@st.composite
+def actions_and_states(draw):
+    dimension = draw(st.sampled_from([1, 2]))
+    terms = {
+        exp: draw(st.floats(-2.0, 2.0))
+        for exp in itertools.product(range(5), repeat=dimension)
+        if sum(exp) <= 4 and draw(st.booleans())
+    }
+    action = ActionSpec(mass=draw(st.floats(0.1, 10.0)), potential=PolynomialPotential(dimension, terms))
+    coordinate = st.floats(-1.5, 1.5)
+    position = draw(st.tuples(*[coordinate] * dimension))
+    momentum = draw(st.tuples(*[coordinate] * dimension))
+    state = (*position, 0.0)[:2] + (*momentum, 0.0)[:2]
+    return action, state, draw(st.floats(1e-5, 1e-2))
+
+
+@settings(max_examples=80, deadline=None)
+@given(actions_and_states(), st.integers(1, 60))
+def test_step_loop_matches_plain_forest_ruth_bitwise(case, n):
+    action, state, dt = case
+    pot = action.potential
+    expected = reference_states(action, state, dt, n)
+    k, before, after = _step_loop(pot.dimension, pot.terms, action.mass, dt, 1)(n, math.nan, *state)
+    assert k == n
+    assert bits(after) == bits(expected[-1])
+    assert bits(before) == bits(expected[-2] if n > 1 else state)
+    if action.dimension == 2:
+        s0 = PhaseState(state[:2], state[2:])
+        end = integrate_realtime(action, s0, n * dt, dt, store_every=7)[-1]
+        assert bits(end.position + end.momentum) == bits(expected[-1])
+
+
+# -- crossings: where the loop returns and what the section records ----------
+
+
+@pytest.mark.parametrize("py0", [0.9, -0.9], ids=["up", "down"])
+def test_step_landing_on_the_plane_takes_the_side_it_left(coupled_2d, py0):
+    """With c set to the exact y of step k, g_new == 0 there; the crossing is
+    up or down by the side the step left, whichever side it lands on."""
+    start = (0.3, 0.0, 0.5, py0)
+    k = 40
+    ref = reference_states(coupled_2d, start, 1e-3, k)
+    c = ref[k - 1][1]
+    pot = coupled_2d.potential
+    loop = _step_loop(2, pot.terms, 1.0, 1e-3, 1)
+    steps, before, after = loop(10**6, c, *start)
+    assert steps == k and after[1] == c
+    assert bits(before) == bits(ref[k - 2]) and bits(after) == bits(ref[k - 1])
+
+    orient = 1 if py0 > 0 else -1
+    spec = SectionSpec(
+        energy=0.0, initial_conditions=(PhaseState(start[:2], start[2:]),), dt=1e-3,
+        max_crossings=1, plane_value=c, orientation=orient, energy_convention="absolute",
+    )
+    e_abs = hamiltonian_energy(coupled_2d, spec.initial_conditions[0])
+    (point,) = _orbit_crossings(coupled_2d, spec, e_abs, spec.initial_conditions[0])
+    x, y, px, py = ref[k - 2]
+    x_c, px_c, _ = _henon_refine(x, y, px, py, 1.0, pot.kernel().gradient, 0, 1, c)
+    assert (point[0], point[1]) == (x_c, px_c)
+
+
+def test_max_steps_counts_every_step_across_returns(coupled_2d):
+    start = (0.3, 0.0, 0.5, 0.9)
+    crossings = 3
+    last, up_crossings = None, 0
+    states = [start] + reference_states(coupled_2d, start, 1e-3, 30000)
+    for step in range(1, len(states)):
+        if states[step - 1][1] < 0.0 <= states[step][1]:
+            up_crossings += 1
+            if up_crossings == crossings:
+                last = step
+                break
+    assert last is not None
+    s0 = PhaseState(start[:2], start[2:])
+    spec = SectionSpec(
+        energy=hamiltonian_energy(coupled_2d, s0), initial_conditions=(s0,), dt=1e-3,
+        max_crossings=crossings, energy_convention="absolute", max_steps=last,
+    )
+    assert len(generate_section(coupled_2d, spec).orbits[0]) == crossings
+    with pytest.raises(NumericalError, match="did not reach"):
+        generate_section(coupled_2d, dataclasses.replace(spec, max_steps=last - 1))
