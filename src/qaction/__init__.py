@@ -18,7 +18,6 @@ from .propagator import (
     SpectralData,
     discretize_hamiltonian,
     euclidean_propagate,
-    feynman_kac_energy,
     ho_euclidean_action,
     ho_exact_propagator,
     spectral_decompose,
@@ -92,7 +91,6 @@ __all__ = [
     "default_pairs",
     "discretize_hamiltonian",
     "euclidean_propagate",
-    "feynman_kac_energy",
     "fit_flow",
     "fit_quantum_action",
     "fit_residual",

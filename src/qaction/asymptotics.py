@@ -64,6 +64,24 @@ def _require_1d_even(pot: PolynomialPotential, what: str):
             )
 
 
+def _require_minimum_at_origin(pot: PolynomialPotential, what: str):
+    """Raise unless the even 1-D trial V(x) = p(x^2) has its global minimum at 0.
+
+    A confining p is lowest at t = 0 or at a positive critical point, so
+    V(sqrt(t)) >= V(0) at each positive root of p' settles it.
+    """
+    if not pot.is_confining():
+        raise ValueError(f"{what} needs a confining trial potential")
+    dp = np.zeros(max(e for (e,), _ in pot.terms) // 2)
+    for (e,), coef in pot.terms:
+        if e:
+            dp[e // 2 - 1] += coef * (e // 2)
+    t = np.polynomial.polynomial.polyroots(dp).real
+    x = np.sqrt(t[t > 0.0])
+    if x.size and np.any(pot.evaluate_points(x[:, None]) < pot((0.0,))):
+        raise ValueError(f"{what} needs the trial minimum at the origin")
+
+
 def _gauss_cells(fn: Callable[[np.ndarray], np.ndarray], edges: np.ndarray) -> np.ndarray:
     """Per-cell 15-point Gauss-Legendre integrals between consecutive edges."""
     a = edges[:-1]
@@ -75,29 +93,13 @@ def _gauss_cells(fn: Callable[[np.ndarray], np.ndarray], edges: np.ndarray) -> n
     return half * (vals @ _GL_WEIGHTS)
 
 
-def _refine_minimum(xs: np.ndarray, vs: np.ndarray) -> tuple[float, float]:
-    """Grid argmin refined by a local quadratic fit; returns (x0, V(x0))."""
-    near0 = np.abs(vs - vs.min()) <= 1e-14 * (1.0 + abs(float(vs.min())))
-    idx = int(np.argmin(np.where(near0, np.abs(xs), np.inf)))
-    if idx == 0 or idx == len(xs) - 1:
-        return float(xs[idx]), float(vs[idx])
-    h = xs[1] - xs[0]
-    a = (vs[idx + 1] - 2.0 * vs[idx] + vs[idx - 1]) / (2.0 * h * h)
-    b = (vs[idx + 1] - vs[idx - 1]) / (2.0 * h)
-    if a <= 0.0:
-        return float(xs[idx]), float(vs[idx])
-    dx = -b / (2.0 * a)
-    dx = max(-h, min(h, dx))
-    return float(xs[idx] + dx), float(vs[idx] + b * dx + a * dx * dx)
-
-
 def ground_state_from_quantum_action(quantum: ActionSpec, grid: Grid) -> GroundStateInfo:
     """Ground energy and wavefunction implied by a 1-D confining trial action.
 
-    The energy is the refined minimum of the trial potential; the
-    wavefunction is exp(-Phi/hbar) with Phi the accumulated integral of
-    sqrt(2 m (V - Vmin)) from the minimum, normalized by trapezoidal
-    quadrature on the grid.
+    The energy is the minimum of the trial potential, by Newton from the
+    lowest grid node; the wavefunction is exp(-Phi/hbar) with Phi the
+    accumulated integral of sqrt(2 m (V - Vmin)) from the minimum, normalized
+    by trapezoidal quadrature on the grid.
     """
     pot = quantum.potential
     if pot.dimension != 1 or grid.dim != 1:
@@ -105,8 +107,8 @@ def ground_state_from_quantum_action(quantum: ActionSpec, grid: Grid) -> GroundS
     if not pot.is_confining():
         raise ValueError("trial potential must be confining")
     xs = grid.axes()[0]
-    vs = pot.evaluate_points(xs[:, None])
-    x0, e_gr = _refine_minimum(xs, vs)
+    z, e_gr = pot.minimum(grid.nodes())
+    x0 = float(z[0])
     m, hb = quantum.mass, quantum.hbar
 
     def integrand(x):
@@ -150,7 +152,9 @@ def transformation_law_residual(
 
     Returns 2m(V - E_gr) - [U - (hbar/2) U' sgn(x)/sqrt(U)] with
     U = 2 m_t (V_t - V_t_min), evaluated with analytic polynomial
-    derivatives. Raises at the singular point where U vanishes.
+    derivatives. The sgn(x) form holds for a trial whose global minimum is
+    at the origin, so any other trial raises, as does the singular point
+    where U vanishes.
     """
     _require_1d_even(classical.potential, "transformation law")
     _require_1d_even(quantum.potential, "transformation law")
@@ -158,7 +162,8 @@ def transformation_law_residual(
         raise ValueError("classical and quantum actions must share hbar")
     hb = classical.hbar
     xs = np.atleast_1d(np.asarray(x, dtype=float))
-    vmin_t = quantum.potential((0.0,))
+    _require_minimum_at_origin(quantum.potential, "transformation law")
+    _, vmin_t = quantum.potential.minimum()
     u = 2.0 * quantum.mass * (quantum.potential.evaluate_points(xs[:, None]) - vmin_t)
     du = 2.0 * quantum.mass * quantum.potential.gradient_points(xs[:, None])[:, 0]
     if np.any(u <= 0.0):

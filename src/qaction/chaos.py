@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import NumericalError
-from .model import ActionSpec, PolynomialPotential, _bisect_root
+from .model import ActionSpec, _bisect_root
 from .trajectory import PhaseState, _step_loop, hamiltonian_energy
 
 _CONVENTIONS = ("above-minimum", "absolute")
@@ -64,46 +64,10 @@ class SectionSpec:
         object.__setattr__(self, "initial_conditions", ics)
 
 
-def _potential_minimum_2d(pot: PolynomialPotential):
-    """Deterministic local minimum (point, value) of a confining 2-D polynomial.
-
-    Newton on the kernel's analytic gradient and Hessian, started at the
-    origin, or 1e-3 off it along the most negative curvature when the origin
-    is a maximum or saddle. In the Hessian's eigenbasis a step is Newton's
-    along positive curvature and the negative gradient elsewhere, plus a unit
-    step down a negative curvature, so saddles are left. Each step is halved
-    until V does not rise beyond rounding. Stops at |grad V|_inf <= 1e-12.
-    """
-    z = np.zeros(2)
-    curvature, directions = np.linalg.eigh(pot.hessian_points(z))
-    if curvature[0] < 0.0:
-        z = 1e-3 * directions[:, 0]
-    v = pot(z)
-    for _ in range(200):
-        g = pot.gradient_points(z)
-        curvature, directions = np.linalg.eigh(pot.hessian_points(z))
-        if curvature[0] >= 0.0 and np.max(np.abs(g)) <= 1e-12:
-            return z, v
-        along = directions.T @ g
-        coords = -along / np.where(curvature > 0.0, curvature, 1.0)
-        if curvature[0] < 0.0:
-            coords[0] -= math.copysign(1.0, along[0])
-        step = directions @ coords
-        for _ in range(60):
-            v_trial = pot(z + step)
-            if v_trial <= v + 4e-15 * (1.0 + abs(v)):  # a rise within rounding is none
-                break
-            step = 0.5 * step
-        else:
-            break
-        z, v = z + step, v_trial
-    raise NumericalError("potential minimum search did not converge")
-
-
 def _absolute_energy(action: ActionSpec, spec: SectionSpec) -> float:
     if spec.energy_convention == "absolute":
         return spec.energy
-    _, vmin = _potential_minimum_2d(action.potential)
+    _, vmin = action.potential.minimum()
     return vmin + spec.energy
 
 
@@ -321,7 +285,7 @@ def generate_section(action: ActionSpec, spec: SectionSpec) -> PoincareSection:
                 f"initial condition {s} misses the energy shell "
                 f"H={e_abs} beyond 1e-10"
             )
-    _, vmin = _potential_minimum_2d(action.potential)
+    _, vmin = action.potential.minimum()
     if e_abs <= vmin:
         raise ValueError("section energy must exceed the potential minimum")
     orbits = tuple(_orbit_crossings(action, spec, e_abs, s) for s in ics)

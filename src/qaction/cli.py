@@ -350,12 +350,10 @@ def cmd_analytic(cfg: dict, args) -> list:
     if quantum is not None:
         state = ground_state_from_quantum_action(quantum, grid)
         xs = grid.axes()[0]
-        law_rows = []
-        for x in xs:
-            try:
-                law_rows.append([float(x), transformation_law_residual(classical, e_gr, quantum, float(x))])
-            except ValueError:
-                continue  # singular point at the trial minimum
+        # the law is singular at the nodes where V_t meets its minimum
+        xs = xs[quantum.potential.evaluate_points(xs[:, None]) > quantum.potential.minimum()[1]]
+        law = transformation_law_residual(classical, e_gr, quantum, xs)
+        law_rows = [[float(x), float(r)] for x, r in zip(xs, law)]
         wkb = wkb_compare(classical, quantum, e_gr, grid)
     else:
         inversion = invert_transformation_law(classical, e_gr, grid)

@@ -14,6 +14,8 @@ from typing import Callable, Mapping, NamedTuple
 
 import numpy as np
 
+from .errors import NumericalError
+
 Exponents = tuple[int, ...]
 
 
@@ -50,6 +52,14 @@ def _derivative_terms(terms, axis: int) -> tuple:
         if e:
             out.append((exp[:axis] + (e - 1,) + exp[axis + 1 :], coef * e))
     return tuple(out)
+
+
+def _derivative_tables(dimension: int, terms) -> tuple:
+    """Terms of each first derivative, and of the second derivatives d2/dx_a dx_b
+    for a <= b row by row, as the kernel generates them."""
+    grads = [_derivative_terms(terms, a) for a in range(dimension)]
+    hess = [_derivative_terms(grads[a], b) for a in range(dimension) for b in range(a, dimension)]
+    return grads, hess
 
 
 def _bisect_root(f: Callable, a: float, b: float) -> float:
@@ -106,8 +116,7 @@ def _compile(dimension: int, terms: tuple) -> PolynomialKernel:
     coordinate names, so ``eval`` without builtins is safe.
     """
     names = ("x", "y")[:dimension]
-    grads = [_derivative_terms(terms, a) for a in range(dimension)]
-    hess = [_derivative_terms(grads[a], b) for a in range(dimension) for b in range(a, dimension)]
+    grads, hess = _derivative_tables(dimension, terms)
 
     def generate(body: str):
         return eval(f"lambda {', '.join(names)}: {body}", {"__builtins__": {}})
@@ -130,6 +139,8 @@ class PolynomialPotential:
     x^2/2 and ``{(2, 0): 0.5, (0, 2): 0.5, (2, 2): 0.05}`` for a coupled 2-D
     oscillator. With ``confining=True`` construction checks that the leading
     pure power along each axis is even with a strictly positive coefficient.
+    Construction rejects a term whose first or second derivative coefficient
+    overflows, so every generated evaluator holds finite literals.
     """
 
     dimension: int
@@ -140,6 +151,9 @@ class PolynomialPotential:
         if self.dimension not in (1, 2):
             raise ValueError(f"dimension must be 1 or 2, got {self.dimension}")
         object.__setattr__(self, "terms", _canonical_terms(self.dimension, self.terms))
+        grads, hess = _derivative_tables(self.dimension, self.terms)
+        if not all(math.isfinite(coef) for table in grads + hess for _, coef in table):
+            raise ValueError("a first or second derivative coefficient of the potential overflows")
         if self.confining and not self.is_confining():
             raise ValueError(
                 "potential declared confining but a leading axis coefficient "
@@ -229,6 +243,46 @@ class PolynomialPotential:
             for b in range(a, n):
                 out[..., a, b] = out[..., b, a] = next(entries)
         return out
+
+    def minimum(self, points=None) -> tuple:
+        """Local minimum (point, value) by Newton on the analytic gradient and Hessian.
+
+        Starts at the lowest of ``points`` (shape (..., dimension)), or at the
+        origin when none are given, moved 1e-3 along the most negative
+        curvature when the start is a maximum or saddle. In the Hessian's
+        eigenbasis a step is Newton's along positive curvature and the
+        negative gradient elsewhere, plus a unit step down a negative
+        curvature, so saddles are left. Each step is halved until V does not
+        rise beyond rounding. Stops at |grad V|_inf <= 1e-12.
+        """
+        if points is None:
+            z = np.zeros(self.dimension)
+        else:
+            values = self.evaluate_points(points).ravel()
+            z = np.asarray(points, dtype=float).reshape(-1, self.dimension)[int(np.argmin(values))]
+        curvature, directions = np.linalg.eigh(self.hessian_points(z))
+        if curvature[0] < 0.0:
+            z = z + 1e-3 * directions[:, 0]
+        v = self(z)
+        for _ in range(200):
+            g = self.gradient_points(z)
+            curvature, directions = np.linalg.eigh(self.hessian_points(z))
+            if curvature[0] >= 0.0 and np.max(np.abs(g)) <= 1e-12:
+                return z, v
+            along = directions.T @ g
+            coords = -along / np.where(curvature > 0.0, curvature, 1.0)
+            if curvature[0] < 0.0:
+                coords[0] -= math.copysign(1.0, along[0])
+            step = directions @ coords
+            for _ in range(60):
+                v_trial = self(z + step)
+                if v_trial <= v + 4e-15 * (1.0 + abs(v)):  # a rise within rounding is none
+                    break
+                step = 0.5 * step
+            else:
+                break
+            z, v = z + step, v_trial
+        raise NumericalError("potential minimum search did not converge")
 
     def scaled(self, alpha: float) -> "PolynomialPotential":
         """All coefficients multiplied by alpha (alpha > 0 preserves confinement)."""

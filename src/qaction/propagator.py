@@ -350,16 +350,6 @@ def tensor_pairs(initial_points, final_points):
     return [(a, b) for a in init for b in fin]
 
 
-def feynman_kac_energy(action: ActionSpec, grid: Grid, T: float, T_shorter: float) -> float:
-    """Ground-energy estimate -hbar ln[G(0,T;0)/G(0,T';0)] / (T - T')."""
-    if not 0 < T_shorter < T:
-        raise ValueError("need 0 < T_shorter < T")
-    origin = (0.0,) * grid.dim
-    g1 = euclidean_propagate(action, grid, T, [(origin, origin)]).amplitudes[0]
-    g2 = euclidean_propagate(action, grid, T_shorter, [(origin, origin)]).amplitudes[0]
-    return -action.hbar * (math.log(g1) - math.log(g2)) / (T - T_shorter)
-
-
 # -- harmonic-oscillator closed forms (oracle) ------------------------------
 
 

@@ -25,7 +25,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .asymptotics import _refine_minimum, ground_state_spectral
+from .asymptotics import ground_state_spectral
 from .errors import NumericalError
 from .model import ActionSpec, PolynomialPotential
 from .propagator import Grid, PropagatorTable, _normalize_pairs, tensor_pairs
@@ -335,11 +335,16 @@ def quantum_action_log_norm_sq(action: ActionSpec, grid: Grid) -> float:
 
     Phi(x) is the zero-energy action from the potential minimum to x,
     computed along straight rays (exact in 1-D; a declared convention in
-    2-D). Used to pin ln Z = -ln of this integral.
+    2-D). The minimum is Newton's from the lowest grid node. Used to pin
+    ln Z = -ln of this integral.
     """
+    return _log_norm_sq(action, grid, *action.potential.minimum(grid.nodes()))
+
+
+def _log_norm_sq(action: ActionSpec, grid: Grid, r0: np.ndarray, vmin: float) -> float:
+    """quantum_action_log_norm_sq with the minimum (r0, vmin) given."""
     pot = action.potential
     pts = grid.nodes().reshape(grid.size, grid.dim)
-    r0, vmin = _grid_minimum(pot, grid)
     d = pts - r0
     dist = np.sqrt(np.sum(d * d, axis=1))
     ray = r0[None, None, :] + _RAY_S[None, :, None] * d[:, None, :]
@@ -348,34 +353,6 @@ def quantum_action_log_norm_sq(action: ActionSpec, grid: Grid) -> float:
     phi = dist * (integ @ _RAY_W)
     w = grid.weights_flat()
     return float(np.log(np.dot(w, np.exp(-2.0 * phi / action.hbar))))
-
-
-def _grid_minimum(pot: PolynomialPotential, grid: Grid):
-    """Grid argmin of the potential, refined one quadratic fit per axis."""
-    if grid.dim == 1:
-        xs = grid.axes()[0]
-        x0, vmin = _refine_minimum(xs, pot.evaluate_points(xs[:, None]))
-        return np.array([x0]), vmin
-    axes = grid.axes()
-    vals = pot.evaluate_points(grid.nodes())
-    idx = np.unravel_index(int(np.argmin(vals)), vals.shape)
-    point = []
-    for axis, (ax, i) in enumerate(zip(axes, idx)):
-        if 0 < i < len(ax) - 1:
-            line = [idx[0], idx[1]]
-            lo, hi = list(line), list(line)
-            lo[axis] -= 1
-            hi[axis] += 1
-            vm, v0, vp = vals[tuple(lo)], vals[tuple(idx)], vals[tuple(hi)]
-            h = ax[1] - ax[0]
-            a = (vp - 2.0 * v0 + vm) / (2.0 * h * h)
-            b = (vp - vm) / (2.0 * h)
-            dx = -b / (2.0 * a) if a > 0.0 else 0.0
-            point.append(ax[i] + max(-h, min(h, dx)))
-        else:
-            point.append(ax[i])
-    point = np.array(point)
-    return point, float(pot(point))
 
 
 def _finite_or_none(v: float):
@@ -460,7 +437,8 @@ def fit_quantum_action(
     warm-started boundary-value solves and yields the residuals and their
     exact Jacobian together. Failed pairs and non-confining trials cost
     penalty residuals, so the trust region rejects such steps. ``converged``
-    means least squares met one of its tolerances.
+    means least squares met one of its tolerances. ``potential_minimum`` is
+    the fitted potential's minimum, by Newton from the lowest grid node.
     """
     import scipy.optimize
 
@@ -511,14 +489,16 @@ def fit_quantum_action(
             "the trial ansatz cannot represent this problem"
         )
     hb, T = problem.classical.hbar, problem.T
+    grid = problem.table.grid
+    r0, vmin = shape.potential.minimum(grid.nodes())
     if problem.constant_index is not None:
-        log_z = -quantum_action_log_norm_sq(shape, problem.table.grid)
+        log_z = -_log_norm_sq(shape, grid, r0, vmin)
         v0 = hb * (log_z - det.log_z_free) / T
         quantum = _trial_from_theta(problem, theta, v0=v0)
+        vmin += v0
     else:
         log_z = det.log_z_free
         quantum = shape
-    _, vmin = _grid_minimum(quantum.potential, problem.table.grid)
     gradient_norm, uncertainties = _fit_diagnostics(det)
     return FitResult(
         quantum=quantum,

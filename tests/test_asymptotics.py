@@ -122,6 +122,41 @@ def test_law_residual_errors(ho, ho_quantum):
         transformation_law_residual(ho, 0.5, other_hbar, 1.0)
 
 
+@pytest.mark.parametrize(
+    "terms",
+    [
+        {(4,): 1.0, (2,): -1.0},  # double well, minima at +-1/sqrt(2)
+        {(6,): 1.0, (4,): -1.5, (2,): 0.5},  # origin a local minimum, global one at +-0.888
+        {(6,): 1.0, (4,): -1.0},  # origin a flat local maximum
+    ],
+)
+def test_law_residual_rejects_a_trial_minimum_off_the_origin(ho, terms):
+    """The law's sgn(x) form assumes the trial's global minimum at 0; any
+    even trial that dips below V_t(0) elsewhere must not get a value."""
+    trial = ActionSpec(mass=1.0, potential=PolynomialPotential(1, terms), hbar=1.0)
+    with pytest.raises(ValueError, match="origin"):
+        transformation_law_residual(ho, 0.5, trial, 2.0)
+
+
+@pytest.mark.parametrize(
+    "terms",
+    [
+        {(4,): 1.0},  # flat minimum at the origin
+        {(6,): 1.0, (4,): -1.0, (2,): 0.3},  # a local minimum off the origin above V_t(0)
+        {(0,): 2.0, (4,): 1.0, (6,): 1.0},
+    ],
+)
+def test_law_residual_accepts_a_global_minimum_at_the_origin(ho, terms):
+    trial = ActionSpec(mass=1.0, potential=PolynomialPotential(1, terms), hbar=1.0)
+    assert math.isfinite(transformation_law_residual(ho, 0.5, trial, 2.0))
+
+
+def test_law_residual_rejects_a_non_confining_trial(ho):
+    trial = ActionSpec(mass=1.0, potential=PolynomialPotential(1, {(2,): 0.5, (4,): -1.0}), hbar=1.0)
+    with pytest.raises(ValueError, match="confining"):
+        transformation_law_residual(ho, 0.5, trial, 0.3)
+
+
 def test_invert_ho_gives_x_squared(ho):
     grid = Grid((3.0,), (481,))
     inv = invert_transformation_law(ho, 0.5, grid)

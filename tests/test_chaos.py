@@ -3,7 +3,6 @@ import math
 
 import numpy as np
 import pytest
-import scipy.optimize
 
 from qaction import (
     ActionSpec,
@@ -19,7 +18,6 @@ from qaction import (
     section_initial_conditions,
     section_occupancy,
 )
-from qaction.chaos import _potential_minimum_2d
 
 
 @pytest.fixture(scope="module")
@@ -257,55 +255,3 @@ def test_each_orbit_gives_the_same_crossings_alone(coupled):
     for ic, pts in zip(ics, together.orbits):
         alone = generate_section(coupled, dataclasses.replace(spec, initial_conditions=(ic,)))
         assert np.array_equal(alone.orbits[0], pts)
-
-
-def _trust_exact_minimum(pot):
-    """The minimum scipy's trust-region Newton finds from the same start."""
-    z = np.zeros(2)
-    curvature, directions = np.linalg.eigh(pot.hessian_points(z))
-    if curvature[0] < 0.0:
-        z = 1e-3 * directions[:, 0]
-    res = scipy.optimize.minimize(
-        pot, z, jac=pot.gradient_points, hess=pot.hessian_points,
-        method="trust-exact", options={"gtol": 1e-12},
-    )
-    assert res.success, res.message
-    return res.x
-
-
-@pytest.mark.parametrize(
-    "terms, closed_form",
-    [
-        # tilted quadratic: the minimum solves H z = -b
-        (
-            {(2, 0): 1.0, (0, 2): 0.7, (1, 1): 0.2, (1, 0): 0.3, (0, 1): -0.4},
-            np.linalg.solve([[2.0, 0.2], [0.2, 1.4]], [-0.3, 0.4]),
-        ),
-        # double well, origin a saddle, tilted off both axes
-        ({(2, 0): -0.5, (4, 0): 0.1, (0, 2): 0.5, (1, 1): 0.2, (0, 1): 0.05}, None),
-        # the coupled oscillator
-        ({(2, 0): 0.5, (0, 2): 0.5, (2, 2): 0.05}, np.zeros(2)),
-    ],
-)
-def test_potential_minimum_matches_trust_region_newton(terms, closed_form):
-    pot = PolynomialPotential(2, terms)
-    z, v = _potential_minimum_2d(pot)
-    assert np.max(np.abs(z - _trust_exact_minimum(pot))) <= 1e-10
-    assert np.max(np.abs(pot.gradient_points(z))) <= 1e-12
-    assert np.linalg.eigvalsh(pot.hessian_points(z))[0] > 0.0
-    assert v == pot(z)
-    if closed_form is not None:
-        assert np.max(np.abs(z - closed_form)) <= 1e-14
-
-
-def test_potential_minimum_leaves_a_saddle_on_a_symmetry_line():
-    """Started on y = 0, where V is even in y, gradient steps never leave the
-    line; the minimum must still not be the line's saddle at y = 0."""
-    pot = PolynomialPotential(
-        2, {(2, 0): -1.0, (0, 2): -0.5, (4, 0): 0.3, (0, 4): 0.2, (2, 2): 0.1, (1, 0): 0.01}
-    )
-    z, v = _potential_minimum_2d(pot)
-    assert abs(z[1]) > 0.5
-    assert np.max(np.abs(pot.gradient_points(z))) <= 1e-12
-    assert np.linalg.eigvalsh(pot.hessian_points(z))[0] > 0.0
-    assert v < pot((z[0], 0.0))

@@ -181,6 +181,37 @@ def test_analytic_quantum_action_skips_inversion(tmp_path):
     assert wkb["ground_state_energy_used"] == pytest.approx(0.5, abs=1e-3)
 
 
+def test_analytic_skips_a_middle_node_rounded_off_zero(tmp_path):
+    """linspace puts the middle of 99 nodes over [-2, 2] at -2.2e-16, where
+    V_t rounds to its minimum; that node is skipped, not a fault."""
+    cfg = write_cfg(
+        tmp_path,
+        "mid.json",
+        {"action": HO, "grid": {"extents": [2.0], "npoints": [99]}, "quantum": HO_QUANTUM, "e_gr": 0.5},
+    )
+    out = tmp_path / "mid"
+    assert main(["analytic", "--config", cfg, "--out", str(out)]) == 0
+    _, law = read_rows(out / "transformation_law.csv")
+    assert len(law) == 98
+    assert min(abs(float(r[0])) for r in law) > 0.01
+    assert max(abs(float(r[1])) for r in law) < 1e-9
+
+
+def test_analytic_double_well_quantum_exit_2_leaves_no_files(tmp_path):
+    """The law's sgn(x) form needs the trial minimum at the origin."""
+    double_well = dict(HO_QUANTUM, potential={
+        "dim": 1, "terms": [{"exp": [2], "coef": -1.0}, {"exp": [4], "coef": 1.0}],
+    })
+    cfg = write_cfg(
+        tmp_path,
+        "dw.json",
+        {"action": HO, "grid": {"extents": [3.0], "npoints": [241]}, "quantum": double_well, "e_gr": 0.5},
+    )
+    out = tmp_path / "dw"
+    assert main(["analytic", "--config", cfg, "--out", str(out)]) == 2
+    assert not out.exists()
+
+
 def test_analytic_inversion_branch(tmp_path):
     cfg = write_cfg(
         tmp_path,
@@ -490,6 +521,24 @@ def test_non_numeric_span_exit_2_leaves_no_files(tmp_path, span):
     assert not out.exists()
 
 
+def test_overflowing_derivative_coefficient_exit_2_leaves_no_files(tmp_path):
+    """dV/dy of 1e308 y^4 overflows: the action is refused before any orbit."""
+    huge = {
+        "mass": 1.0,
+        "hbar": 1.0,
+        "potential": {
+            "dim": 2,
+            "terms": [{"exp": [2, 0], "coef": 0.5}, {"exp": [0, 4], "coef": 1e308}],
+        },
+    }
+    cfg = write_cfg(
+        tmp_path, "huge.json", {"action": huge, "energy": 2.0, "n_orbits": 2, "max_crossings": 6}
+    )
+    out = tmp_path / "huge"
+    assert main(["poincare", "--config", cfg, "--out", str(out)]) == 2
+    assert not out.exists()
+
+
 # -- cold start: a command loads only the scipy it calls ---------------------
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -616,3 +665,35 @@ def test_boolean_for_a_number_exits_2_leaving_no_files(tmp_path, command, payloa
 def test_boolean_still_accepted_where_a_flag_is_expected(tmp_path):
     cfg = write_cfg(tmp_path, "flag.json", dict(FIT_BASE, T=2.0, fit_mass=False, n_nodes=65))
     assert main(["fit", "--config", cfg, "--out", str(tmp_path / "flag")]) == 0
+
+
+# -- the benchmark's traced path ---------------------------------------------
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+
+
+def test_bench_tracer_runs_a_command_and_counts_every_method(tmp_path):
+    """``bench/tracer.py`` wraps PolynomialPotential methods by name; a method
+    it counts must exist, or the benchmark's traced run crashes."""
+    sys.path.insert(0, str(BENCH))
+    try:
+        import tracer
+    finally:
+        sys.path.remove(str(BENCH))
+    cfg = write_cfg(
+        tmp_path,
+        "analytic.json",
+        {"action": HO, "grid": {"extents": [6.0], "npoints": [301]}, "quantum": HO_QUANTUM, "e_gr": 0.5},
+    )
+    trace = tmp_path / "trace.json"
+    env = dict(os.environ, PYTHONPATH=SRC + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    done = subprocess.run(
+        [sys.executable, str(BENCH / "tracer.py"), str(trace), "analytic",
+         "--config", cfg, "--out", str(tmp_path / "out"), "--workers", "1"],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    record = json.loads(trace.read_text())
+    assert record["exit"] == 0
+    assert set(tracer.COUNTED_METHODS.values()) <= set(record["counters"])
+    assert record["counters"]["model.point_eval_calls"] > 0

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from qaction import (
     ActionSpec,
+    Grid,
     PolynomialPotential,
     ScaleTransform,
     apply_scale_transform,
@@ -76,6 +77,19 @@ def test_action_spec_validation():
         ActionSpec(mass=0.0, potential=pot, hbar=1.0)
     with pytest.raises(ValueError):
         ActionSpec(mass=1.0, potential=pot, hbar=-1.0)
+
+
+@pytest.mark.parametrize(
+    "terms",
+    [
+        {(2, 0): 0.5, (0, 4): 1e308},  # dV/dy overflows
+        {(2, 0): 0.5, (0, 2): 0.5, (0, 3): 5e307},  # only d2V/dy2 overflows
+        {(2, 0): 0.5, (0, 2): 0.5, (2, 2): 6e307},  # only d2V/dxdy overflows
+    ],
+)
+def test_overflowing_derivative_coefficient_rejected(terms):
+    with pytest.raises(ValueError, match="overflows"):
+        PolynomialPotential(2, terms)
 
 
 def test_derivative_and_gradient():
@@ -256,3 +270,107 @@ def test_bisect_root_of_bracketed_monotone_polynomial(coefs, root, below, above,
 def test_bisect_root_rejects_an_unbracketed_interval():
     with pytest.raises(ValueError):
         _bisect_root(lambda x: x * x + 1.0, -1.0, 1.0)
+
+
+# -- the potential minimum ---------------------------------------------------
+
+
+def _trust_exact_minimum(pot):
+    """The minimum scipy's trust-region Newton finds from the origin start."""
+    z = np.zeros(pot.dimension)
+    curvature, directions = np.linalg.eigh(pot.hessian_points(z))
+    if curvature[0] < 0.0:
+        z = 1e-3 * directions[:, 0]
+    res = scipy.optimize.minimize(
+        pot, z, jac=pot.gradient_points, hess=pot.hessian_points,
+        method="trust-exact", options={"gtol": 1e-12},
+    )
+    assert res.success, res.message
+    return res.x
+
+
+def _real_cubic_root(p, q):
+    """The one real root of t^3 + p t + q = 0 for p > 0 (Cardano)."""
+    s = math.sqrt((q / 2.0) ** 2 + (p / 3.0) ** 3)
+    return float(np.cbrt(-q / 2.0 + s) + np.cbrt(-q / 2.0 - s))
+
+
+GRIDS = {1: Grid((7.0,), (5601,)), 2: Grid((6.3, 6.3), (64, 64))}
+
+
+@pytest.mark.parametrize(
+    "terms, closed_form",
+    [
+        # tilted quadratic: the minimum solves H z = -b
+        (
+            {(2, 0): 1.0, (0, 2): 0.7, (1, 1): 0.2, (1, 0): 0.3, (0, 1): -0.4},
+            np.linalg.solve([[2.0, 0.2], [0.2, 1.4]], [-0.3, 0.4]),
+        ),
+        # double well, origin a saddle, tilted off both axes
+        ({(2, 0): -0.5, (4, 0): 0.1, (0, 2): 0.5, (1, 1): 0.2, (0, 1): 0.05}, None),
+        # the coupled oscillator
+        ({(2, 0): 0.5, (0, 2): 0.5, (2, 2): 0.05}, np.zeros(2)),
+        # tilted quartic: the minimum is the real root of 4 x^3 + 0.4 x - 0.3
+        ({(4,): 1.0, (2,): 0.2, (1,): -0.3}, np.array([_real_cubic_root(0.1, -0.075)])),
+    ],
+)
+def test_minimum_matches_trust_region_newton(terms, closed_form):
+    pot = PolynomialPotential(len(next(iter(terms))), terms)
+    z, v = pot.minimum()
+    if pot.dimension == 2:  # on the 1-D quartic trust-exact stops short at |V'| = 8e-11
+        assert np.max(np.abs(z - _trust_exact_minimum(pot))) <= 1e-10
+    assert np.max(np.abs(pot.gradient_points(z))) <= 1e-12
+    assert np.linalg.eigvalsh(pot.hessian_points(z))[0] > 0.0
+    assert v == pot(z)
+    if closed_form is not None:
+        # a single minimum: the start from the lowest grid node finds it too,
+        # and its value is not below the true one beyond rounding
+        for z, v in (pot.minimum(), pot.minimum(GRIDS[pot.dimension].nodes())):
+            assert np.max(np.abs(z - closed_form)) <= 1e-14
+            assert v >= pot(closed_form) - 2.0 * np.spacing(abs(pot(closed_form)))
+
+
+def test_minimum_leaves_a_saddle_on_a_symmetry_line():
+    """Started on y = 0, where V is even in y, gradient steps never leave the
+    line; the minimum must still not be the line's saddle at y = 0."""
+    pot = PolynomialPotential(
+        2, {(2, 0): -1.0, (0, 2): -0.5, (4, 0): 0.3, (0, 4): 0.2, (2, 2): 0.1, (1, 0): 0.01}
+    )
+    z, v = pot.minimum()
+    assert abs(z[1]) > 0.5
+    assert np.max(np.abs(pot.gradient_points(z))) <= 1e-12
+    assert np.linalg.eigvalsh(pot.hessian_points(z))[0] > 0.0
+    assert v < pot((z[0], 0.0))
+
+
+@st.composite
+def tilted_wells(draw, dimension):
+    """Positive quadratic and quartic on each axis plus random terms of
+    degree one to three, so every minimum is generically non-degenerate."""
+    terms = {}
+    for exp in itertools.product(range(4), repeat=dimension):
+        if 0 < sum(exp) < 4 and exp not in terms and draw(st.booleans()):
+            terms[exp] = draw(st.floats(-1.0, 1.0))
+    for axis in range(dimension):
+        for power in (2, 4):
+            exp = tuple(power if a == axis else 0 for a in range(dimension))
+            terms[exp] = draw(st.floats(0.1, 2.0))
+    return PolynomialPotential(dimension, terms, confining=True)
+
+
+@pytest.mark.parametrize("dimension", [1, 2])
+def test_minimum_from_the_lowest_grid_node(dimension):
+    grid = Grid((4.0,) * dimension, (81,) * dimension)
+    nodes = grid.nodes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(tilted_wells(dimension))
+    def check(pot):
+        z, v = pot.minimum(nodes)
+        assert np.max(np.abs(pot.gradient_points(z))) <= 1e-12
+        assert np.linalg.eigvalsh(pot.hessian_points(z))[0] > 0.0
+        # no higher than the lowest node, up to the search's rounding allowance
+        lowest = float(pot.evaluate_points(nodes).min())
+        assert v <= lowest + 4e-15 * (1.0 + abs(lowest))
+
+    check()

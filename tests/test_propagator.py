@@ -16,7 +16,6 @@ from qaction import (
     apply_scale_transform,
     discretize_hamiltonian,
     euclidean_propagate,
-    feynman_kac_energy,
     ho_exact_propagator,
     spectral_decompose,
     tensor_pairs,
@@ -147,13 +146,6 @@ def test_scale_invariance_of_amplitudes(ho, ho_grid):
         scaled, t_new = apply_scale_transform(ho, 2.0, ScaleTransform(alpha))
         moved = euclidean_propagate(scaled, ho_grid, t_new, pairs).amplitudes
         npt.assert_allclose(moved, base, rtol=1e-6)
-
-
-def test_feynman_kac_energy_converges(ho, ho_grid):
-    # excited-state contamination ~ e^{-2 wT'}/2T' needs T' >= 7 for 1e-6
-    e = feynman_kac_energy(ho, ho_grid, 14.0, 7.0)
-    sd = spectral_decompose(discretize_hamiltonian(ho, ho_grid), 1, ho_grid)
-    assert abs(e - sd.eigenvalues[0]) < 1e-6
 
 
 def test_grid_convergence_order(ho):

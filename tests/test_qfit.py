@@ -8,6 +8,7 @@ from qaction import (
     FitProblem,
     Grid,
     PolynomialPotential,
+    PropagatorTable,
     ScaleTransform,
     apply_scale_transform,
     euclidean_propagate,
@@ -16,6 +17,7 @@ from qaction import (
     fit_residual,
     flow_rows,
     quantum_action_log_norm_sq,
+    solve_euclidean_bvp,
     tensor_pairs,
 )
 from qaction.qfit import FLOW_CSV_HEADER, _Evaluator, _trial_from_theta
@@ -272,6 +274,32 @@ def test_symmetric_pairs_keep_antisymmetric_terms_silent():
     assert abs(res.quantum.potential.coefficient((1, 3))) < bound
     # tied groups stay tied exactly
     assert res.quantum.potential.coefficient((2, 0)) == res.quantum.potential.coefficient((0, 2))
+
+
+def test_fit_quotes_the_minimum_of_a_tilted_trial():
+    """No node of the coupled-fit grid (64 x 64 over [-6.3, 6.3]^2) sits at
+    the tilted trial's minimum. The quoted potential_minimum is Newton's from
+    the lowest node; a parabola per axis through the grid values read 1.6e-5
+    above it."""
+    terms = {(2, 0): 0.5, (0, 2): 0.5, (2, 2): 0.05, (1, 0): -0.4, (0, 1): 0.3, (1, 1): 0.1}
+    tilted = ActionSpec(mass=1.0, potential=PolynomialPotential(2, terms), hbar=1.0)
+    grid = Grid((6.3, 6.3), (64, 64))
+    pts = [grid.snap(p) for p in ((0.0, 0.0), (0.6, -0.4), (-0.5, 0.7), (0.9, 0.3))]
+    pairs = tuple(tensor_pairs(pts, pts))
+    # amplitudes exp(-S) of the trial itself, so the fit starts at its optimum
+    amps = [
+        math.exp(-solve_euclidean_bvp(tilted, np.array(a), np.array(b), 1.0, n_nodes=129).action)
+        for a, b in pairs
+    ]
+    table = PropagatorTable(grid=grid, T=1.0, pairs=pairs, amplitudes=np.array(amps))
+    ansatz = (((0, 0),), ((2, 0), (0, 2)), ((2, 2),), ((1, 0),), ((0, 1),), ((1, 1),))
+    prob = FitProblem(classical=tilted, table=table, ansatz=ansatz, fit_mass=False)
+    res = fit_quantum_action(prob, n_nodes=129)
+    assert res.rms_residual < 1e-8
+    assert res.quantum.potential.coefficient((1, 0)) == pytest.approx(-0.4, abs=1e-6)
+    z, vmin = res.quantum.potential.minimum(grid.nodes())
+    assert np.min(np.abs(grid.nodes() - z).sum(axis=-1)) > 1e-2
+    assert abs(res.potential_minimum - vmin) <= 1e-12
 
 
 def test_scale_covariance_of_fit(ho_spec, ho_tensor_table_t2):
