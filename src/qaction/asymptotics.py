@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -195,16 +195,14 @@ class InversionResult:
         )
 
 
-def invert_transformation_law(
-    classical: ActionSpec, e_gr: float, grid: Grid, substeps: int = 4
-) -> InversionResult:
+def invert_transformation_law(classical: ActionSpec, e_gr: float, grid: Grid) -> InversionResult:
     """Solve W^2 - hbar W' = 2m(V - E_gr) outward from W(0) = 0.
 
-    Fourth-order Runge-Kutta with a cubic series start; the first step and
-    the guards reflect that the outward direction amplifies any error in
-    E_gr exponentially (the growth rate is twice the log-derivative of the
-    ground state), so the grid extent must stay within the region where the
-    wavefunction is numerically resolvable.
+    Fourth-order Runge-Kutta, four steps per grid cell, with a cubic series
+    start; the first step and the guards reflect that the outward direction
+    amplifies any error in E_gr exponentially (the growth rate is twice the
+    log-derivative of the ground state), so the grid extent must stay within
+    the region where the wavefunction is numerically resolvable.
     """
     _require_1d_even(classical.potential, "transformation-law inversion")
     if grid.dim != 1:
@@ -220,6 +218,7 @@ def invert_transformation_law(
     xs = grid.axes()[0]
     n = grid.npoints[0]
     mid = n // 2
+    substeps = 4
     h = grid.spacing[0] / substeps
 
     # cubic series around the origin: W = a1 x + a3 x^3 + ...
@@ -281,11 +280,11 @@ def invert_transformation_law(
     return InversionResult(grid=grid, classical=classical, e_gr=e_gr, U=U, W=W, Phi=Phi)
 
 
-def transformation_law_residual_grid(inv: InversionResult, margin: int = 4) -> tuple:
+def transformation_law_residual_grid(inv: InversionResult) -> tuple:
     """Round-trip defect of a reconstructed U using high-order finite differences.
 
-    Returns (x values, residuals) on nodes at least ``margin`` cells away
-    from both the origin and the boundary.
+    Returns (x values, residuals) on nodes at least two cells from the
+    boundary and more than four from the origin.
     """
     xs = inv.grid.axes()[0]
     h = inv.grid.spacing[0]
@@ -297,7 +296,7 @@ def transformation_law_residual_grid(inv: InversionResult, margin: int = 4) -> t
     mid = n // 2
     mask = np.zeros(n, dtype=bool)
     mask[2:-2] = True
-    mask[mid - margin : mid + margin + 1] = False
+    mask[mid - 4 : mid + 5] = False
     with np.errstate(divide="ignore", invalid="ignore"):
         res = f - inv.U + 0.5 * hb * du / np.sqrt(inv.U) * np.sign(xs)
     return xs[mask], res[mask]
@@ -406,7 +405,6 @@ class HydrogenSector:
     ionization_energy: Fraction
     bohr_radius: Fraction
     r_min: Fraction
-    barrier_coefficient: Fraction  # hbar^2 l(l+1)/2m of the classical sector
 
     def trial_potential_value(self, r: Fraction) -> Fraction:
         r = Fraction(r)
@@ -452,16 +450,15 @@ def hydrogen_sector(l: int, hbar=1, mass=1, e2=1) -> HydrogenSector:
         ionization_energy=e_ion,
         bohr_radius=a0,
         r_min=r_min,
-        barrier_coefficient=hb**2 * l * (l + 1) / (2 * m),
     )
 
 
-def hydrogen_table(l_max: int, hbar=1, mass=1, e2=1):
-    """Rows (l, mu, nu, E_l) as floats for l = 1 .. l_max."""
+def hydrogen_table(l_max: int):
+    """Rows (l, mu, nu, E_l) as floats for l = 1 .. l_max, in units hbar = m = e^2 = 1."""
     if l_max < 1:
         raise ValueError("l_max must be >= 1")
     rows = []
     for l in range(1, l_max + 1):
-        s = hydrogen_sector(l, hbar=hbar, mass=mass, e2=e2)
+        s = hydrogen_sector(l)
         rows.append([l, float(s.mu), float(s.nu), float(s.energy)])
     return rows

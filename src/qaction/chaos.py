@@ -10,10 +10,8 @@ potential by the ground energy, and that shift must not read as dynamics.
 """
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -388,9 +386,6 @@ class SectionComparison:
             "thickness_classical": clean(self.thickness_a),
             "thickness_quantum": clean(self.thickness_b),
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2, sort_keys=True)
 
 
 def compare_sections(

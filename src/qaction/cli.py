@@ -77,6 +77,12 @@ def _get(cfg: dict, key: str, kinds, default=KeyError, where: str = "config"):
 
 def _parse_action(data, where: str, confining: bool = False) -> ActionSpec:
     _expect(isinstance(data, dict), f"{where} must be an object")
+    pot = data.get("potential")
+    terms = pot.get("terms") if isinstance(pot, dict) else None
+    numbers = [data[key] for key in ("mass", "hbar") if key in data]
+    if isinstance(terms, list):
+        numbers += [t.get("coef", 0.0) for t in terms if isinstance(t, dict)]
+    _expect(all(map(_is_number, numbers)), f"{where}: mass, hbar and coef must be numbers, got {numbers!r}")
     try:
         return ActionSpec.from_json_dict(data, confining=confining)
     except (KeyError, TypeError, ValueError) as exc:
@@ -87,6 +93,7 @@ def _parse_grid(data, where: str = "grid") -> Grid:
     _expect(isinstance(data, dict), f"{where} must be an object")
     ext = _get(data, "extents", list, where=where)
     npt = _get(data, "npoints", list, where=where)
+    _expect(all(_is_number(x) for x in ext), f"{where}: extents must be numbers, got {ext!r}")
     try:
         return Grid(tuple(ext), tuple(npt))
     except (TypeError, ValueError) as exc:
@@ -139,6 +146,10 @@ def _parse_pairs(data, grid: Grid, classical: ActionSpec = None, where: str = "p
         pairs = tensor_pairs(points, points)
         sep = data.get("max_separation")
         if sep is not None:
+            _expect(
+                _is_number(sep) and math.isfinite(sep) and sep >= 0,
+                f"{where}: max_separation must be a finite number >= 0, got {sep!r}",
+            )
             pairs = tuple(
                 (xi, xf)
                 for xi, xf in pairs
@@ -227,10 +238,6 @@ def _render_table(header, rows, fmt: str) -> tuple:
     rows = [[_py(v) for v in row] for row in rows]
     if fmt == "json":
         return ".json", json.dumps({"header": list(header), "rows": rows}, indent=2) + "\n"
-    if fmt == "gnuplot":
-        lines = ["# " + " ".join(str(h) for h in header)]
-        lines += [" ".join(repr(v) if isinstance(v, float) else str(v) for v in row) for row in rows]
-        return ".dat", "\n".join(lines) + "\n"
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
@@ -289,7 +296,6 @@ def cmd_fit(cfg: dict, args) -> list:
     ansatz = _parse_ansatz(_get(cfg, "ansatz", list), classical.dimension)
     fit_mass = bool(_get(cfg, "fit_mass", bool, default=True))
     n_nodes = _parse_n_nodes(_get(cfg, "n_nodes", None, default=257))
-    _get(cfg, "restarts", int, default=None)  # accepted and ignored: least squares needs no restarts
     initial = cfg.get("initial")
     if initial is not None:
         initial = _parse_action(initial, "initial")
@@ -383,13 +389,13 @@ def cmd_analytic(cfg: dict, args) -> list:
 def _section_artifacts(stem: str, section, fmt: str) -> tuple:
     if fmt == "gnuplot":
         # one block per orbit so plotting tools can separate them
-        lines = ["# orbit x px"]
+        lines = ["# " + " ".join(section.csv_header())]
         for k, orbit in enumerate(section.orbits):
             for x, px in orbit:
                 lines.append(f"{k} {x!r} {px!r}")
             lines.append("")
         return stem + ".dat", "\n".join(lines) + "\n"
-    return _table_artifact(stem, ["orbit", "x", "px"], section.to_rows(), fmt)
+    return _table_artifact(stem, section.csv_header(), section.to_rows(), fmt)
 
 
 def cmd_poincare(cfg: dict, args) -> list:

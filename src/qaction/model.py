@@ -7,7 +7,6 @@ hashable, so they can be used as cache keys and shared freely.
 from __future__ import annotations
 
 import functools
-import json
 import math
 from dataclasses import dataclass
 from typing import Callable, Mapping, NamedTuple
@@ -162,9 +161,6 @@ class PolynomialPotential:
 
     # -- structure ---------------------------------------------------------
 
-    def as_dict(self) -> dict[Exponents, float]:
-        return dict(self.terms)
-
     def is_confining(self) -> bool:
         """Leading pure power along every axis is even and positive."""
         for axis in range(self.dimension):
@@ -185,15 +181,6 @@ class PolynomialPotential:
             if e == exp:
                 return c
         return 0.0
-
-    def with_terms(self, updates: Mapping[Exponents, float], confining=None) -> "PolynomialPotential":
-        """New potential with some coefficients replaced (zero removes a term)."""
-        d = self.as_dict()
-        for exp, coef in updates.items():
-            d[tuple(int(e) for e in exp)] = float(coef)
-        if confining is None:
-            confining = self.confining
-        return PolynomialPotential(self.dimension, d, confining=confining)
 
     # -- evaluation --------------------------------------------------------
 
@@ -299,8 +286,9 @@ class ActionSpec:
     hbar: float = 1.0
 
     def __post_init__(self):
-        if not (math.isfinite(self.mass) and self.mass > 0):
-            raise ValueError(f"mass must be positive and finite, got {self.mass}")
+        # 1/m must be finite too: the step loop writes dt/m as a float literal
+        if not (math.isfinite(self.mass) and self.mass > 0 and math.isfinite(1.0 / self.mass)):
+            raise ValueError(f"mass must be positive and finite with a finite reciprocal, got {self.mass}")
         if not (math.isfinite(self.hbar) and self.hbar > 0):
             raise ValueError(f"hbar must be positive and finite, got {self.hbar}")
 
@@ -320,9 +308,6 @@ class ActionSpec:
             },
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict())
-
     @classmethod
     def from_json_dict(cls, data: Mapping, confining: bool = False) -> "ActionSpec":
         pot = data["potential"]
@@ -332,10 +317,6 @@ class ActionSpec:
             potential=PolynomialPotential(int(pot["dim"]), terms, confining=confining),
             hbar=float(data.get("hbar", 1.0)),
         )
-
-    @classmethod
-    def from_json(cls, text: str, confining: bool = False) -> "ActionSpec":
-        return cls.from_json_dict(json.loads(text), confining=confining)
 
 
 @dataclass(frozen=True)

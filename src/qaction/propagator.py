@@ -12,7 +12,6 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -69,18 +68,13 @@ class Grid:
     def axes(self) -> list:
         return [np.linspace(-L, L, n) for L, n in zip(self.extents, self.npoints)]
 
-    def axis_weights(self) -> list:
-        """Per-axis trapezoidal weights."""
-        out = []
+    def weights_flat(self) -> np.ndarray:
+        """Trapezoidal quadrature weights on the flattened grid."""
+        ws = []
         for h, n in zip(self.spacing, self.npoints):
             w = np.full(n, h)
             w[0] = w[-1] = 0.5 * h
-            out.append(w)
-        return out
-
-    def weights_flat(self) -> np.ndarray:
-        """Trapezoidal quadrature weights on the flattened grid."""
-        ws = self.axis_weights()
+            ws.append(w)
         if self.dim == 1:
             return ws[0]
         return np.multiply.outer(ws[0], ws[1]).ravel()
@@ -89,44 +83,37 @@ class Grid:
         """Node coordinates, shape (*shape, dim)."""
         return np.stack(np.meshgrid(*self.axes(), indexing="ij"), axis=-1)
 
-    def potential_flat(self, action: ActionSpec) -> np.ndarray:
-        return action.potential.evaluate_points(self.nodes()).ravel()
-
-    def index_of(self, point) -> int:
-        """Flat index of a point that must coincide with a grid node."""
-        pt = np.atleast_1d(np.asarray(point, dtype=float))
-        if pt.shape != (self.dim,):
-            raise ValueError(f"point has shape {pt.shape}, expected ({self.dim},)")
-        idx = []
-        for x, L, n, h in zip(pt, self.extents, self.npoints, self.spacing):
-            k = (x + L) / h
-            kr = int(round(k))
-            if kr < 0 or kr >= n or abs(k - kr) > 1e-6:
-                raise ValueError(f"point {tuple(pt)} does not lie on a grid node")
-            idx.append(kr)
-        if self.dim == 1:
-            return idx[0]
-        return idx[0] * self.npoints[1] + idx[1]
-
-    def snap(self, point) -> tuple:
-        """Nearest grid node to a point, as coordinates taken from ``axes()``.
+    def _nearest_node(self, point) -> tuple:
+        """(point as floats, per-axis index of the node nearest to it).
 
         Points outside the box go to the nearest edge node. A point halfway
         between two nodes goes to the one nearer the grid centre, so a
-        mirrored point snaps to the mirrored node.
+        mirrored point gets the mirrored node.
         """
         pt = np.atleast_1d(np.asarray(point, dtype=float))
         if pt.shape != (self.dim,):
             raise ValueError(f"point has shape {pt.shape}, expected ({self.dim},)")
-        out = []
-        for x, L, ax, h in zip(pt.tolist(), self.extents, self.axes(), self.spacing):
+        idx = []
+        for x, L, n, h in zip(pt.tolist(), self.extents, self.npoints, self.spacing):
             x = min(max(x, -L), L)
-            centre = (len(ax) - 1) / 2.0
+            centre = (n - 1) / 2.0
             half = centre % 1.0  # 0.5 when no node sits at the centre
             # offset from the centre in node spacings, rounded half toward the centre
             offset = math.ceil(abs(x) / h - half - 0.5) + half
-            out.append(float(ax[int(centre + math.copysign(offset, x))]))
-        return tuple(out)
+            idx.append(int(centre + math.copysign(offset, x)))
+        return pt, idx
+
+    def index_of(self, point) -> int:
+        """Flat index of a point that must lie within 1e-6 h of a grid node."""
+        pt, idx = self._nearest_node(point)
+        if any(abs(x - ax[i]) > 1e-6 * h for x, ax, i, h in zip(pt, self.axes(), idx, self.spacing)):
+            raise ValueError(f"point {tuple(pt)} does not lie on a grid node")
+        return int(np.ravel_multi_index(idx, self.npoints))
+
+    def snap(self, point) -> tuple:
+        """Nearest grid node to a point, as coordinates taken from ``axes()``."""
+        _, idx = self._nearest_node(point)
+        return tuple(float(ax[i]) for ax, i in zip(self.axes(), idx))
 
     def subdivision_nodes(self, spans, count: int) -> list:
         """Tensor points of the distinct snapped nodes of ``count`` evenly
@@ -147,9 +134,6 @@ class SpectralData:
     grid: Grid
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray  # shape (k, grid.size)
-
-    def wavefunction(self, n: int) -> np.ndarray:
-        return self.eigenvectors[n].reshape(self.grid.shape)
 
     def overlap_matrix(self) -> np.ndarray:
         w = self.grid.weights_flat()
@@ -177,7 +161,6 @@ class PropagatorTable:
         object.__setattr__(self, "amplitudes", amps)
 
     def to_rows(self):
-        dim = self.grid.dim
         for (xi, xf), g in zip(self.pairs, self.amplitudes):
             yield list(xi) + list(xf) + [self.T, float(g)]
 
@@ -208,11 +191,11 @@ def discretize_hamiltonian(action: ActionSpec, grid: Grid):
         H = sp.kron(mats[0], sp.identity(ny, format="csr")) + sp.kron(
             sp.identity(nx, format="csr"), mats[1]
         )
-    H = H + sp.diags(grid.potential_flat(action))
+    H = H + sp.diags(action.potential.evaluate_points(grid.nodes()).ravel())
     return sp.csr_matrix(H)
 
 
-def spectral_decompose(H, k: int, grid: Grid, maxiter: int = 5000) -> SpectralData:
+def spectral_decompose(H, k: int, grid: Grid) -> SpectralData:
     """Lowest-k eigenpairs, trapezoid-normalized with a deterministic sign."""
     import scipy.linalg
     import scipy.sparse.linalg as spla
@@ -238,7 +221,7 @@ def spectral_decompose(H, k: int, grid: Grid, maxiter: int = 5000) -> SpectralDa
         sigma = float((diag - offdiag).min()) - 1.0
         v0 = np.full(n, 1.0 / math.sqrt(n))  # fixed start vector for determinism
         try:
-            vals, vecs = spla.eigsh(H, k=k, sigma=sigma, which="LM", v0=v0, maxiter=maxiter)
+            vals, vecs = spla.eigsh(H, k=k, sigma=sigma, which="LM", v0=v0, maxiter=5000)
         except spla.ArpackNoConvergence as exc:
             raise NumericalError(f"sparse eigensolver did not converge: {exc}") from exc
         order = np.argsort(vals)

@@ -18,7 +18,6 @@ the fitted constant converge to the ground energy as T grows.
 """
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -397,9 +396,6 @@ class FitResult:
             "parameter_uncertainties": [_finite_or_none(v) for v in self.parameter_uncertainties],
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2, sort_keys=True)
-
 
 def _fit_diagnostics(det: _EvalDetail) -> tuple:
     """(||J^T r||_inf, sqrt diag sigma^2 (J^T J)^+) over the pairs that solved.
@@ -570,19 +566,20 @@ def flow_rows(results) -> list:
     return rows
 
 
-def default_pairs(classical: ActionSpec, grid: Grid, points_per_axis: int = 11, threshold: float = 1e-4):
-    """Tensor pair grid spanning where the ground state exceeds threshold.
+def default_pairs(classical: ActionSpec, grid: Grid):
+    """Tensor pair grid of 11 points per axis spanning where the ground state
+    exceeds 1e-4 of its peak.
 
     Points are snapped to grid nodes so the resulting pairs are valid
     amplitude-table entries.
     """
     gs = ground_state_spectral(classical, grid)
     psi = gs.psi.reshape(grid.shape)
-    mask = psi > threshold * float(psi.max())
+    mask = psi > 1e-4 * float(psi.max())
     spans = []
     for axis, ax in enumerate(grid.axes()):
         proj = mask.any(axis=tuple(i for i in range(grid.dim) if i != axis))
         sel = ax[proj]
         spans.append((float(sel[0]), float(sel[-1])))
-    pts = grid.subdivision_nodes(spans, points_per_axis)
+    pts = grid.subdivision_nodes(spans, 11)
     return tensor_pairs(pts, pts)

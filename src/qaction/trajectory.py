@@ -14,10 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalError
 from .model import ActionSpec, PolynomialPotential, _derivative_terms, _polynomial_source
 
 NEWTON_RTOL = 1e-10
+MAX_NEWTON = 60
 
 
 @dataclass(frozen=True)
@@ -59,7 +59,6 @@ class TrajectorySolution:
     energy_spread: float
     converged: bool
     residual: float
-    multiple_extrema: bool = False
 
     @property
     def dim(self) -> int:
@@ -91,39 +90,27 @@ def _defect_scale(path, dt, m, pot):
     return 1.0 + float(np.max(mags))
 
 
-def _newton_relax(pot, m, path, dt, max_iter):
+def _newton_relax(pot, m, path, dt):
     """Damped Newton on the interior nodes; returns (path, scaled residual, ok)."""
     import scipy.linalg
 
     n, dim = path.shape
     c = m / dt**2
-    for _ in range(max_iter):
+    for _ in range(MAX_NEWTON):
         F = _el_defect(path, dt, m, pot)
         res = float(np.max(np.abs(F))) / _defect_scale(path, dt, m, pot)
         if res <= NEWTON_RTOL:
             return path, res, True
         hess = pot.hessian_points(path[1:-1])
         nin = n - 2
-        if dim == 1:
-            ab = np.zeros((3, nin))
-            ab[1] = -2.0 * c - hess[:, 0, 0]
-            ab[0, 1:] = c
-            ab[2, :-1] = c
-            bw = 1
-        else:
-            nu = nin * 2
-            ab = np.zeros((5, nu))
-            ab[2, 0::2] = -2.0 * c - hess[:, 0, 0]
-            ab[2, 1::2] = -2.0 * c - hess[:, 1, 1]
-            cross = np.zeros(nu - 1)
-            cross[0::2] = -hess[:, 0, 1]
-            ab[1, 1:] = cross
-            ab[3, :-1] = cross
-            ab[0, 2:] = c
-            ab[4, :-2] = c
-            bw = 2
+        # bandwidth dim: neighbouring nodes at offset dim, in 2-D a node's x-y coupling at 1
+        ab = np.zeros((2 * dim + 1, nin * dim))
+        ab[0, dim:] = ab[2 * dim, :-dim] = c
+        ab[dim] = (-2.0 * c - np.diagonal(hess, axis1=1, axis2=2)).ravel()
+        if dim == 2:
+            ab[1, 1::2] = ab[3, 0::2] = -hess[:, 0, 1]
         try:
-            delta = scipy.linalg.solve_banded((bw, bw), ab, -F.ravel())
+            delta = scipy.linalg.solve_banded((dim, dim), ab, -F.ravel())
         except (scipy.linalg.LinAlgError, ValueError):
             return path, res, False
         delta = delta.reshape(nin, dim)
@@ -155,9 +142,7 @@ def solve_euclidean_bvp(
     x_f,
     T: float,
     n_nodes: int = 257,
-    max_newton: int = 60,
     init_path: np.ndarray | None = None,
-    check_multiplicity: bool = False,
 ) -> TrajectorySolution:
     """Relax the Euclidean two-point problem on a uniform time mesh.
 
@@ -184,7 +169,7 @@ def solve_euclidean_bvp(
         start[0], start[-1] = x_i, x_f
     else:
         start = _straight_line(x_i, x_f, n_nodes)
-    path, res, ok = _newton_relax(pot, m, start.copy(), dt, max_newton)
+    path, res, ok = _newton_relax(pot, m, start.copy(), dt)
 
     if not ok:
         rungs = max(1, math.ceil(math.log2(max(T, 1e-12) / 0.25)))
@@ -192,21 +177,13 @@ def solve_euclidean_bvp(
         cok = True
         for k in range(rungs, -1, -1):
             dt_k = (T / 2**k) / (n_nodes - 1)
-            cpath, cres, cok = _newton_relax(pot, m, cpath, dt_k, max_newton)
+            cpath, cres, cok = _newton_relax(pot, m, cpath, dt_k)
             if not cok:
                 break
         if cok:
             path, res, ok = cpath, cres, cok
 
-    sol = _finish_solution(action, path, T, res, ok)
-    if check_multiplicity and ok:
-        bump = np.sin(np.pi * np.linspace(0.0, 1.0, n_nodes))[:, None]
-        span = 1.0 + float(np.max(np.abs(path)))
-        alt = _straight_line(x_i, x_f, n_nodes) + 0.1 * span * bump
-        alt_path, _, alt_ok = _newton_relax(pot, m, alt, dt, max_newton)
-        if alt_ok and float(np.max(np.abs(alt_path - path))) > 1e-6 * span:
-            sol.multiple_extrema = True
-    return sol
+    return _finish_solution(action, path, T, res, ok)
 
 
 def _finish_solution(action, path, T, res, ok) -> TrajectorySolution:

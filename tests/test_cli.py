@@ -641,6 +641,8 @@ def test_non_finite_or_fractional_input_exit_2_before_eigensolve(tmp_path, monke
 # -- JSON booleans are not numbers -------------------------------------------
 
 POINCARE_BASE = {"action": COUPLED, "energy": 2.0, "n_orbits": 2, "max_crossings": 6}
+HO_COEF_TRUE = dict(HO, potential={"dim": 1, "terms": [{"exp": [2], "coef": True}]})
+SPAN_PAIRS = {"points_per_axis": 3, "span": [-1.0, 1.0]}
 
 
 @pytest.mark.parametrize(
@@ -653,12 +655,35 @@ POINCARE_BASE = {"action": COUPLED, "energy": 2.0, "n_orbits": 2, "max_crossings
         ("fit", dict(FIT_BASE, T=2.0, ansatz=[[0], [True]])),
         ("fit", dict(FIT_BASE, T=2.0, n_nodes=True)),
         ("analytic", {"action": HO, "grid": {"extents": [6.0], "npoints": [301]}, "e_gr": True}),
+        ("propagate", dict(PROPAGATE_BASE, pairs=dict(SPAN_PAIRS, max_separation=True))),
+        # nor are lists and objects
+        ("propagate", dict(PROPAGATE_BASE, pairs=dict(SPAN_PAIRS, max_separation=[1]))),
+        ("propagate", dict(PROPAGATE_BASE, pairs=dict(SPAN_PAIRS, max_separation={"a": 1}))),
+        ("propagate", dict(PROPAGATE_BASE, grid={"extents": [True], "npoints": [401]})),
+        ("propagate", dict(PROPAGATE_BASE, action=dict(HO, mass=True))),
+        ("propagate", dict(PROPAGATE_BASE, action=HO_COEF_TRUE)),
+        ("fit", dict(FIT_BASE, T=2.0, classical=dict(HO, mass=True))),
+        ("analytic", {"action": HO_COEF_TRUE, "grid": {"extents": [6.0], "npoints": [301]}}),
     ],
 )
-def test_boolean_for_a_number_exits_2_leaving_no_files(tmp_path, command, payload):
+def test_boolean_for_a_number_exits_2_leaving_no_files(tmp_path, monkeypatch, command, payload):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("eigensolver reached with invalid input")
+
+    _clear_spectral_caches()
+    for solver in ("eigh_tridiagonal", "eigh", "eigvalsh"):
+        monkeypatch.setattr(scipy.linalg, solver, no_solve)
     cfg = write_cfg(tmp_path, "bool.json", payload)
     out = tmp_path / "bool"
     assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    assert not out.exists()
+
+
+def test_subnormal_mass_exits_2_leaving_no_files(tmp_path):
+    """1/m overflows for m = 1e-310; the generated step loop would hold it as a literal."""
+    cfg = write_cfg(tmp_path, "tiny.json", dict(POINCARE_BASE, action=dict(UNCOUPLED, mass=1e-310)))
+    out = tmp_path / "tiny"
+    assert main(["poincare", "--config", cfg, "--out", str(out)]) == 2
     assert not out.exists()
 
 

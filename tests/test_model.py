@@ -77,6 +77,9 @@ def test_action_spec_validation():
         ActionSpec(mass=0.0, potential=pot, hbar=1.0)
     with pytest.raises(ValueError):
         ActionSpec(mass=1.0, potential=pot, hbar=-1.0)
+    # positive and finite, but 1/m overflows
+    with pytest.raises(ValueError, match="reciprocal"):
+        ActionSpec(mass=1e-310, potential=pot, hbar=1.0)
 
 
 @pytest.mark.parametrize(
@@ -124,16 +127,16 @@ def test_scale_transform_identity_and_inverse():
 def test_json_round_trip_canonical_order():
     pot = PolynomialPotential(2, {(2, 2): 0.05, (0, 2): 0.5, (2, 0): 0.5})
     act = ActionSpec(mass=2.0, potential=pot, hbar=0.5)
-    data = json.loads(act.to_json())
+    data = json.loads(json.dumps(act.to_json_dict()))
     exps = [tuple(t["exp"]) for t in data["potential"]["terms"]]
     assert exps == sorted(exps)
-    back = ActionSpec.from_json(act.to_json())
+    back = ActionSpec.from_json_dict(data)
     assert back == act
 
 
 def test_constant_term_never_affects_forces():
     base = PolynomialPotential(1, {(2,): 0.5})
-    lifted = base.with_terms({(0,): 3.7})
+    lifted = PolynomialPotential(1, {(2,): 0.5, (0,): 3.7})
     x = (1.3,)
     npt.assert_allclose(lifted.gradient_points(x), base.gradient_points(x), rtol=0, atol=0)
     assert lifted(x) == pytest.approx(base(x) + 3.7)

@@ -242,6 +242,11 @@ def test_snap_lands_on_a_node_idempotently_and_mirrors(case):
         assert abs(s - min(max(x, -L), L)) <= 0.5 * h * (1.0 + 1e-9)
     mirrored = _node_indices(grid, grid.snap(tuple(-x for x in point)))
     assert mirrored == tuple(n - 1 - i for n, i in zip(npoints, index))
+    # index_of accepts a point within 1e-6 h of a node on every axis
+    near = tuple(s + 1e-7 * h for s, h in zip(snapped, grid.spacing))
+    assert _node_indices(grid, near) == index
+    with pytest.raises(ValueError, match="grid node"):
+        grid.index_of(tuple(s + 1e-5 * h * (1 if s <= 0 else -1) for s, h in zip(snapped, grid.spacing)))
 
 
 def test_snap_sends_ties_toward_the_centre():
