@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import NumericalError
 from .model import ActionSpec, PolynomialPotential, _bisect_root
-from .propagator import Grid, discretize_hamiltonian, spectral_decompose
+from .propagator import Grid, _cached_decomposition
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(15)
 
@@ -129,9 +129,9 @@ def ground_state_from_quantum_action(quantum: ActionSpec, grid: Grid) -> GroundS
 
 
 def ground_state_spectral(action: ActionSpec, grid: Grid) -> GroundStateInfo:
-    """Reference ground state from direct diagonalization on the same grid."""
-    H = discretize_hamiltonian(action, grid)
-    sd = spectral_decompose(H, 1, grid)
+    """Reference ground state from direct diagonalization on the same grid
+    (solved once per action and grid)."""
+    sd = _cached_decomposition(action, grid, 1)
     psi = sd.eigenvectors[0]
     floor = -1e-10 * float(np.max(np.abs(psi)))
     if np.any(psi < floor):

@@ -48,9 +48,18 @@ from .chaos import (
     section_occupancy,
 )
 from .errors import NumericalError
-from .model import ActionSpec
+from .model import ActionSpec, _as_integer, _as_number
 from .propagator import Grid, decompose_for_time, euclidean_propagate, tensor_pairs
-from .qfit import FitProblem, default_pairs, fit_flow, fit_quantum_action, flow_rows, FLOW_CSV_HEADER
+from .qfit import (
+    FLOW_CSV_HEADER,
+    FitProblem,
+    _normalize_ansatz,
+    _normalize_n_nodes,
+    default_pairs,
+    fit_flow,
+    fit_quantum_action,
+    flow_rows,
+)
 
 
 class ConfigError(ValueError):
@@ -62,27 +71,28 @@ def _expect(cond: bool, msg: str):
         raise ConfigError(msg)
 
 
-def _get(cfg: dict, key: str, kinds, default=KeyError, where: str = "config"):
+def _get(cfg: dict, key: str, kind, default=KeyError, where: str = "config"):
+    """cfg[key], which must be of type ``kind`` unless that is None."""
     if key not in cfg:
         if default is KeyError:
             raise ConfigError(f"{where}: missing required key '{key}'")
         return default
     val = cfg[key]
-    kinds = kinds if kinds is None or isinstance(kinds, tuple) else (kinds,)
-    if kinds is not None and (not isinstance(val, kinds) or (type(val) is bool and bool not in kinds)):
-        names = "/".join(k.__name__ for k in kinds)
-        raise ConfigError(f"{where}: key '{key}' must be {names}, got {type(val).__name__}")
+    if kind is not None and not isinstance(val, kind):
+        raise ConfigError(f"{where}: key '{key}' must be {kind.__name__}, got {type(val).__name__}")
     return val
+
+
+def _number(cfg: dict, key: str, default=KeyError, where: str = "config") -> float:
+    return _as_number(_get(cfg, key, None, default, where), f"{where}: {key}")
+
+
+def _integer(cfg: dict, key: str, default=KeyError, where: str = "config") -> int:
+    return _as_integer(_get(cfg, key, None, default, where), f"{where}: {key}")
 
 
 def _parse_action(data, where: str, confining: bool = False) -> ActionSpec:
     _expect(isinstance(data, dict), f"{where} must be an object")
-    pot = data.get("potential")
-    terms = pot.get("terms") if isinstance(pot, dict) else None
-    numbers = [data[key] for key in ("mass", "hbar") if key in data]
-    if isinstance(terms, list):
-        numbers += [t.get("coef", 0.0) for t in terms if isinstance(t, dict)]
-    _expect(all(map(_is_number, numbers)), f"{where}: mass, hbar and coef must be numbers, got {numbers!r}")
     try:
         return ActionSpec.from_json_dict(data, confining=confining)
     except (KeyError, TypeError, ValueError) as exc:
@@ -93,23 +103,16 @@ def _parse_grid(data, where: str = "grid") -> Grid:
     _expect(isinstance(data, dict), f"{where} must be an object")
     ext = _get(data, "extents", list, where=where)
     npt = _get(data, "npoints", list, where=where)
-    _expect(all(_is_number(x) for x in ext), f"{where}: extents must be numbers, got {ext!r}")
     try:
         return Grid(tuple(ext), tuple(npt))
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise ConfigError(f"{where}: {exc}") from exc
 
 
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
 def _parse_time(value, what: str = "T") -> float:
-    _expect(
-        _is_number(value) and math.isfinite(value) and value > 0,
-        f"{what} must be positive and finite, got {value!r}",
-    )
-    return float(value)
+    T = _as_number(value, what)
+    _expect(T > 0, f"{what} must be positive, got {T!r}")
+    return T
 
 
 def _parse_pairs(data, grid: Grid, classical: ActionSpec = None, where: str = "pairs"):
@@ -129,31 +132,26 @@ def _parse_pairs(data, grid: Grid, classical: ActionSpec = None, where: str = "p
             _expect(len(pts) > 0, f"{where}: empty point list")
             points = [_parse_point(p, grid.dim, where) for p in pts]
             return tensor_pairs(points, points)
-        count = _get(data, "points_per_axis", int, where=where)
+        count = _integer(data, "points_per_axis", where=where)
         span = _get(data, "span", list, where=where)
         _expect(count >= 2, f"{where}: points_per_axis must be >= 2")
         if len(span) == 2 and not isinstance(span[0], list):
             span = [span] * grid.dim
         _expect(
-            len(span) == grid.dim
-            and all(
-                isinstance(s, list) and len(s) == 2 and all(_is_number(v) for v in s)
-                for s in span
-            ),
-            f"{where}: span must be numeric [lo, hi] (or one such pair per axis)",
+            len(span) == grid.dim and all(isinstance(s, list) and len(s) == 2 for s in span),
+            f"{where}: span must be [lo, hi] (or one such pair per axis)",
         )
-        points = grid.subdivision_nodes([(float(lo), float(hi)) for lo, hi in span], count)
+        spans = [tuple(_as_number(v, f"{where}: span") for v in s) for s in span]
+        points = grid.subdivision_nodes(spans, count)
         pairs = tensor_pairs(points, points)
         sep = data.get("max_separation")
         if sep is not None:
-            _expect(
-                _is_number(sep) and math.isfinite(sep) and sep >= 0,
-                f"{where}: max_separation must be a finite number >= 0, got {sep!r}",
-            )
+            sep = _as_number(sep, f"{where}: max_separation")
+            _expect(sep >= 0, f"{where}: max_separation must be >= 0, got {sep!r}")
             pairs = tuple(
                 (xi, xf)
                 for xi, xf in pairs
-                if max(abs(a - b) for a, b in zip(xi, xf)) <= float(sep) + 1e-12
+                if max(abs(a - b) for a, b in zip(xi, xf)) <= sep + 1e-12
             )
         _expect(len(pairs) > 0, f"{where}: empty pair list after filtering")
         return pairs
@@ -170,44 +168,10 @@ def _parse_pairs(data, grid: Grid, classical: ActionSpec = None, where: str = "p
 
 
 def _parse_point(p, dim: int, where: str):
-    if _is_number(p) and dim == 1:
-        return (float(p),)
-    _expect(
-        isinstance(p, list) and len(p) == dim and all(_is_number(v) for v in p),
-        f"{where}: point must have {dim} coordinate(s)",
-    )
-    return tuple(float(v) for v in p)
-
-
-def _parse_ansatz(data, dim: int, where: str = "ansatz"):
-    """Entries are exponent lists, or lists of exponent lists for tied groups."""
-    _expect(isinstance(data, list) and len(data) > 0, f"{where} must be a non-empty list")
-    out = []
-    for entry in data:
-        _expect(isinstance(entry, list) and len(entry) > 0, f"{where}: bad entry {entry!r}")
-        if all(type(v) is int for v in entry):
-            _expect(len(entry) == dim, f"{where}: exponent {entry!r} must have {dim} entries")
-            out.append(tuple(entry))
-            continue
-        group = []
-        for exp in entry:
-            _expect(
-                isinstance(exp, list) and len(exp) == dim and all(type(v) is int for v in exp),
-                f"{where}: exponent {exp!r} must be a list of {dim} integers",
-            )
-            group.append(tuple(exp))
-        out.append(tuple(group))
-    return tuple(out)
-
-
-def _parse_n_nodes(data, where: str = "n_nodes"):
-    if type(data) is int:
-        return data
-    _expect(
-        isinstance(data, list) and len(data) == 2 and all(type(v) is int for v in data),
-        f"{where} must be an integer or a [coarse, fine] pair",
-    )
-    return (data[0], data[1])
+    if dim == 1 and not isinstance(p, list):
+        p = [p]
+    _expect(isinstance(p, list) and len(p) == dim, f"{where}: point must have {dim} coordinate(s)")
+    return tuple(_as_number(v, f"{where}: a point coordinate") for v in p)
 
 
 # -- output writing ----------------------------------------------------------
@@ -269,7 +233,7 @@ def cmd_propagate(cfg: dict, args) -> list:
     action = _parse_action(_get(cfg, "action", dict), "action", confining=True)
     grid = _parse_grid(_get(cfg, "grid", dict))
     _expect(grid.dim == action.dimension, "grid and action dimensions differ")
-    T = _parse_time(_get(cfg, "T", (int, float)))
+    T = _parse_time(_get(cfg, "T", None))
     pairs = _parse_pairs(_get(cfg, "pairs", None), grid, classical=action)
 
     table = euclidean_propagate(action, grid, T, pairs)
@@ -292,17 +256,22 @@ def cmd_fit(cfg: dict, args) -> list:
     classical = _parse_action(_get(cfg, "classical", dict), "classical", confining=True)
     grid = _parse_grid(_get(cfg, "grid", dict))
     _expect(grid.dim == classical.dimension, "grid and classical dimensions differ")
-    pairs = _parse_pairs(_get(cfg, "pairs", None), grid, classical=classical)
-    ansatz = _parse_ansatz(_get(cfg, "ansatz", list), classical.dimension)
-    fit_mass = bool(_get(cfg, "fit_mass", bool, default=True))
-    n_nodes = _parse_n_nodes(_get(cfg, "n_nodes", None, default=257))
+    ansatz = _normalize_ansatz(_get(cfg, "ansatz", list), classical.dimension)
+    fit_mass = _get(cfg, "fit_mass", bool, default=True)
+    n_nodes = _normalize_n_nodes(_get(cfg, "n_nodes", None, default=257))
     initial = cfg.get("initial")
     if initial is not None:
         initial = _parse_action(initial, "initial")
-
-    has_T = "T" in cfg
-    has_list = "T_list" in cfg
-    _expect(has_T != has_list, "exactly one of 'T' or 'T_list' is required")
+    single = "T" in cfg
+    _expect(single != ("T_list" in cfg), "exactly one of 'T' or 'T_list' is required")
+    if single:
+        times = [_parse_time(_get(cfg, "T", None))]
+    else:
+        t_list = _get(cfg, "T_list", list)
+        _expect(len(t_list) >= 2, "T_list must hold at least two times")
+        times = [_parse_time(t, "T_list entries") for t in t_list]
+    # pairs last: "auto" solves for the ground state
+    pairs = _parse_pairs(_get(cfg, "pairs", None), grid, classical=classical)
 
     def make_problem(t: float) -> FitProblem:
         table = euclidean_propagate(classical, grid, t, pairs)
@@ -310,23 +279,11 @@ def cmd_fit(cfg: dict, args) -> list:
             classical=classical, table=table, ansatz=ansatz, fit_mass=fit_mass
         )
 
-    if has_T:
-        T = _parse_time(_get(cfg, "T", (int, float)))
-        result = fit_quantum_action(
-            make_problem(T),
-            initial=initial,
-            n_nodes=n_nodes,
-        )
+    if single:
+        result = fit_quantum_action(make_problem(times[0]), initial=initial, n_nodes=n_nodes)
         return [_json_artifact("fit.json", _fit_result_payload(result))]
 
-    t_list = _get(cfg, "T_list", list)
-    _expect(len(t_list) >= 2, "T_list must hold at least two times")
-    results = fit_flow(
-        make_problem,
-        [_parse_time(t, "T_list entries") for t in t_list],
-        initial=initial,
-        n_nodes=n_nodes,
-    )
+    results = fit_flow(make_problem, times, initial=initial, n_nodes=n_nodes)
     return [
         _json_artifact("fit.json", {"results": [_fit_result_payload(r) for r in results]}),
         _table_artifact("flow", FLOW_CSV_HEADER, flow_rows(results), args.format),
@@ -342,16 +299,13 @@ def cmd_analytic(cfg: dict, args) -> list:
     if quantum is not None:
         quantum = _parse_action(quantum, "quantum", confining=True)
     e_gr = cfg.get("e_gr")
-    _expect(
-        e_gr is None or (_is_number(e_gr) and math.isfinite(e_gr)),
-        "e_gr must be a finite number",
-    )
-    l_max = _get(cfg, "hydrogen_l_max", int, default=3)
+    if e_gr is not None:
+        e_gr = _as_number(e_gr, "e_gr")
+    l_max = _integer(cfg, "hydrogen_l_max", default=3)
     _expect(l_max >= 1, "hydrogen_l_max must be >= 1")
 
     if e_gr is None:
         e_gr = ground_state_spectral(classical, grid).energy
-    e_gr = float(e_gr)
 
     if quantum is not None:
         state = ground_state_from_quantum_action(quantum, grid)
@@ -392,7 +346,7 @@ def _section_artifacts(stem: str, section, fmt: str) -> tuple:
         lines = ["# " + " ".join(section.csv_header())]
         for k, orbit in enumerate(section.orbits):
             for x, px in orbit:
-                lines.append(f"{k} {x!r} {px!r}")
+                lines.append(f"{k} {float(x)!r} {float(px)!r}")
             lines.append("")
         return stem + ".dat", "\n".join(lines) + "\n"
     return _table_artifact(stem, section.csv_header(), section.to_rows(), fmt)
@@ -401,35 +355,28 @@ def _section_artifacts(stem: str, section, fmt: str) -> tuple:
 def cmd_poincare(cfg: dict, args) -> list:
     classical = _parse_action(_get(cfg, "action", dict), "action", confining=True)
     _expect(classical.dimension == 2, "sections need a 2-D action")
-    energy = float(_get(cfg, "energy", (int, float)))
-    n_orbits = _get(cfg, "n_orbits", int, default=12)
-    dt = float(_get(cfg, "dt", (int, float), default=1e-3))
-    max_crossings = _get(cfg, "max_crossings", int, default=200)
+    energy = _number(cfg, "energy")
+    n_orbits = _integer(cfg, "n_orbits", default=12)
+    dt = _number(cfg, "dt", default=1e-3)
+    max_crossings = _integer(cfg, "max_crossings", default=200)
     convention = _get(cfg, "energy_convention", str, default="above-minimum")
-    fill = float(_get(cfg, "fill_fraction", (int, float), default=0.9))
-    start_index = _get(cfg, "start_index", int, default=1)
-    boxes = _get(cfg, "boxes", list, default=[48, 48])
-    _expect(
-        len(boxes) == 2 and all(isinstance(b, int) and b >= 2 for b in boxes),
-        "boxes must be two integers >= 2",
-    )
+    fill = _number(cfg, "fill_fraction", default=0.9)
+    start_index = _integer(cfg, "start_index", default=1)
+    boxes = tuple(_as_integer(b, "boxes") for b in _get(cfg, "boxes", list, default=[48, 48]))
+    _expect(len(boxes) == 2 and min(boxes) >= 2, "boxes must be two integers >= 2")
     plane = _get(cfg, "plane", dict, default={})
-    plane_axis = _get(plane, "axis", int, default=1, where="plane")
-    plane_value = float(_get(plane, "value", (int, float), default=0.0, where="plane"))
-    orientation = _get(plane, "orientation", int, default=1, where="plane")
+    plane_axis = _integer(plane, "axis", default=1, where="plane")
+    plane_value = _number(plane, "value", default=0.0, where="plane")
+    orientation = _integer(plane, "orientation", default=1, where="plane")
 
     quantum = None
     fit_path = cfg.get("fit_result")
     if fit_path is not None:
         _expect(isinstance(fit_path, str), "fit_result must be a path string")
-        try:
-            with open(fit_path) as fh:
-                fit_data = json.load(fh)
-            quantum = ActionSpec.from_json_dict(fit_data["quantum"], confining=True)
-        except OSError as exc:
-            raise ConfigError(f"fit_result: {exc}") from exc
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigError(f"fit_result: not a fit result file ({exc})") from exc
+        with open(fit_path) as fh:
+            fit_data = json.load(fh)
+        _expect(isinstance(fit_data, dict), "fit_result must hold a JSON object")
+        quantum = _parse_action(fit_data.get("quantum"), "fit_result quantum", confining=True)
         _expect(quantum.dimension == 2, "fit_result holds a non-2-D action")
 
     def build(action: ActionSpec):
@@ -451,11 +398,11 @@ def cmd_poincare(cfg: dict, args) -> list:
     if quantum is not None:
         sec_quantum = build(quantum)
         artifacts.append(_section_artifacts("section_quantum", sec_quantum, args.format))
-        comparison = compare_sections(sec_classical, sec_quantum, boxes=tuple(boxes)).to_json_dict()
+        comparison = compare_sections(sec_classical, sec_quantum, boxes=boxes).to_json_dict()
     else:
         thickness = orbit_thickness(sec_classical)
         comparison = {
-            "occupancy_classical": section_occupancy(sec_classical, boxes=tuple(boxes)),
+            "occupancy_classical": section_occupancy(sec_classical, boxes=boxes),
             "points_classical": sec_classical.n_points,
             "thickness_classical": [None if math.isnan(t) else t for t in thickness],
         }

@@ -18,6 +18,30 @@ from .errors import NumericalError
 Exponents = tuple[int, ...]
 
 
+def _as_number(value, what: str) -> float:
+    """``value`` as a finite float.
+
+    A number is a real that is not a bool: strings, lists, objects and
+    bools are refused, and so is an integer too large for a float.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        raise ValueError(f"{what} must be a number, got {type(value).__name__}")
+    try:
+        out = float(value)
+    except OverflowError:
+        raise ValueError(f"{what} is too large for a float") from None
+    if not math.isfinite(out):
+        raise ValueError(f"{what} must be finite, got {out}")
+    return out
+
+
+def _as_integer(value, what: str) -> int:
+    """``value`` as an int; an integer is an int or numpy integer that is not a bool."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _canonical_terms(dimension: int, terms) -> tuple[tuple[Exponents, float], ...]:
     """Validate and sort a terms mapping into the canonical internal tuple."""
     if isinstance(terms, Mapping):
@@ -26,16 +50,14 @@ def _canonical_terms(dimension: int, terms) -> tuple[tuple[Exponents, float], ..
         items = tuple(terms)
     out = {}
     for exp, coef in items:
-        exp = tuple(int(e) for e in exp)
+        exp = tuple(_as_integer(e, "a potential exponent") for e in exp)
         if len(exp) != dimension:
             raise ValueError(
                 f"exponent {exp} has arity {len(exp)}, potential dimension is {dimension}"
             )
         if any(e < 0 for e in exp):
             raise ValueError(f"exponent {exp} has a negative entry")
-        coef = float(coef)
-        if not math.isfinite(coef):
-            raise ValueError(f"coefficient for {exp} is not finite")
+        coef = _as_number(coef, f"the coefficient of {exp}")
         if exp in out:
             raise ValueError(f"duplicate exponent {exp}")
         if coef != 0.0:
@@ -147,6 +169,7 @@ class PolynomialPotential:
     confining: bool = False
 
     def __post_init__(self):
+        object.__setattr__(self, "dimension", _as_integer(self.dimension, "dimension"))
         if self.dimension not in (1, 2):
             raise ValueError(f"dimension must be 1 or 2, got {self.dimension}")
         object.__setattr__(self, "terms", _canonical_terms(self.dimension, self.terms))
@@ -286,11 +309,13 @@ class ActionSpec:
     hbar: float = 1.0
 
     def __post_init__(self):
+        object.__setattr__(self, "mass", _as_number(self.mass, "mass"))
+        object.__setattr__(self, "hbar", _as_number(self.hbar, "hbar"))
         # 1/m must be finite too: the step loop writes dt/m as a float literal
-        if not (math.isfinite(self.mass) and self.mass > 0 and math.isfinite(1.0 / self.mass)):
-            raise ValueError(f"mass must be positive and finite with a finite reciprocal, got {self.mass}")
-        if not (math.isfinite(self.hbar) and self.hbar > 0):
-            raise ValueError(f"hbar must be positive and finite, got {self.hbar}")
+        if not (self.mass > 0 and math.isfinite(1.0 / self.mass)):
+            raise ValueError(f"mass must be positive with a finite reciprocal, got {self.mass}")
+        if not self.hbar > 0:
+            raise ValueError(f"hbar must be positive, got {self.hbar}")
 
     @property
     def dimension(self) -> int:
@@ -311,11 +336,11 @@ class ActionSpec:
     @classmethod
     def from_json_dict(cls, data: Mapping, confining: bool = False) -> "ActionSpec":
         pot = data["potential"]
-        terms = {tuple(t["exp"]): t["coef"] for t in pot["terms"]}
+        terms = [(t["exp"], t["coef"]) for t in pot["terms"]]
         return cls(
-            mass=float(data["mass"]),
-            potential=PolynomialPotential(int(pot["dim"]), terms, confining=confining),
-            hbar=float(data.get("hbar", 1.0)),
+            mass=data["mass"],
+            potential=PolynomialPotential(pot["dim"], terms, confining=confining),
+            hbar=data.get("hbar", 1.0),
         )
 
 

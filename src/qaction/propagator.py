@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError
-from .model import ActionSpec
+from .model import ActionSpec, _as_integer, _as_number
 
 # spectral terms lighter than this fraction of the leading one are dropped
 BOLTZMANN_CUTOFF = 1e-14
@@ -34,16 +34,14 @@ class Grid:
     def __post_init__(self):
         ext = self.extents if isinstance(self.extents, (tuple, list)) else (self.extents,)
         npt = self.npoints if isinstance(self.npoints, (tuple, list)) else (self.npoints,)
-        ext = tuple(float(x) for x in ext)
-        if not all(float(n).is_integer() for n in npt):
-            raise ValueError(f"npoints must be whole numbers, got {list(npt)}")
-        npt = tuple(int(n) for n in npt)
+        ext = tuple(_as_number(x, "a grid extent") for x in ext)
+        npt = tuple(_as_integer(n, "a grid point count") for n in npt)
         if len(ext) != len(npt):
             raise ValueError("extents and npoints must have the same length")
         if len(ext) not in (1, 2):
             raise ValueError("only 1-D and 2-D grids are supported")
-        if not all(math.isfinite(x) and x > 0 for x in ext):
-            raise ValueError(f"extents must be positive and finite, got {list(ext)}")
+        if not all(x > 0 for x in ext):
+            raise ValueError(f"extents must be positive, got {list(ext)}")
         if any(n < 16 for n in npt):
             raise ValueError("at least 16 points per axis required")
         object.__setattr__(self, "extents", ext)

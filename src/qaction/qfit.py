@@ -26,8 +26,8 @@ import numpy as np
 
 from .asymptotics import ground_state_spectral
 from .errors import NumericalError
-from .model import ActionSpec, PolynomialPotential
-from .propagator import Grid, PropagatorTable, _normalize_pairs, tensor_pairs
+from .model import ActionSpec, PolynomialPotential, _as_integer
+from .propagator import Grid, PropagatorTable, tensor_pairs
 from .trajectory import solve_euclidean_bvp
 
 PENALTY_FAILED = 1.0e3  # per-pair residual charged when the inner BVP fails
@@ -41,21 +41,19 @@ def _normalize_ansatz(ansatz, dim: int) -> tuple:
 
     Each entry is either one exponent tuple or a tuple of exponent tuples
     whose coefficients are tied to a single fit parameter (how symmetric
-    combinations like x^2 + y^2 are kept symmetric).
+    combinations like x^2 + y^2 are kept symmetric). Lists are read as
+    tuples, so a JSON ansatz normalizes as it stands.
     """
     groups = []
     seen = set()
     for entry in ansatz:
-        entry = tuple(entry)
-        if not entry:
-            raise ValueError("empty ansatz entry")
-        if all(isinstance(e, (int, np.integer)) for e in entry):
-            group = (entry,)
-        else:
-            group = tuple(tuple(e) for e in entry)
+        if not isinstance(entry, (tuple, list)) or not entry:
+            raise ValueError(f"ansatz entry {entry!r} must be a non-empty exponent list or group")
         norm = []
-        for exp in group:
-            exp = tuple(int(p) for p in exp)
+        for exp in entry if isinstance(entry[0], (tuple, list)) else (entry,):
+            if not isinstance(exp, (tuple, list)):
+                raise ValueError(f"ansatz entry {entry!r} mixes exponents and exponent lists")
+            exp = tuple(_as_integer(p, "an ansatz exponent") for p in exp)
             if len(exp) != dim or any(p < 0 for p in exp):
                 raise ValueError(f"ansatz exponent {exp} invalid for dimension {dim}")
             if exp in seen:
@@ -63,6 +61,8 @@ def _normalize_ansatz(ansatz, dim: int) -> tuple:
             seen.add(exp)
             norm.append(exp)
         groups.append(tuple(sorted(norm)))
+    if not groups:
+        raise ValueError("the ansatz needs at least one entry")
     zero = (0,) * dim
     for g in groups:
         if zero in g and len(g) > 1:
@@ -77,28 +77,17 @@ class FitProblem:
     classical: ActionSpec
     table: PropagatorTable
     ansatz: tuple
-    pairs: tuple = None
     fit_mass: bool = True
 
     def __post_init__(self):
         if self.classical.dimension != self.table.grid.dim:
             raise ValueError("classical action and table grid dimensions differ")
+        if not self.table.pairs:
+            raise ValueError("at least one boundary pair required")
         object.__setattr__(
             self, "ansatz", _normalize_ansatz(self.ansatz, self.classical.dimension)
         )
-        pairs = self.table.pairs if self.pairs is None else tuple(
-            _normalize_pairs(self.pairs, self.classical.dimension)
-        )
-        if not pairs:
-            raise ValueError("at least one boundary pair required")
-        table_index = {p: g for p, g in zip(self.table.pairs, self.table.amplitudes)}
-        amps = []
-        for p in pairs:
-            if p not in table_index:
-                raise ValueError(f"pair {p} missing from the amplitude table")
-            amps.append(table_index[p])
-        object.__setattr__(self, "pairs", pairs)
-        object.__setattr__(self, "_log_g", np.log(np.asarray(amps, dtype=float)))
+        object.__setattr__(self, "_log_g", np.log(self.table.amplitudes))
 
     @property
     def T(self) -> float:
@@ -202,11 +191,11 @@ def _normalize_n_nodes(n_nodes):
     if isinstance(n_nodes, (tuple, list)):
         if len(n_nodes) != 2:
             raise ValueError("n_nodes pair must have exactly two entries")
-        coarse, fine = int(n_nodes[0]), int(n_nodes[1])
+        coarse, fine = (_as_integer(n, "n_nodes") for n in n_nodes)
         if fine != 2 * coarse - 1:
             raise ValueError("fine node count must be 2*coarse - 1 (halved step)")
         return (coarse, fine)
-    return int(n_nodes)
+    return _as_integer(n_nodes, "n_nodes")
 
 
 @dataclass
@@ -246,7 +235,7 @@ class _Evaluator:
         keys = []
         index = {}
         key_of_pair = []
-        for xi, xf in problem.pairs:
+        for xi, xf in problem.table.pairs:
             key = (xi, xf) if xi <= xf else (xf, xi)
             if key not in index:
                 index[key] = len(keys)
@@ -276,14 +265,14 @@ class _Evaluator:
         return np.array(out)
 
     def _penalty(self, value: float, failed: tuple) -> _EvalDetail:
-        n = len(self.problem.pairs)
+        n = len(self.problem.table.pairs)
         return _EvalDetail(math.nan, failed, np.full(n, value), np.zeros((n, self.n_params)))
 
     def detail(self, trial: ActionSpec, log_z=None) -> _EvalDetail:
         self.n_evaluations += 1
         viol = _confinement_violation(trial.potential)
         if viol > 0.0:
-            return self._penalty(1e9 * viol, tuple(range(len(self.problem.pairs))))
+            return self._penalty(1e9 * viol, tuple(range(len(self.problem.table.pairs))))
         values = np.full((len(self.keys), 1 + self.n_params), np.nan)
         for i, k in enumerate(self.keys):
             out = _solve_pair(
@@ -438,9 +427,9 @@ def fit_quantum_action(
     """
     import scipy.optimize
 
-    if len(problem.pairs) < 2 * problem.n_free:
+    if len(problem.table.pairs) < 2 * problem.n_free:
         raise ValueError(
-            f"{len(problem.pairs)} pairs cannot determine {problem.n_free} "
+            f"{len(problem.table.pairs)} pairs cannot determine {problem.n_free} "
             "free parameters (need at least twice as many)"
         )
     theta0 = _theta_vector(problem, initial if initial is not None else problem.classical)

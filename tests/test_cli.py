@@ -330,9 +330,13 @@ def test_poincare_with_fit_result_gnuplot(tmp_path):
     )
     out = tmp_path / "pq"
     assert main(["poincare", "--config", cfg, "--out", str(out), "--format", "gnuplot"]) == 0
-    dat = (out / "section_classical.dat").read_text()
-    assert dat.startswith("# orbit x px\n")
-    assert (out / "section_quantum.dat").exists()
+    for name in ("section_classical.dat", "section_quantum.dat"):
+        header, *lines = (out / name).read_text().splitlines()
+        assert header == "# orbit x px"
+        data = [line.split() for line in lines if line]
+        assert data
+        for orbit, x, px in data:  # one int and two floats, as gnuplot reads them
+            int(orbit), float(x), float(px)
     comparison = json.loads((out / "comparison.json").read_text())
     assert set(comparison) == {
         "occupancy_classical",
@@ -482,6 +486,22 @@ def test_dense_propagate_solves_once_per_time(tmp_path, monkeypatch):
         rows[T] = len(read_rows(out / "spectrum.csv")[1])
     assert calls == {"eigh": 2, "eigvalsh": 1}
     assert rows[3.0] == 78 < rows[1.5]
+
+
+def test_analytic_without_e_gr_solves_the_ground_state_once(tmp_path, monkeypatch):
+    """The e_gr lookup and the WKB reference share one k = 1 eigensolve."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs.get("select_range"))
+        return eigh_tridiagonal(*args, **kwargs)
+
+    eigh_tridiagonal = scipy.linalg.eigh_tridiagonal
+    _clear_spectral_caches()
+    monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", counted)
+    cfg = write_cfg(tmp_path, "inv.json", {"action": HO, "grid": {"extents": [3.0], "npoints": [241]}})
+    assert main(["analytic", "--config", cfg, "--out", str(tmp_path / "inv")]) == 0
+    assert calls == [(0, 0)]
 
 
 def test_truncated_spectrum_exit_3_leaves_no_files(tmp_path):
@@ -642,6 +662,11 @@ def test_non_finite_or_fractional_input_exit_2_before_eigensolve(tmp_path, monke
 
 POINCARE_BASE = {"action": COUPLED, "energy": 2.0, "n_orbits": 2, "max_crossings": 6}
 HO_COEF_TRUE = dict(HO, potential={"dim": 1, "terms": [{"exp": [2], "coef": True}]})
+
+
+def _ho_with_terms(*terms):
+    return dict(HO, potential={"dim": 1, "terms": list(terms)})
+
 SPAN_PAIRS = {"points_per_axis": 3, "span": [-1.0, 1.0]}
 
 
@@ -664,6 +689,19 @@ SPAN_PAIRS = {"points_per_axis": 3, "span": [-1.0, 1.0]}
         ("propagate", dict(PROPAGATE_BASE, action=HO_COEF_TRUE)),
         ("fit", dict(FIT_BASE, T=2.0, classical=dict(HO, mass=True))),
         ("analytic", {"action": HO_COEF_TRUE, "grid": {"extents": [6.0], "npoints": [301]}}),
+        # exponents, dim and point counts are integers, not floats or bools
+        ("propagate", dict(PROPAGATE_BASE, action=_ho_with_terms({"exp": [2.5], "coef": 0.5}))),
+        ("propagate", dict(PROPAGATE_BASE, action=_ho_with_terms(
+            {"exp": [2], "coef": 0.5}, {"exp": [True], "coef": 0.5}))),
+        ("propagate", dict(PROPAGATE_BASE, action=dict(HO, potential=dict(HO["potential"], dim=1.5)))),
+        ("propagate", dict(PROPAGATE_BASE, grid={"extents": [8.0], "npoints": [401.0]})),
+        # a JSON integer too large for a float
+        ("propagate", dict(PROPAGATE_BASE, action=dict(HO, mass=10**400))),
+        ("poincare", dict(POINCARE_BASE, energy=10**400)),
+        # a fit_result's action is read under the same rule
+        ("poincare", dict(POINCARE_BASE, fit_result={"quantum": dict(COUPLED_TRIAL, mass=True)})),
+        ("poincare", dict(POINCARE_BASE, fit_result={"quantum": dict(COUPLED_TRIAL, potential={
+            "dim": 2, "terms": [{"exp": [2, 0], "coef": "0.5"}, {"exp": [0, 2], "coef": 0.5}]})})),
     ],
 )
 def test_boolean_for_a_number_exits_2_leaving_no_files(tmp_path, monkeypatch, command, payload):
@@ -673,6 +711,8 @@ def test_boolean_for_a_number_exits_2_leaving_no_files(tmp_path, monkeypatch, co
     _clear_spectral_caches()
     for solver in ("eigh_tridiagonal", "eigh", "eigvalsh"):
         monkeypatch.setattr(scipy.linalg, solver, no_solve)
+    if "fit_result" in payload:
+        payload = dict(payload, fit_result=write_cfg(tmp_path, "fit.json", payload["fit_result"]))
     cfg = write_cfg(tmp_path, "bool.json", payload)
     out = tmp_path / "bool"
     assert main([command, "--config", cfg, "--out", str(out)]) == 2
@@ -699,7 +739,9 @@ BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 def test_bench_tracer_runs_a_command_and_counts_every_method(tmp_path):
     """``bench/tracer.py`` wraps PolynomialPotential methods by name; a method
-    it counts must exist, or the benchmark's traced run crashes."""
+    it counts must exist, or the benchmark's traced run crashes. The spans
+    that ``bench/run.py`` maps to per-layer metrics must still be recorded,
+    or a renamed or rerouted call would read 0 there."""
     sys.path.insert(0, str(BENCH))
     try:
         import tracer
@@ -722,3 +764,8 @@ def test_bench_tracer_runs_a_command_and_counts_every_method(tmp_path):
     assert record["exit"] == 0
     assert set(tracer.COUNTED_METHODS.values()) <= set(record["counters"])
     assert record["counters"]["model.point_eval_calls"] > 0
+    spans = {}
+    for name, _, _, _, _, attrs in record["spans"]:
+        spans.setdefault(name, []).append(attrs)
+    assert spans["spectral_decompose"] == [{"k": 1, "dim": 1, "size": 301}]
+    assert len(spans["wkb_compare"]) == 1

@@ -84,6 +84,32 @@ def test_action_spec_validation():
 
 @pytest.mark.parametrize(
     "terms",
+    [{(2.5,): 1.0}, {(2,): 0.5, (True,): 0.5}, {(2,): "0.5"}, {(2,): True}, {(2,): 10**400}],
+)
+def test_non_integer_exponent_or_non_number_coefficient_rejected(terms):
+    with pytest.raises(ValueError):
+        PolynomialPotential(1, terms)
+
+
+def test_one_input_rule_for_numbers_and_integers():
+    pot = PolynomialPotential(1, {(2,): 0.5})
+    for mass in (True, "1.0", [1.0], 10**400, math.nan):
+        with pytest.raises(ValueError):
+            ActionSpec(mass=mass, potential=pot)
+    for dim in (1.0, 1.5, True):
+        with pytest.raises(ValueError):
+            PolynomialPotential(dim, {(2,): 0.5})
+    for npoints in (401.0, True):
+        with pytest.raises(ValueError):
+            Grid((8.0,), (npoints,))
+    # numpy scalars are numbers and integers too
+    spec = ActionSpec(mass=np.float32(2.0), potential=PolynomialPotential(np.int64(1), {(np.int64(2),): 1}))
+    assert (spec.mass, spec.potential.terms) == (2.0, (((2,), 1.0),))
+    assert Grid((np.float64(8.0),), (np.int32(401),)).npoints == (401,)
+
+
+@pytest.mark.parametrize(
+    "terms",
     [
         {(2, 0): 0.5, (0, 4): 1e308},  # dV/dy overflows
         {(2, 0): 0.5, (0, 2): 0.5, (0, 3): 5e307},  # only d2V/dy2 overflows

@@ -55,12 +55,19 @@ def test_wrong_stiffness_residual_much_larger(ho_spec, ho_table_t1):
     assert r_bad > 1e2 * r_true
 
 
+def _subtable(table, pairs):
+    """The rows of ``table`` at ``pairs``."""
+    index = dict(zip(table.pairs, table.amplitudes))
+    return PropagatorTable(
+        grid=table.grid, T=table.T, pairs=tuple(pairs), amplitudes=np.array([index[p] for p in pairs])
+    )
+
+
 def test_single_pair_residual_vanishes(ho_spec, ho_table_t1):
     prob = FitProblem(
         classical=ho_spec,
-        table=ho_table_t1,
+        table=_subtable(ho_table_t1, [((0.0,), (0.5,))]),
         ansatz=((0,), (2,)),
-        pairs=[((0.0,), (0.5,))],
     )
     assert fit_residual(ho_spec, prob) < 1e-13
 
@@ -329,13 +336,6 @@ def test_scale_covariance_of_fit(ho_spec, ho_tensor_table_t2):
 
 def test_problem_validation(ho_spec, ho_table_t1):
     with pytest.raises(ValueError):
-        FitProblem(
-            classical=ho_spec,
-            table=ho_table_t1,
-            ansatz=((0,), (2,)),
-            pairs=[((0.0,), (3.3,))],  # not in the table
-        )
-    with pytest.raises(ValueError):
         FitProblem(classical=ho_spec, table=ho_table_t1, ansatz=(((0,), (2,)),))
     with pytest.raises(ValueError):
         FitProblem(classical=ho_spec, table=ho_table_t1, ansatz=((2,), (2,)))
@@ -343,14 +343,17 @@ def test_problem_validation(ho_spec, ho_table_t1):
         FitProblem(
             classical=ho_spec, table=ho_table_t1, ansatz=((-2,),)
         )
+    # exponents are integers, not floats or bools, and the ansatz is not empty
+    for ansatz in (((2.0,),), ((0,), (True,)), ((0,), [[2], 4]), ()):
+        with pytest.raises(ValueError):
+            FitProblem(classical=ho_spec, table=ho_table_t1, ansatz=ansatz)
 
 
 def test_too_few_pairs_rejected(ho_spec, ho_table_t1):
     prob = FitProblem(
         classical=ho_spec,
-        table=ho_table_t1,
+        table=_subtable(ho_table_t1, [((0.0,), (0.5,)), ((0.0,), (1.0,)), ((0.5,), (1.0,))]),
         ansatz=((0,), (2,), (4,)),
-        pairs=[((0.0,), (0.5,)), ((0.0,), (1.0,)), ((0.5,), (1.0,))],
         fit_mass=True,
     )
     with pytest.raises(ValueError):
@@ -363,6 +366,9 @@ def test_n_nodes_pair_validation(ho_spec, ho_table_t1):
         fit_residual(ho_spec, prob, n_nodes=(257, 511))
     with pytest.raises(ValueError):
         fit_residual(ho_spec, prob, n_nodes=(257, 513, 1025))
+    for n_nodes in (257.0, True, (129.0, 257)):
+        with pytest.raises(ValueError):
+            fit_residual(ho_spec, prob, n_nodes=n_nodes)
 
 
 def test_dimension_mismatch_rejected(ho_table_t1, coupled_2d):
