@@ -38,7 +38,6 @@ from .qfit import (
     fit_quantum_action,
     fit_residual,
     flow_rows,
-    quantum_action_log_norm_sq,
 )
 from .asymptotics import (
     GroundStateInfo,
@@ -50,6 +49,7 @@ from .asymptotics import (
     hydrogen_sector,
     hydrogen_table,
     invert_transformation_law,
+    quantum_action_log_norm_sq,
     transformation_law_residual,
     transformation_law_residual_grid,
     wkb_compare,

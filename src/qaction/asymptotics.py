@@ -19,10 +19,13 @@ from typing import Callable
 import numpy as np
 
 from .errors import NumericalError
-from .model import ActionSpec, PolynomialPotential, _bisect_root
+from .model import ActionSpec, PolynomialPotential, _as_integer, _bisect_root
 from .propagator import Grid, _cached_decomposition
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(15)
+# the same rule mapped onto [0, 1], for integrals along a ray
+_RAY_S = 0.5 * (_GL_NODES + 1.0)
+_RAY_W = 0.5 * _GL_WEIGHTS
 
 
 @dataclass(frozen=True)
@@ -93,39 +96,57 @@ def _gauss_cells(fn: Callable[[np.ndarray], np.ndarray], edges: np.ndarray) -> n
     return half * (vals @ _GL_WEIGHTS)
 
 
+def _settling_action(action: ActionSpec, grid: Grid) -> tuple:
+    """(Phi at every node, V_min): Phi(x) is the zero-energy action
+    integral of sqrt(2 m (V - V_min)) from the potential minimum to x.
+
+    Each node's integral runs along the straight ray from the minimum, by
+    15-point Gauss-Legendre (exact in 1-D; a declared convention in 2-D).
+    The minimum is Newton's from the lowest grid node.
+    """
+    pot = action.potential
+    nodes = grid.nodes()
+    r0, vmin = pot.minimum(nodes)
+    d = nodes.reshape(grid.size, grid.dim) - r0
+    dist = np.sqrt(np.sum(d * d, axis=1))
+    ray = r0[None, None, :] + _RAY_S[None, :, None] * d[:, None, :]
+    vals = pot.evaluate_points(ray.reshape(-1, grid.dim)).reshape(grid.size, len(_RAY_S))
+    integ = np.sqrt(np.maximum(2.0 * action.mass * (vals - vmin), 0.0))
+    return dist * (integ @ _RAY_W), vmin
+
+
+def quantum_action_log_norm_sq(action: ActionSpec, grid: Grid) -> float:
+    """ln of the trapezoid integral of exp(-2 Phi/hbar) over the grid, Phi
+    the settling action of ``_settling_action``. The fit pins
+    ln Z = -ln of this integral, the 1/N^2 of the large-T ground state.
+    """
+    phi, _ = _settling_action(action, grid)
+    w = grid.weights_flat()
+    return float(np.log(np.dot(w, np.exp(-2.0 * phi / action.hbar))))
+
+
+def _state_from_phi(grid: Grid, energy: float, phi: np.ndarray, hbar: float) -> GroundStateInfo:
+    """The large-T ground state exp(-Phi/hbar), trapezoid-normalized on the grid."""
+    psi = np.exp(-phi / hbar)
+    w = grid.weights_flat()
+    psi /= math.sqrt(float(np.dot(w, psi * psi)))
+    return GroundStateInfo(grid=grid, energy=energy, psi=psi, source="quantum-action")
+
+
 def ground_state_from_quantum_action(quantum: ActionSpec, grid: Grid) -> GroundStateInfo:
     """Ground energy and wavefunction implied by a 1-D confining trial action.
 
     The energy is the minimum of the trial potential, by Newton from the
     lowest grid node; the wavefunction is exp(-Phi/hbar) with Phi the
-    accumulated integral of sqrt(2 m (V - Vmin)) from the minimum, normalized
-    by trapezoidal quadrature on the grid.
+    settling action from that minimum, the same Phi whose norm pins the
+    fit's ln Z.
     """
-    pot = quantum.potential
-    if pot.dimension != 1 or grid.dim != 1:
+    if quantum.dimension != 1 or grid.dim != 1:
         raise ValueError("ground-state extraction is defined for 1-D actions")
-    if not pot.is_confining():
+    if not quantum.potential.is_confining():
         raise ValueError("trial potential must be confining")
-    xs = grid.axes()[0]
-    z, e_gr = pot.minimum(grid.nodes())
-    x0 = float(z[0])
-    m, hb = quantum.mass, quantum.hbar
-
-    def integrand(x):
-        return np.sqrt(np.maximum(2.0 * m * (pot.evaluate_points(x[:, None]) - e_gr), 0.0))
-
-    # split the cell containing the minimum so each cell sees a smooth integrand
-    edges = np.unique(np.concatenate([xs, [min(max(x0, xs[0]), xs[-1])]]))
-    cells = _gauss_cells(integrand, edges)
-    cum = np.concatenate([[0.0], np.cumsum(cells)])
-    cum_at = dict(zip(edges.tolist(), cum.tolist()))
-    c_nodes = np.array([cum_at[x] for x in xs.tolist()])
-    c0 = np.interp(x0, edges, cum)
-    phi = np.abs(c_nodes - c0)
-    psi = np.exp(-phi / hb)
-    w = grid.weights_flat()
-    psi /= math.sqrt(float(np.dot(w, psi * psi)))
-    return GroundStateInfo(grid=grid, energy=e_gr, psi=psi, source="quantum-action")
+    phi, e_gr = _settling_action(quantum, grid)
+    return _state_from_phi(grid, e_gr, phi, quantum.hbar)
 
 
 def ground_state_spectral(action: ActionSpec, grid: Grid) -> GroundStateInfo:
@@ -187,12 +208,7 @@ class InversionResult:
     Phi: np.ndarray  # accumulated integral of |W| from the origin
 
     def ground_state(self) -> GroundStateInfo:
-        psi = np.exp(-self.Phi / self.classical.hbar)
-        w = self.grid.weights_flat()
-        psi = psi / math.sqrt(float(np.dot(w, psi * psi)))
-        return GroundStateInfo(
-            grid=self.grid, energy=self.e_gr, psi=psi, source="quantum-action"
-        )
+        return _state_from_phi(self.grid, self.e_gr, self.Phi, self.classical.hbar)
 
 
 def invert_transformation_law(classical: ActionSpec, e_gr: float, grid: Grid) -> InversionResult:
@@ -422,9 +438,9 @@ def hydrogen_sector(l: int, hbar=1, mass=1, e2=1) -> HydrogenSector:
     -E_ion/(l+1)^2 and that the trial-potential minimum coincides with the
     wavefunction maximum at a0 l(l+1).
     """
-    if int(l) != l or l < 1:
+    l = _as_integer(l, "angular momentum")
+    if l < 1:
         raise ValueError(f"angular momentum must be an integer >= 1, got {l}")
-    l = int(l)
     hb, m, q2 = Fraction(hbar), Fraction(mass), Fraction(e2)
     if hb <= 0 or m <= 0 or q2 <= 0:
         raise ValueError("hbar, mass and e^2 must be positive")

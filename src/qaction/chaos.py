@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError
-from .model import ActionSpec, _bisect_root
+from .model import ActionSpec, _as_integer, _as_number, _bisect_root, _json_floats
 from .trajectory import PhaseState, _step_loop, hamiltonian_energy
 
 _CONVENTIONS = ("above-minimum", "absolute")
@@ -41,8 +41,10 @@ class SectionSpec:
     max_steps: int = 50_000_000
 
     def __post_init__(self):
-        if not math.isfinite(self.energy):
-            raise ValueError("section energy must be finite")
+        for name in ("energy", "dt", "plane_value"):
+            object.__setattr__(self, name, _as_number(getattr(self, name), f"section {name}"))
+        for name in ("max_crossings", "plane_axis", "orientation", "max_steps"):
+            object.__setattr__(self, name, _as_integer(getattr(self, name), f"section {name}"))
         if not 0.0 < self.dt <= 1e-2:
             raise ValueError(f"time step must lie in (0, 1e-2], got {self.dt}")
         if self.max_crossings < 1:
@@ -376,15 +378,14 @@ class SectionComparison:
     thickness_b: tuple
 
     def to_json_dict(self) -> dict:
-        clean = lambda t: [None if math.isnan(v) else v for v in t]
         return {
             "occupancy_classical": self.occupancy_a,
             "occupancy_quantum": self.occupancy_b,
             "symmetric_difference": self.symmetric_difference,
             "points_classical": self.points_a,
             "points_quantum": self.points_b,
-            "thickness_classical": clean(self.thickness_a),
-            "thickness_quantum": clean(self.thickness_b),
+            "thickness_classical": _json_floats(self.thickness_a),
+            "thickness_quantum": _json_floats(self.thickness_b),
         }
 
 

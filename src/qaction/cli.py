@@ -22,7 +22,6 @@ import argparse
 import csv
 import io
 import json
-import math
 import os
 import sys
 import tempfile
@@ -48,7 +47,7 @@ from .chaos import (
     section_occupancy,
 )
 from .errors import NumericalError
-from .model import ActionSpec, _as_integer, _as_number
+from .model import ActionSpec, _as_integer, _as_number, _json_floats
 from .propagator import Grid, decompose_for_time, euclidean_propagate, tensor_pairs
 from .qfit import (
     FLOW_CSV_HEADER,
@@ -400,11 +399,10 @@ def cmd_poincare(cfg: dict, args) -> list:
         artifacts.append(_section_artifacts("section_quantum", sec_quantum, args.format))
         comparison = compare_sections(sec_classical, sec_quantum, boxes=boxes).to_json_dict()
     else:
-        thickness = orbit_thickness(sec_classical)
         comparison = {
             "occupancy_classical": section_occupancy(sec_classical, boxes=boxes),
             "points_classical": sec_classical.n_points,
-            "thickness_classical": [None if math.isnan(t) else t for t in thickness],
+            "thickness_classical": _json_floats(orbit_thickness(sec_classical)),
         }
     artifacts.append(_json_artifact("comparison.json", comparison))
     return artifacts

@@ -42,6 +42,11 @@ def _as_integer(value, what: str) -> int:
     return int(value)
 
 
+def _json_floats(values) -> list:
+    """``values`` as a JSON list: a non-finite float becomes None (null)."""
+    return [v if math.isfinite(v) else None for v in values]
+
+
 def _canonical_terms(dimension: int, terms) -> tuple[tuple[Exponents, float], ...]:
     """Validate and sort a terms mapping into the canonical internal tuple."""
     if isinstance(terms, Mapping):
@@ -351,8 +356,9 @@ class ScaleTransform:
     alpha: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.alpha) and self.alpha > 0):
-            raise ValueError(f"alpha must be positive and finite, got {self.alpha}")
+        object.__setattr__(self, "alpha", _as_number(self.alpha, "alpha"))
+        if not self.alpha > 0:
+            raise ValueError(f"alpha must be positive, got {self.alpha}")
 
     def inverse(self) -> "ScaleTransform":
         return ScaleTransform(1.0 / self.alpha)

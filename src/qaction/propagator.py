@@ -3,8 +3,10 @@
 The Hamiltonian is discretized with second-order central differences on a
 symmetric box, diagonalized, and amplitudes are assembled from the spectral
 sum G(xf, T; xi) = sum_n psi_n(xf) psi_n(xi) exp(-E_n T / hbar).
-Eigenfunctions are normalized under trapezoidal quadrature, so they carry the
-continuum 1/sqrt(h) scale per dimension and the sum needs no extra factor.
+Eigenfunctions are normalized by the plain sum over nodes times h^dim, the
+inner product under which the stencil's eigenvectors are orthogonal, so they
+carry the continuum 1/sqrt(h) scale per dimension and the sum needs no extra
+factor.
 """
 from __future__ import annotations
 
@@ -125,8 +127,9 @@ class Grid:
 class SpectralData:
     """Lowest eigenpairs of the grid Hamiltonian.
 
-    Eigenvectors are stored flattened and normalized so that the trapezoidal
-    quadrature of psi^2 over the box equals one.
+    Eigenvectors are stored flattened and normalized so that h^dim times
+    the plain sum of psi^2 over the nodes equals one; under that inner
+    product they are orthonormal.
     """
 
     grid: Grid
@@ -134,8 +137,7 @@ class SpectralData:
     eigenvectors: np.ndarray  # shape (k, grid.size)
 
     def overlap_matrix(self) -> np.ndarray:
-        w = self.grid.weights_flat()
-        return (self.eigenvectors * w) @ self.eigenvectors.T
+        return math.prod(self.grid.spacing) * (self.eigenvectors @ self.eigenvectors.T)
 
 
 @dataclass(frozen=True)
@@ -194,7 +196,8 @@ def discretize_hamiltonian(action: ActionSpec, grid: Grid):
 
 
 def spectral_decompose(H, k: int, grid: Grid) -> SpectralData:
-    """Lowest-k eigenpairs, trapezoid-normalized with a deterministic sign."""
+    """Lowest-k eigenpairs, normalized to unit h^dim-weighted sum of squares,
+    each with its largest entry positive."""
     import scipy.linalg
     import scipy.sparse.linalg as spla
 
@@ -224,18 +227,11 @@ def spectral_decompose(H, k: int, grid: Grid) -> SpectralData:
             raise NumericalError(f"sparse eigensolver did not converge: {exc}") from exc
         order = np.argsort(vals)
         vals, vecs = vals[order], vecs[:, order].T
-    w = grid.weights_flat()
-    psis = np.empty_like(vecs)
-    for i, v in enumerate(vecs):
-        nrm = math.sqrt(float(np.dot(w, v * v)))
-        if nrm == 0.0:
-            raise NumericalError("zero-norm eigenvector")
-        v = v / nrm
-        j = int(np.argmax(np.abs(v)))
-        if v[j] < 0:
-            v = -v
-        psis[i] = v
-    return SpectralData(grid=grid, eigenvalues=np.asarray(vals, dtype=float), eigenvectors=psis)
+    # rescale rows in place: a vectorized rescale would hold a second k x n array
+    scale = 1.0 / math.sqrt(math.prod(grid.spacing))
+    for v in vecs:
+        v *= math.copysign(scale, v[np.argmax(np.abs(v))]) / np.linalg.norm(v)
+    return SpectralData(grid=grid, eigenvalues=np.asarray(vals, dtype=float), eigenvectors=vecs)
 
 
 @functools.lru_cache(maxsize=16)

@@ -13,8 +13,9 @@ evaluation returns its exact Jacobian with no extra solve.
 When the ansatz carries a constant term, its coefficient is not searchable:
 shifting it trades exactly against ln Z. The fit pins it after convergence
 by the large-T normalization ln Z = -2 ln N, with N the norm of
-exp(-Phi/hbar) built from the optimized potential shape; this is what makes
-the fitted constant converge to the ground energy as T grows.
+exp(-Phi/hbar) built from the optimized potential shape, the same
+normalization as the large-T ground state of ``asymptotics``; this is what
+makes the fitted constant converge to the ground energy as T grows.
 """
 from __future__ import annotations
 
@@ -24,16 +25,13 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .asymptotics import ground_state_spectral
+from .asymptotics import ground_state_spectral, quantum_action_log_norm_sq
 from .errors import NumericalError
-from .model import ActionSpec, PolynomialPotential, _as_integer
+from .model import ActionSpec, PolynomialPotential, _as_integer, _json_floats
 from .propagator import Grid, PropagatorTable, tensor_pairs
-from .trajectory import solve_euclidean_bvp
+from .trajectory import MIN_NODES, solve_euclidean_bvp
 
 PENALTY_FAILED = 1.0e3  # per-pair residual charged when the inner BVP fails
-_GL_S, _GL_W = np.polynomial.legendre.leggauss(15)
-_RAY_S = 0.5 * (_GL_S + 1.0)
-_RAY_W = 0.5 * _GL_W
 
 
 def _normalize_ansatz(ansatz, dim: int) -> tuple:
@@ -187,15 +185,19 @@ def _solve_pair(action, x_i, x_f, T, n_nodes, init_path, values):
 
 
 def _normalize_n_nodes(n_nodes):
-    """Either a node count or a (coarse, fine) pair with halved step."""
-    if isinstance(n_nodes, (tuple, list)):
-        if len(n_nodes) != 2:
-            raise ValueError("n_nodes pair must have exactly two entries")
-        coarse, fine = (_as_integer(n, "n_nodes") for n in n_nodes)
-        if fine != 2 * coarse - 1:
-            raise ValueError("fine node count must be 2*coarse - 1 (halved step)")
-        return (coarse, fine)
-    return _as_integer(n_nodes, "n_nodes")
+    """Either a node count or a (coarse, fine) pair with halved step, each
+    count at least the trajectory solver's MIN_NODES."""
+    pair = isinstance(n_nodes, (tuple, list))
+    if pair and len(n_nodes) != 2:
+        raise ValueError("n_nodes pair must have exactly two entries")
+    counts = tuple(_as_integer(n, "n_nodes") for n in (n_nodes if pair else (n_nodes,)))
+    if min(counts) < MIN_NODES:
+        raise ValueError(f"at least {MIN_NODES} mesh nodes required, got {n_nodes}")
+    if not pair:
+        return counts[0]
+    if counts[1] != 2 * counts[0] - 1:
+        raise ValueError("fine node count must be 2*coarse - 1 (halved step)")
+    return counts
 
 
 @dataclass
@@ -318,35 +320,6 @@ def fit_residual(
     return ev.detail(trial, log_z=log_z).objective
 
 
-def quantum_action_log_norm_sq(action: ActionSpec, grid: Grid) -> float:
-    """ln of integral exp(-2 Phi/hbar) over the grid, Phi the settling action.
-
-    Phi(x) is the zero-energy action from the potential minimum to x,
-    computed along straight rays (exact in 1-D; a declared convention in
-    2-D). The minimum is Newton's from the lowest grid node. Used to pin
-    ln Z = -ln of this integral.
-    """
-    return _log_norm_sq(action, grid, *action.potential.minimum(grid.nodes()))
-
-
-def _log_norm_sq(action: ActionSpec, grid: Grid, r0: np.ndarray, vmin: float) -> float:
-    """quantum_action_log_norm_sq with the minimum (r0, vmin) given."""
-    pot = action.potential
-    pts = grid.nodes().reshape(grid.size, grid.dim)
-    d = pts - r0
-    dist = np.sqrt(np.sum(d * d, axis=1))
-    ray = r0[None, None, :] + _RAY_S[None, :, None] * d[:, None, :]
-    vals = pot.evaluate_points(ray.reshape(-1, grid.dim)).reshape(grid.size, len(_RAY_S))
-    integ = np.sqrt(np.maximum(2.0 * action.mass * (vals - vmin), 0.0))
-    phi = dist * (integ @ _RAY_W)
-    w = grid.weights_flat()
-    return float(np.log(np.dot(w, np.exp(-2.0 * phi / action.hbar))))
-
-
-def _finite_or_none(v: float):
-    return v if math.isfinite(v) else None
-
-
 @dataclass(frozen=True, eq=False)
 class FitResult:
     """Optimized trial action with its offset and residual diagnostics."""
@@ -370,7 +343,6 @@ class FitResult:
             raise ValueError("fitted potential must be confining")
 
     def to_json_dict(self) -> dict:
-        res = [_finite_or_none(v) for v in self.per_pair_residuals]
         return {
             "quantum": self.quantum.to_json_dict(),
             "T": self.T,
@@ -380,9 +352,9 @@ class FitResult:
             "iterations": self.iterations,
             "failed_pairs": list(self.failed_pairs),
             "potential_minimum": self.potential_minimum,
-            "per_pair_residuals": res,
+            "per_pair_residuals": _json_floats(self.per_pair_residuals),
             "gradient_norm": self.gradient_norm,
-            "parameter_uncertainties": [_finite_or_none(v) for v in self.parameter_uncertainties],
+            "parameter_uncertainties": _json_floats(self.parameter_uncertainties),
         }
 
 
@@ -475,9 +447,9 @@ def fit_quantum_action(
         )
     hb, T = problem.classical.hbar, problem.T
     grid = problem.table.grid
-    r0, vmin = shape.potential.minimum(grid.nodes())
+    _, vmin = shape.potential.minimum(grid.nodes())
     if problem.constant_index is not None:
-        log_z = -_log_norm_sq(shape, grid, r0, vmin)
+        log_z = -quantum_action_log_norm_sq(shape, grid)
         v0 = hb * (log_z - det.log_z_free) / T
         quantum = _trial_from_theta(problem, theta, v0=v0)
         vmin += v0

@@ -18,6 +18,7 @@ from .model import ActionSpec, PolynomialPotential, _derivative_terms, _polynomi
 
 NEWTON_RTOL = 1e-10
 MAX_NEWTON = 60
+MIN_NODES = 32  # fewest mesh nodes of a two-point solve
 
 
 @dataclass(frozen=True)
@@ -151,8 +152,8 @@ def solve_euclidean_bvp(
     """
     if T <= 0:
         raise ValueError(f"transition time must be positive, got {T}")
-    if n_nodes < 32:
-        raise ValueError(f"at least 32 mesh nodes required, got {n_nodes}")
+    if n_nodes < MIN_NODES:
+        raise ValueError(f"at least {MIN_NODES} mesh nodes required, got {n_nodes}")
     dim = action.dimension
     x_i = np.atleast_1d(np.asarray(x_i, dtype=float))
     x_f = np.atleast_1d(np.asarray(x_f, dtype=float))

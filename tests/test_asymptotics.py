@@ -16,6 +16,7 @@ from qaction import (
     hydrogen_sector,
     hydrogen_table,
     invert_transformation_law,
+    quantum_action_log_norm_sq,
     transformation_law_residual,
     transformation_law_residual_grid,
     wkb_compare,
@@ -280,6 +281,10 @@ def test_hydrogen_validation():
         hydrogen_sector(0)
     with pytest.raises(ValueError):
         hydrogen_sector(1.5)
+    # integers only: neither a bool nor an integral float
+    for l in (True, 2.0, "2"):
+        with pytest.raises(ValueError, match="angular momentum"):
+            hydrogen_sector(l)
     with pytest.raises(ValueError):
         hydrogen_sector(1, e2=0)
     with pytest.raises(ValueError):
@@ -293,3 +298,16 @@ def test_hydrogen_table_rows():
         [2, 2.0, pytest.approx(2.0 / 3.0), pytest.approx(-1.0 / 18.0)],
         [3, 4.5, 0.75, -0.03125],
     ]
+
+
+def test_ground_state_norm_is_the_fits_log_z_pin():
+    """-2 ln psi(0) is ln N^2, the integral quantum_action_log_norm_sq pins
+    ln Z with; both read one settling action Phi (zero at the minimum x = 0)."""
+    trial = ActionSpec(
+        mass=1.0,
+        potential=PolynomialPotential(1, {(0,): 0.42, (2,): 0.02, (4,): 0.25}, confining=True),
+    )
+    grid = Grid((7.0,), (5601,))
+    state = ground_state_from_quantum_action(trial, grid)
+    log_psi0 = math.log(state.psi[grid.index_of((0.0,))])
+    assert abs(-2.0 * log_psi0 - quantum_action_log_norm_sq(trial, grid)) < 1e-14

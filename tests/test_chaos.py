@@ -255,3 +255,23 @@ def test_each_orbit_gives_the_same_crossings_alone(coupled):
     for ic, pts in zip(ics, together.orbits):
         alone = generate_section(coupled, dataclasses.replace(spec, initial_conditions=(ic,)))
         assert np.array_equal(alone.orbits[0], pts)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("plane_axis", 1.0),
+        ("max_crossings", 2.5),
+        ("orientation", True),
+        ("max_steps", 1e7),
+        ("energy", True),
+        ("dt", "0.001"),
+        ("plane_value", math.nan),
+    ],
+)
+def test_section_spec_reads_numbers_and_integers_by_the_one_rule(coupled, field, value):
+    """A fractional max_crossings used to step max_steps per orbit before failing,
+    and a float plane axis to fail with a TypeError inside the stepper."""
+    ics = section_initial_conditions(coupled, 2.0, 1)
+    with pytest.raises(ValueError, match=field):
+        SectionSpec(**{"energy": 2.0, "initial_conditions": ics, field: value})

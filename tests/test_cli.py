@@ -702,6 +702,9 @@ SPAN_PAIRS = {"points_per_axis": 3, "span": [-1.0, 1.0]}
         ("poincare", dict(POINCARE_BASE, fit_result={"quantum": dict(COUPLED_TRIAL, mass=True)})),
         ("poincare", dict(POINCARE_BASE, fit_result={"quantum": dict(COUPLED_TRIAL, potential={
             "dim": 2, "terms": [{"exp": [2, 0], "coef": "0.5"}, {"exp": [0, 2], "coef": 0.5}]})})),
+        # fewer mesh nodes than the trajectory solver takes, as a count or a pair
+        ("fit", dict(FIT_BASE, T=2.0, n_nodes=10)),
+        ("fit", dict(FIT_BASE, T=2.0, n_nodes=[16, 31])),
     ],
 )
 def test_boolean_for_a_number_exits_2_leaving_no_files(tmp_path, monkeypatch, command, payload):

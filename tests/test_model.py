@@ -150,6 +150,12 @@ def test_scale_transform_identity_and_inverse():
         ScaleTransform(-1.0)
 
 
+@pytest.mark.parametrize("alpha", [True, "2", math.inf, math.nan])
+def test_scale_transform_alpha_is_a_number(alpha):
+    with pytest.raises(ValueError, match="alpha"):
+        ScaleTransform(alpha)
+
+
 def test_json_round_trip_canonical_order():
     pot = PolynomialPotential(2, {(2, 2): 0.05, (0, 2): 0.5, (2, 0): 0.5})
     act = ActionSpec(mass=2.0, potential=pot, hbar=0.5)

@@ -83,6 +83,18 @@ def test_eigenvectors_orthonormal(ho):
     npt.assert_allclose(sd.overlap_matrix(), np.eye(5), atol=1e-10)
 
 
+def test_dense_window_states_orthonormal_where_they_reach_the_wall():
+    """The coupled window at T = 1.5 holds states that reach the box edge,
+    where trapezoid weights would miss their plain-sum orthogonality."""
+    coupled = ActionSpec(
+        mass=1.0, potential=PolynomialPotential(2, {(2, 0): 0.5, (0, 2): 0.5, (2, 2): 0.05})
+    )
+    sd = decompose_for_time(coupled, DENSE_GRID, 1.5)
+    k = len(sd.eigenvalues)
+    assert k > 100
+    assert np.max(np.abs(sd.overlap_matrix() - np.eye(k))) < 1e-12
+
+
 def test_spectral_decompose_validates_k(ho):
     grid = Grid((8.0,), (64,))
     H = discretize_hamiltonian(ho, grid)
