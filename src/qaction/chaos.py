@@ -24,6 +24,8 @@ _CONVENTIONS = ("above-minimum", "absolute")
 # placement in the section plane, the "seed" of a section
 _PLASTIC = 1.3247179572447460260
 _R2_ALPHA = (1.0 / _PLASTIC, 1.0 / _PLASTIC**2)
+MAX_START_INDEX = 2**53  # every start index up to it converts to a float exactly
+MAX_BOXES = 4096  # boxes per axis of an occupancy partition
 
 
 @dataclass(frozen=True)
@@ -122,8 +124,9 @@ def section_initial_conditions(
         raise ValueError("need at least one orbit")
     if not 0.0 < fill_fraction < 1.0:
         raise ValueError("fill_fraction must lie strictly between 0 and 1")
-    if start_index < 0:
-        raise ValueError("start_index must be non-negative")
+    start_index = _as_integer(start_index, "start_index")
+    if not 0 <= start_index <= MAX_START_INDEX:
+        raise ValueError(f"start_index must lie in [0, 2**53], got {start_index}")
     probe = SectionSpec(
         energy=energy,
         initial_conditions=(PhaseState((0.0, 0.0), (0.0, 1.0)),),
@@ -292,6 +295,14 @@ def generate_section(action: ActionSpec, spec: SectionSpec) -> PoincareSection:
     return PoincareSection(spec=spec, action_used=action, e_absolute=e_abs, orbits=orbits)
 
 
+def _box_counts(boxes) -> tuple:
+    """(nx, npx) of a box partition: two integers in [2, MAX_BOXES]."""
+    counts = tuple(_as_integer(b, "boxes") for b in boxes)
+    if len(counts) != 2 or not all(2 <= b <= MAX_BOXES for b in counts):
+        raise ValueError(f"boxes must be two integers in [2, {MAX_BOXES}], got {list(boxes)}")
+    return counts
+
+
 def _occupied_boxes(section: PoincareSection, boxes, x_max, p_max) -> set:
     nx, npx = boxes
     occupied = set()
@@ -325,9 +336,7 @@ def section_occupancy(section: PoincareSection, boxes: tuple = (48, 48)) -> floa
     """Fraction of energetically allowed boxes visited by the section."""
     if section.n_points == 0:
         raise ValueError("cannot measure occupancy of an empty section")
-    nx, npx = int(boxes[0]), int(boxes[1])
-    if nx < 2 or npx < 2:
-        raise ValueError("need at least a 2x2 box partition")
+    nx, npx = _box_counts(boxes)
     x_max, p_max = _plane_extent(section.action_used, section.spec, section.e_absolute)
     occ = _occupied_boxes(section, (nx, npx), x_max, p_max)
     allowed = _allowed_boxes(section, (nx, npx), x_max, p_max)
@@ -412,7 +421,7 @@ def compare_sections(
         raise ValueError("sections use different planes or orientations")
     if classical.n_points == 0 or quantum.n_points == 0:
         raise ValueError("cannot compare empty sections")
-    nx, npx = int(boxes[0]), int(boxes[1])
+    nx, npx = _box_counts(boxes)
     xa, pa = _plane_extent(classical.action_used, sa, classical.e_absolute)
     xb, pb = _plane_extent(quantum.action_used, sb, quantum.e_absolute)
     x_max, p_max = max(xa, xb), max(pa, pb)

@@ -40,6 +40,7 @@ from .asymptotics import (
 )
 from .chaos import (
     SectionSpec,
+    _box_counts,
     compare_sections,
     generate_section,
     orbit_thickness,
@@ -361,8 +362,7 @@ def cmd_poincare(cfg: dict, args) -> list:
     convention = _get(cfg, "energy_convention", str, default="above-minimum")
     fill = _number(cfg, "fill_fraction", default=0.9)
     start_index = _integer(cfg, "start_index", default=1)
-    boxes = tuple(_as_integer(b, "boxes") for b in _get(cfg, "boxes", list, default=[48, 48]))
-    _expect(len(boxes) == 2 and min(boxes) >= 2, "boxes must be two integers >= 2")
+    boxes = _box_counts(_get(cfg, "boxes", list, default=[48, 48]))
     plane = _get(cfg, "plane", dict, default={})
     plane_axis = _integer(plane, "axis", default=1, where="plane")
     plane_value = _number(plane, "value", default=0.0, where="plane")

@@ -219,6 +219,139 @@ def _finish_solution(action, path, T, res, ok) -> TrajectorySolution:
 _FR_THETA = 1.0 / (2.0 - 2.0 ** (1.0 / 3.0))
 _FR_DRIFT = (_FR_THETA / 2.0, (1.0 - _FR_THETA) / 2.0)
 _FR_KICK = (_FR_THETA, 1.0 - 2.0 * _FR_THETA)
+C_FLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")  # no FMA, no -ffast-math
+C_BUILD_TIMEOUT_S = 30.0
+C_CHUNK = 2**62  # most steps per call of the C loop: a C long wraps a larger count silently
+
+
+def _step_statements(dimension: int, terms: tuple, mass: float, dt: float) -> list:
+    """One Forest-Ruth step of H = (px^2 + py^2)/2m + V on x, y, px, py.
+
+    Each statement is valid Python and valid C: the gradient polynomial and
+    the drift and kick coefficients are float literals combined by ``*`` and
+    ``+`` from left to right, so both languages round every operation alike.
+    A 1-D potential has dV/dy = 0.0, keeping y and py at 0.
+    """
+    names = ("x", "y")[:dimension]
+    grad = [_polynomial_source(_derivative_terms(terms, a), names) for a in range(dimension)] + ["0.0"]
+    m_inv = 1.0 / mass
+    drift = [[f"x += {d * dt * m_inv!r} * px", f"y += {d * dt * m_inv!r} * py"] for d in _FR_DRIFT]
+    kick = [[f"px -= {k * dt!r} * ({grad[0]})", f"py -= {k * dt!r} * ({grad[1]})"] for k in _FR_KICK]
+    return [*drift[0], *kick[0], *drift[1], *kick[1], *drift[1], *kick[0], *drift[0]]
+
+
+def _python_loop(statements: list, q: str):
+    """The loop as a Python function; its source holds only float literals
+    and the state's names, so it runs without builtins but ``range``."""
+    source = "\n".join([
+        "def loop(n, c, x, y, px, py):",
+        "    k, x0, y0, px0, py0 = 0, x, y, px, py",
+        "    for k in range(1, n + 1):",
+        "        x0 = x; y0 = y; px0 = px; py0 = py",
+        *("        " + s for s in statements),
+        f"        if {q}0 < c <= {q} or {q} <= c < {q}0: break",
+        "    return k, (x0, y0, px0, py0), (x, y, px, py)",
+    ])
+    namespace = {"__builtins__": {"range": range}}
+    exec(source, namespace)
+    loop = namespace["loop"]
+    loop.backend = "python"
+    return loop
+
+
+def _c_loop(statements: list, q: str, python_loop):
+    """The loop compiled as C ``long loop(long n, double c, double *s)``, or None.
+
+    ``s`` holds the state in s[0..3] and the state before the last step in
+    s[4..7]. The shared library is built in a fresh temporary directory and
+    loaded, and the directory is removed before returning, so nothing is left
+    behind. A count beyond ``C_CHUNK`` goes in chunks. None when no
+    compiler is found, the build fails or times out, or the compiled loop
+    differs in any bit from ``python_loop`` on a short probe.
+    """
+    import ctypes
+    import shutil
+    import subprocess
+    import tempfile
+    import threading
+
+    compiler = shutil.which("cc") or shutil.which("gcc")
+    if compiler is None or ctypes.sizeof(ctypes.c_long) < 8:  # a C long must hold C_CHUNK
+        return None
+    source = "\n".join([
+        "long loop(long n, double c, double *s)",
+        "{",
+        "    double x = s[0], y = s[1], px = s[2], py = s[3];",
+        "    double x0 = x, y0 = y, px0 = px, py0 = py;",
+        "    long k = 0;",
+        "    while (k < n) {",
+        "        k++;",
+        "        x0 = x; y0 = y; px0 = px; py0 = py;",
+        *(f"        {s};" for s in statements),
+        f"        if (({q}0 < c && c <= {q}) || ({q} <= c && c < {q}0)) break;",
+        "    }",
+        "    s[0] = x; s[1] = y; s[2] = px; s[3] = py;",
+        "    s[4] = x0; s[5] = y0; s[6] = px0; s[7] = py0;",
+        "    return k;",
+        "}",
+        "",
+    ])
+    try:
+        with tempfile.TemporaryDirectory(prefix="qaction-") as build:
+            path = f"{build}/loop.c"
+            with open(path, "w") as fh:
+                fh.write(source)
+            with subprocess.Popen(
+                [compiler, *C_FLAGS, "-o", f"{build}/loop.so", path],
+                stdin=subprocess.DEVNULL, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+            ) as compiling:
+                # a timer kills a build past its timeout: wait(timeout) would poll
+                # with sleeps that double up to 50 ms, late by up to half a build
+                timer = threading.Timer(C_BUILD_TIMEOUT_S, compiling.kill)
+                timer.start()
+                try:
+                    failed = compiling.wait() != 0
+                finally:
+                    timer.cancel()
+            if failed:
+                return None
+            compiled = ctypes.CDLL(f"{build}/loop.so").loop  # holds its library loaded
+    except OSError:
+        return None
+    compiled.argtypes = (ctypes.c_long, ctypes.c_double, ctypes.POINTER(ctypes.c_double))
+    compiled.restype = ctypes.c_long
+    axis = "xy".index(q)
+    state_type = ctypes.c_double * 8
+
+    def loop(n, c, x, y, px, py):
+        s = state_type(x, y, px, py)
+        k = compiled(max(min(n, C_CHUNK), 0), c, s)
+        while k < n and k % C_CHUNK == 0:
+            q0, q1 = s[4 + axis], s[axis]
+            if q0 < c <= q1 or q1 <= c < q0:  # the last step of a full chunk crossed
+                break
+            k += compiled(min(n - k, C_CHUNK), c, s)
+        return k, tuple(s[4:]), tuple(s[:4])
+
+    loop.backend = "c"
+    return loop if _same_bits(loop, python_loop, axis) else None
+
+
+def _same_bits(loop, reference, axis: int) -> bool:
+    """Whether two loops agree in every bit over a few dozen steps, run once
+    without a plane and once with a plane crossed on the way."""
+    import struct
+
+    start = (0.3, -0.2, 0.5, 0.7)
+    _, _, end = reference(40, math.nan, *start)
+    planes = (math.nan, 0.5 * (start[axis] + end[axis]))
+    runs = [(40, c, *start) for c in planes]
+
+    def pack(result):
+        k, before, after = result
+        return k, struct.pack("8d", *before, *after)
+
+    return all(pack(loop(*run)) == pack(reference(*run)) for run in runs)
 
 
 @functools.lru_cache(maxsize=64)
@@ -228,30 +361,14 @@ def _step_loop(dimension: int, terms: tuple, mass: float, dt: float, plane_axis:
     Takes at most n steps of H = (px^2 + py^2)/2m + V and returns after the
     first step k at which the plane coordinate (x or y by plane_axis) changes
     side of c, with the states (x, y, px, py) before and after that step; c =
-    nan is a plane no step crosses. The source holds the gradient polynomial and
-    the drift and kick coefficients as float literals, so it runs without
-    builtins but ``range``. A 1-D potential has dV/dy = 0.0, keeping y and py
-    at 0.
+    nan is a plane no step crosses. The loop runs as C when a C compiler is
+    on PATH and as generated Python otherwise, with the same bits either way;
+    ``loop.backend`` names the one that runs.
     """
-    names = ("x", "y")[:dimension]
-    grad = [_polynomial_source(_derivative_terms(terms, a), names) for a in range(dimension)] + ["0.0"]
-    m_inv = 1.0 / mass
-    drift = [f"x += {d * dt * m_inv!r} * px; y += {d * dt * m_inv!r} * py" for d in _FR_DRIFT]
-    kick = [f"px -= {k * dt!r} * ({grad[0]}); py -= {k * dt!r} * ({grad[1]})" for k in _FR_KICK]
+    statements = _step_statements(dimension, terms, mass, dt)
     q = "xy"[plane_axis]
-    body = [drift[0], kick[0], drift[1], kick[1], drift[1], kick[0], drift[0],
-            f"if {q}0 < c <= {q} or {q} <= c < {q}0: break"]
-    source = "\n".join([
-        "def loop(n, c, x, y, px, py):",
-        "    k, x0, y0, px0, py0 = 0, x, y, px, py",
-        "    for k in range(1, n + 1):",
-        "        x0 = x; y0 = y; px0 = px; py0 = py",
-        *("        " + line for line in body),
-        "    return k, (x0, y0, px0, py0), (x, y, px, py)",
-    ])
-    namespace = {"__builtins__": {"range": range}}
-    exec(source, namespace)
-    return namespace["loop"]
+    python_loop = _python_loop(statements, q)
+    return _c_loop(statements, q, python_loop) or python_loop
 
 
 def integrate_realtime(

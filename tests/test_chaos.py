@@ -174,8 +174,10 @@ def test_initial_conditions_validation(coupled, ho):
         section_initial_conditions(coupled, 2.0, 0)
     with pytest.raises(ValueError):
         section_initial_conditions(coupled, 2.0, 4, fill_fraction=1.0)
-    with pytest.raises(ValueError):
-        section_initial_conditions(coupled, 2.0, 4, start_index=-1)
+    for start_index in (-1, 2**53 + 1, 10**400, 1.0, True):
+        with pytest.raises(ValueError, match="start_index"):
+            section_initial_conditions(coupled, 2.0, 4, start_index=start_index)
+    assert len(section_initial_conditions(coupled, 2.0, 2, start_index=2**53)) == 2
     with pytest.raises(ValueError, match="does not reach"):
         section_initial_conditions(
             coupled, 0.5, 2, plane_value=10.0, energy_convention="absolute"
@@ -246,6 +248,10 @@ def test_occupancy_validation(coupled, coupled_section_low):
         section_occupancy(empty)
     with pytest.raises(ValueError):
         section_occupancy(coupled_section_low, (1, 5))
+    for boxes in ((8, 2**63), (4097, 8), (8.0, 8), (8, 8, 8)):
+        with pytest.raises(ValueError, match="boxes"):
+            section_occupancy(coupled_section_low, boxes)
+    assert 0.0 < section_occupancy(coupled_section_low, (2, 4096)) <= 1.0
 
 
 def test_each_orbit_gives_the_same_crossings_alone(coupled):

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -12,6 +13,7 @@ import scipy.linalg
 from qaction import Grid, propagator
 from qaction.cli import _parse_pairs, main
 from qaction.qfit import FLOW_CSV_HEADER
+from qaction.trajectory import _step_loop
 
 HO = {
     "mass": 1.0,
@@ -728,6 +730,30 @@ def test_subnormal_mass_exits_2_leaving_no_files(tmp_path):
     out = tmp_path / "tiny"
     assert main(["poincare", "--config", cfg, "--out", str(out)]) == 2
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [dict(POINCARE_BASE, boxes=[8, 2**63]), dict(POINCARE_BASE, start_index=10**400)],
+    ids=["boxes", "start_index"],
+)
+def test_poincare_value_outside_its_range_exits_2_leaving_no_files(tmp_path, payload):
+    cfg = write_cfg(tmp_path, "range.json", payload)
+    out = tmp_path / "range"
+    assert main(["poincare", "--config", cfg, "--out", str(out)]) == 2
+    assert not out.exists()
+
+
+def test_poincare_leaves_no_file_in_the_temporary_directory(tmp_path, monkeypatch):
+    """The compiled step loop is built in a temporary directory, removed again."""
+    _step_loop.cache_clear()
+    scratch = tmp_path / "tmp"
+    scratch.mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(scratch))
+    cfg = write_cfg(tmp_path, "poinc.json", POINCARE_BASE)
+    assert main(["poincare", "--config", cfg, "--out", str(tmp_path / "p")]) == 0
+    assert list(scratch.iterdir()) == []
+    assert sorted(p.name for p in (tmp_path / "p").iterdir()) == ["comparison.json", "section_classical.csv"]
 
 
 def test_boolean_still_accepted_where_a_flag_is_expected(tmp_path):

@@ -1,6 +1,9 @@
 import dataclasses
 import itertools
 import math
+import shutil
+import tempfile
+from unittest import mock
 
 import numpy as np
 import numpy.testing as npt
@@ -22,7 +25,10 @@ from qaction import (
     solve_euclidean_bvp,
 )
 from qaction.chaos import _henon_refine, _orbit_crossings
-from qaction.trajectory import _step_loop
+from qaction import trajectory
+from qaction.trajectory import _c_loop, _python_loop, _step_loop, _step_statements
+
+COMPILER = shutil.which("cc") or shutil.which("gcc")
 
 COTH1_OVER_2 = 0.5 / math.tanh(1.0)
 
@@ -284,6 +290,17 @@ def bits(state):
     return tuple(v.hex() for v in state)
 
 
+def step_loops(*key):
+    """The step loop of ``key`` on both back-ends: the cached one, compiled
+    where a C compiler is on PATH, and one built with the compiler hidden."""
+    loop = _step_loop(*key)
+    assert loop.backend == ("c" if COMPILER else "python")
+    with mock.patch("shutil.which", return_value=None):
+        python = _step_loop.__wrapped__(*key)
+    assert python.backend == "python"
+    return loop, python
+
+
 @st.composite
 def actions_and_states(draw):
     dimension = draw(st.sampled_from([1, 2]))
@@ -306,10 +323,11 @@ def test_step_loop_matches_plain_forest_ruth_bitwise(case, n):
     action, state, dt = case
     pot = action.potential
     expected = reference_states(action, state, dt, n)
-    k, before, after = _step_loop(pot.dimension, pot.terms, action.mass, dt, 1)(n, math.nan, *state)
-    assert k == n
-    assert bits(after) == bits(expected[-1])
-    assert bits(before) == bits(expected[-2] if n > 1 else state)
+    for loop in step_loops(pot.dimension, pot.terms, action.mass, dt, 1):
+        k, before, after = loop(n, math.nan, *state)
+        assert k == n
+        assert bits(after) == bits(expected[-1])
+        assert bits(before) == bits(expected[-2] if n > 1 else state)
     if action.dimension == 2:
         s0 = PhaseState(state[:2], state[2:])
         if not all(map(math.isfinite, expected[-1])):
@@ -333,10 +351,12 @@ def test_step_landing_on_the_plane_takes_the_side_it_left(coupled_2d, py0):
     ref = reference_states(coupled_2d, start, 1e-3, k)
     c = ref[k - 1][1]
     pot = coupled_2d.potential
-    loop = _step_loop(2, pot.terms, 1.0, 1e-3, 1)
-    steps, before, after = loop(10**6, c, *start)
-    assert steps == k and after[1] == c
-    assert bits(before) == bits(ref[k - 2]) and bits(after) == bits(ref[k - 1])
+    for loop in step_loops(2, pot.terms, 1.0, 1e-3, 1):
+        steps, before, after = loop(10**6, c, *start)
+        assert steps == k and after[1] == c
+        assert bits(before) == bits(ref[k - 2]) and bits(after) == bits(ref[k - 1])
+        # moving on from the plane is no second crossing
+        assert loop(5, c, *after)[0] == 5
 
     orient = 1 if py0 > 0 else -1
     spec = SectionSpec(
@@ -370,3 +390,83 @@ def test_max_steps_counts_every_step_across_returns(coupled_2d):
     assert len(generate_section(coupled_2d, spec).orbits[0]) == crossings
     with pytest.raises(NumericalError, match="did not reach"):
         generate_section(coupled_2d, dataclasses.replace(spec, max_steps=last - 1))
+
+
+# -- the compiled back-end and its Python fallback ---------------------------
+
+
+def test_step_count_beyond_a_c_long_stops_at_the_crossing(coupled_2d):
+    """2**64 + 3 would reach C as 3; the loop goes in chunks and still stops
+    at the crossing of step 40."""
+    start = (0.3, 0.0, 0.5, 0.9)
+    ref = reference_states(coupled_2d, start, 1e-3, 40)
+    c = 0.5 * (ref[38][1] + ref[39][1])
+    for loop in step_loops(2, coupled_2d.potential.terms, 1.0, 1e-3, 1):
+        k, before, after = loop(2**64 + 3, c, *start)
+        assert k == 40
+        assert bits(before) == bits(ref[38]) and bits(after) == bits(ref[39])
+        assert loop(-(2**64) + 5, c, *start) == (0, start, start)
+
+
+def test_chunked_calls_take_every_step_and_stop_at_a_chunk_end(coupled_2d, monkeypatch):
+    """In chunks of 8 steps, a run without a plane takes all 45 steps, and a
+    crossing on step 40, the last of a full chunk, ends the loop there."""
+    monkeypatch.setattr(trajectory, "C_CHUNK", 8)
+    start = (0.3, 0.0, 0.5, 0.9)
+    ref = reference_states(coupled_2d, start, 1e-3, 45)
+    c = 0.5 * (ref[38][1] + ref[39][1])
+    for loop in step_loops(2, coupled_2d.potential.terms, 1.0, 1e-3, 1):
+        k, before, after = loop(45, math.nan, *start)
+        assert k == 45 and bits(before) == bits(ref[43]) and bits(after) == bits(ref[44])
+        k, before, after = loop(2**64 + 3, c, *start)
+        assert k == 40 and bits(after) == bits(ref[39])
+
+
+def _coupled_run(loop):
+    return loop(5000, math.nan, 1.5, 0.3, 0.0, 2.0)
+
+
+def test_hidden_compiler_runs_the_python_loop_with_the_same_bits(coupled_2d, monkeypatch):
+    key = (2, coupled_2d.potential.terms, 1.0, 1e-3, 1)
+    expected = _coupled_run(_step_loop(*key))
+    monkeypatch.setattr(shutil, "which", lambda name: None)
+    loop = _step_loop.__wrapped__(*key)
+    assert loop.backend == "python"
+    assert _coupled_run(loop) == expected
+
+
+def test_failed_build_runs_the_python_loop(coupled_2d, monkeypatch, tmp_path):
+    key = (2, coupled_2d.potential.terms, 1.0, 1e-3, 1)
+    expected = _coupled_run(_step_loop(*key))
+    false = shutil.which("false")
+    monkeypatch.setattr(shutil, "which", lambda name: false)
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    loop = _step_loop.__wrapped__(*key)
+    assert loop.backend == "python"
+    assert _coupled_run(loop) == expected
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_build_past_its_timeout_runs_the_python_loop(coupled_2d, monkeypatch, tmp_path):
+    hanging = tmp_path / "cc"
+    hanging.write_text("#!/bin/sh\nexec sleep 30\n")
+    hanging.chmod(0o755)
+    monkeypatch.setattr(shutil, "which", lambda name: str(hanging))
+    monkeypatch.setattr(trajectory, "C_BUILD_TIMEOUT_S", 0.2)
+    loop = _step_loop.__wrapped__(2, coupled_2d.potential.terms, 1.0, 1e-3, 1)
+    assert loop.backend == "python"
+
+
+def test_compiled_loop_that_differs_from_python_is_refused(coupled_2d):
+    """The probe compares bits: a loop built for another dt is not taken."""
+    terms = coupled_2d.potential.terms
+    other_dt = _python_loop(_step_statements(2, terms, 1.0, 2e-3), "y")
+    assert _c_loop(_step_statements(2, terms, 1.0, 1e-3), "y", other_dt) is None
+
+
+@pytest.mark.skipif(COMPILER is None, reason="no C compiler on PATH")
+def test_c_build_leaves_no_file_behind(coupled_2d, monkeypatch, tmp_path):
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    loop = _step_loop.__wrapped__(2, coupled_2d.potential.terms, 1.0, 1e-3, 0)
+    assert loop.backend == "c"
+    assert list(tmp_path.iterdir()) == []
