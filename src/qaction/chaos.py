@@ -10,6 +10,7 @@ potential by the ground energy, and that shift must not read as dynamics.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -73,16 +74,16 @@ def _absolute_energy(action: ActionSpec, spec: SectionSpec) -> float:
     return vmin + spec.energy
 
 
-def _plane_extent(action: ActionSpec, spec: SectionSpec, e_abs: float) -> tuple:
+@functools.lru_cache(maxsize=16)
+def _plane_extent(action: ActionSpec, plane_axis: int, plane_value: float, e_abs: float) -> tuple:
     """Half-widths (x_max, p_max) of the allowed region inside the plane."""
     pot = action.potential
-    axis = 1 - spec.plane_axis  # in-plane position coordinate
-    c = spec.plane_value
+    axis = 1 - plane_axis  # in-plane position coordinate
 
     def v_line(u: float) -> float:
         z = [0.0, 0.0]
         z[axis] = u
-        z[spec.plane_axis] = c
+        z[plane_axis] = plane_value
         return pot(tuple(z))
 
     if v_line(0.0) >= e_abs:
@@ -136,7 +137,7 @@ def section_initial_conditions(
         energy_convention=energy_convention,
     )
     e_abs = _absolute_energy(action, probe)
-    x_max, _ = _plane_extent(action, probe, e_abs)
+    x_max, _ = _plane_extent(action, probe.plane_axis, probe.plane_value, e_abs)
     pot = action.potential
     m = action.mass
     axis = 1 - plane_axis
@@ -337,7 +338,8 @@ def section_occupancy(section: PoincareSection, boxes: tuple = (48, 48)) -> floa
     if section.n_points == 0:
         raise ValueError("cannot measure occupancy of an empty section")
     nx, npx = _box_counts(boxes)
-    x_max, p_max = _plane_extent(section.action_used, section.spec, section.e_absolute)
+    spec = section.spec
+    x_max, p_max = _plane_extent(section.action_used, spec.plane_axis, spec.plane_value, section.e_absolute)
     occ = _occupied_boxes(section, (nx, npx), x_max, p_max)
     allowed = _allowed_boxes(section, (nx, npx), x_max, p_max)
     return len(occ) / allowed
@@ -350,7 +352,8 @@ def orbit_thickness(section: PoincareSection, n_angle_bins: int = 32) -> list:
     average over angular bins of the radial standard deviation, a proxy for
     how far the cloud departs from a thin closed curve.
     """
-    x_max, p_max = _plane_extent(section.action_used, section.spec, section.e_absolute)
+    spec = section.spec
+    x_max, p_max = _plane_extent(section.action_used, spec.plane_axis, spec.plane_value, section.e_absolute)
     out = []
     for pts in section.orbits:
         if len(pts) < 8:
@@ -422,8 +425,8 @@ def compare_sections(
     if classical.n_points == 0 or quantum.n_points == 0:
         raise ValueError("cannot compare empty sections")
     nx, npx = _box_counts(boxes)
-    xa, pa = _plane_extent(classical.action_used, sa, classical.e_absolute)
-    xb, pb = _plane_extent(quantum.action_used, sb, quantum.e_absolute)
+    xa, pa = _plane_extent(classical.action_used, sa.plane_axis, sa.plane_value, classical.e_absolute)
+    xb, pb = _plane_extent(quantum.action_used, sb.plane_axis, sb.plane_value, quantum.e_absolute)
     x_max, p_max = max(xa, xb), max(pa, pb)
     occ_a = _occupied_boxes(classical, (nx, npx), x_max, p_max)
     occ_b = _occupied_boxes(quantum, (nx, npx), x_max, p_max)

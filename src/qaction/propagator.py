@@ -195,11 +195,41 @@ def discretize_hamiltonian(action: ActionSpec, grid: Grid):
     return sp.csr_matrix(H)
 
 
+def _lowest_eigsh(H, k: int):
+    import scipy.sparse.linalg as spla
+
+    # Gershgorin bound (= min V for this stencil) less one: below the spectrum, so LM finds the lowest
+    offdiag = np.asarray(abs(H).sum(axis=1)).ravel() - np.abs(H.diagonal())
+    sigma = float((H.diagonal() - offdiag).min()) - 1.0
+    v0 = np.full(H.shape[0], 1.0 / math.sqrt(H.shape[0]))  # fixed start vector for determinism
+    try:
+        return spla.eigsh(H, k=k, sigma=sigma, which="LM", v0=v0, maxiter=5000)
+    except spla.ArpackNoConvergence as exc:
+        raise NumericalError(f"sparse eigensolver did not converge: {exc}") from exc
+
+
+@functools.lru_cache(maxsize=16)
+def _window_count(action: ActionSpec, grid: Grid, gap: float) -> int:
+    """Count of the grid states below E_0 + gap, made without solving for them: by Sylvester's law
+    of inertia, the negative pivots of H - sigma I factored unpivoted (a Sturm count if tridiagonal)."""
+    import scipy.sparse as sp
+    import scipy.sparse.linalg as spla
+
+    H = discretize_hamiltonian(action, grid)
+    sigma = float(_lowest_eigsh(H, 1)[0][0]) + gap
+    for _ in range(2):
+        A = (H - sigma * sp.identity(grid.size)).tocsc()
+        lu = spla.splu(A, permc_spec="NATURAL", diag_pivot_thresh=0.0, options={"SymmetricMode": True})
+        if np.array_equal(lu.perm_r, np.arange(grid.size)):
+            return int(np.count_nonzero(lu.U.diagonal() < 0.0))
+        sigma += 1e-12 * abs(sigma)  # SuperLU swapped rows at an exactly zero pivot
+    raise NumericalError(f"no pivot-free factorization of H - sigma I near sigma = {sigma:g}")
+
+
 def spectral_decompose(H, k: int, grid: Grid) -> SpectralData:
     """Lowest-k eigenpairs, normalized to unit h^dim-weighted sum of squares,
     each with its largest entry positive."""
     import scipy.linalg
-    import scipy.sparse.linalg as spla
 
     n = H.shape[0]
     if not 1 <= k <= n - 2:
@@ -215,16 +245,7 @@ def spectral_decompose(H, k: int, grid: Grid) -> SpectralData:
         vals, vecs = scipy.linalg.eigh(H.toarray(), subset_by_index=[0, k - 1])
         vecs = vecs.T
     else:
-        # Gershgorin lower bound (= min V for this stencil): a shift strictly
-        # below the spectrum makes shift-invert LM return the lowest pairs
-        diag = H.diagonal()
-        offdiag = np.asarray(abs(H).sum(axis=1)).ravel() - np.abs(diag)
-        sigma = float((diag - offdiag).min()) - 1.0
-        v0 = np.full(n, 1.0 / math.sqrt(n))  # fixed start vector for determinism
-        try:
-            vals, vecs = spla.eigsh(H, k=k, sigma=sigma, which="LM", v0=v0, maxiter=5000)
-        except spla.ArpackNoConvergence as exc:
-            raise NumericalError(f"sparse eigensolver did not converge: {exc}") from exc
+        vals, vecs = _lowest_eigsh(H, k)
         order = np.argsort(vals)
         vals, vecs = vals[order], vecs[:, order].T
     # rescale rows in place: a vectorized rescale would hold a second k x n array
@@ -240,16 +261,6 @@ def _cached_decomposition(action: ActionSpec, grid: Grid, k: int) -> SpectralDat
     return spectral_decompose(H, k, grid)
 
 
-@functools.lru_cache(maxsize=16)
-def _cached_eigenvalues(action: ActionSpec, grid: Grid) -> np.ndarray:
-    """Every eigenvalue of a densely solved grid Hamiltonian, ascending (read-only)."""
-    import scipy.linalg
-
-    vals = scipy.linalg.eigvalsh(discretize_hamiltonian(action, grid).toarray())
-    vals.setflags(write=False)
-    return vals
-
-
 def _truncation_error(kept: int, dropped_gap: float, T: float, hbar: float) -> NumericalError:
     weight = math.exp(-dropped_gap * T / hbar)
     return NumericalError(
@@ -262,22 +273,23 @@ def _truncation_error(kept: int, dropped_gap: float, T: float, hbar: float) -> N
 def decompose_for_time(action: ActionSpec, grid: Grid, T: float) -> SpectralData:
     """Decomposition with enough states that dropped Boltzmann weights < 1e-14.
 
-    A dense 2-D grid takes all eigenvalues first and then solves for the
-    vectors of exactly the states with E - E_0 <= -hbar ln(1e-14) / T. Other
-    grids double k from 32 until the last state solved lies beyond that gap.
-    Raises NumericalError when the grid has too few states to cover it.
+    The states with E - E_0 < -hbar ln(1e-14) / T are counted first, without a
+    solve. A dense 2-D grid solves for exactly those, other grids for the first
+    of 32, 64, 128, ... above the count, doubled while the last state solved
+    lies inside. Raises NumericalError when the grid has too few states.
     """
     if not (math.isfinite(T) and T > 0):
         raise ValueError(f"transition time must be positive and finite, got {T}")
     gap_needed = -action.hbar * math.log(BOLTZMANN_CUTOFF) / T
     kmax = grid.size - 2
+    count = _window_count(action, grid, gap_needed)
     if grid.dim == 2 and grid.size <= DENSE_MAX_NODES:
-        E = _cached_eigenvalues(action, grid)
-        k = int(np.count_nonzero(E - E[0] <= gap_needed))
-        if k > kmax:
+        if count > kmax:
+            import scipy.linalg
+            E = scipy.linalg.eigh(discretize_hamiltonian(action, grid).toarray(), eigvals_only=True)
             raise _truncation_error(kmax, E[kmax] - E[0], T, action.hbar)
-        return _cached_decomposition(action, grid, k)
-    k = min(32, kmax)
+        return _cached_decomposition(action, grid, max(count, 1))
+    k = min(32 << (count // 32).bit_length(), kmax)
     while True:
         sd = _cached_decomposition(action, grid, k)
         gap = sd.eigenvalues[-1] - sd.eigenvalues[0]

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 import scipy.linalg
 
-from qaction import Grid, propagator
+from qaction import Grid, chaos, propagator
 from qaction.cli import _parse_pairs, main
 from qaction.qfit import FLOW_CSV_HEADER
 from qaction.trajectory import _step_loop
@@ -317,6 +317,8 @@ def test_poincare_classical_only(tmp_path):
 
 
 def test_poincare_with_fit_result_gnuplot(tmp_path):
+    """Also: the plane's allowed extent is found once per action, not once per use."""
+    chaos._plane_extent.cache_clear()
     fit_path = tmp_path / "fitres.json"
     fit_path.write_text(json.dumps({"quantum": COUPLED_TRIAL}))
     cfg = write_cfg(
@@ -349,6 +351,7 @@ def test_poincare_with_fit_result_gnuplot(tmp_path):
         "thickness_classical",
         "thickness_quantum",
     }
+    assert chaos._plane_extent.cache_info().misses == 2
 
 
 def test_poincare_missing_fit_result(tmp_path):
@@ -431,7 +434,7 @@ def test_format_choices_enforced(tmp_path, prop_cfg):
 
 def _clear_spectral_caches():
     propagator._cached_decomposition.cache_clear()
-    propagator._cached_eigenvalues.cache_clear()
+    propagator._window_count.cache_clear()
 
 
 def test_off_node_pair_rejected_before_eigensolve(tmp_path, monkeypatch):
@@ -440,7 +443,7 @@ def test_off_node_pair_rejected_before_eigensolve(tmp_path, monkeypatch):
 
     _clear_spectral_caches()
     monkeypatch.setattr(propagator, "spectral_decompose", no_solve)
-    monkeypatch.setattr(scipy.linalg, "eigvalsh", no_solve)
+    monkeypatch.setattr(propagator, "_window_count", no_solve)
     cfg = write_cfg(
         tmp_path,
         "off2d.json",
@@ -456,21 +459,35 @@ def test_off_node_pair_rejected_before_eigensolve(tmp_path, monkeypatch):
     assert not out.exists()
 
 
-def test_dense_propagate_solves_once_per_time(tmp_path, monkeypatch):
-    """One values-only solve per (action, grid), one vector solve per T, and
-    the spectrum.csv lookup after the amplitudes solves nothing again."""
-    calls = {"eigh": 0, "eigvalsh": 0}
+def _count_solves(monkeypatch):
+    """Calls per eigensolver, and per window-count factorization (splu)."""
+    import scipy.sparse.linalg
 
-    def counted(name, func):
+    calls = {}
+
+    def count(module, name):
+        func = getattr(module, name)
+
         def wrapper(*args, **kwargs):
             calls[name] += 1
             return func(*args, **kwargs)
 
-        return wrapper
+        calls[name] = 0
+        monkeypatch.setattr(module, name, wrapper)
 
+    for name in ("eigh", "eigvalsh", "eigh_tridiagonal"):
+        count(scipy.linalg, name)
+    for name in ("eigsh", "splu"):
+        count(scipy.sparse.linalg, name)
     _clear_spectral_caches()
-    monkeypatch.setattr(scipy.linalg, "eigh", counted("eigh", scipy.linalg.eigh))
-    monkeypatch.setattr(scipy.linalg, "eigvalsh", counted("eigvalsh", scipy.linalg.eigvalsh))
+    return calls
+
+
+def test_dense_propagate_solves_once_per_time(tmp_path, monkeypatch):
+    """Per new T one window count (a k = 1 eigsh and one factorization) and one
+    vector solve of exactly the counted states; no values-only solve, and
+    neither the repeated T nor the spectrum.csv lookup solves anything again."""
+    calls = _count_solves(monkeypatch)
     rows = {}
     for T in (3.0, 1.5, 3.0):
         cfg = write_cfg(
@@ -486,8 +503,27 @@ def test_dense_propagate_solves_once_per_time(tmp_path, monkeypatch):
         out = tmp_path / f"dense-{T}"
         assert main(["propagate", "--config", cfg, "--out", str(out)]) == 0
         rows[T] = len(read_rows(out / "spectrum.csv")[1])
-    assert calls == {"eigh": 2, "eigvalsh": 1}
+    assert calls == {"eigh": 2, "eigvalsh": 0, "eigh_tridiagonal": 0, "eigsh": 2, "splu": 2}
     assert rows[3.0] == 78 < rows[1.5]
+
+
+def test_tridiagonal_propagate_solves_once(tmp_path, monkeypatch):
+    """V = x^4 at T = 0.05 has 101 states in the window: the count sizes the
+    solve at 128 states at once, where doubling from 32 solved three times."""
+    calls = _count_solves(monkeypatch)
+    cfg = write_cfg(
+        tmp_path,
+        "quartic.json",
+        {
+            "action": dict(HO, potential={"dim": 1, "terms": [{"exp": [4], "coef": 1.0}]}),
+            "grid": {"extents": [7.0], "npoints": [401]},
+            "T": 0.05,
+            "pairs": [[0.0, 0.35]],
+        },
+    )
+    assert main(["propagate", "--config", cfg, "--out", str(tmp_path / "quartic")]) == 0
+    assert calls == {"eigh": 0, "eigvalsh": 0, "eigh_tridiagonal": 1, "eigsh": 1, "splu": 1}
+    assert len(read_rows(tmp_path / "quartic" / "spectrum.csv")[1]) == 128
 
 
 def test_analytic_without_e_gr_solves_the_ground_state_once(tmp_path, monkeypatch):
@@ -652,8 +688,9 @@ def test_non_finite_or_fractional_input_exit_2_before_eigensolve(tmp_path, monke
         raise AssertionError("eigensolver reached with invalid input")
 
     _clear_spectral_caches()
-    for solver in ("eigh_tridiagonal", "eigh", "eigvalsh"):
+    for solver in ("eigh_tridiagonal", "eigh"):
         monkeypatch.setattr(scipy.linalg, solver, no_solve)
+    monkeypatch.setattr(propagator, "_window_count", no_solve)
     cfg = write_cfg(tmp_path, "bad.json", payload)
     out = tmp_path / "bad"
     assert main([command, "--config", cfg, "--out", str(out)]) == 2
@@ -714,8 +751,9 @@ def test_boolean_for_a_number_exits_2_leaving_no_files(tmp_path, monkeypatch, co
         raise AssertionError("eigensolver reached with invalid input")
 
     _clear_spectral_caches()
-    for solver in ("eigh_tridiagonal", "eigh", "eigvalsh"):
+    for solver in ("eigh_tridiagonal", "eigh"):
         monkeypatch.setattr(scipy.linalg, solver, no_solve)
+    monkeypatch.setattr(propagator, "_window_count", no_solve)
     if "fit_result" in payload:
         payload = dict(payload, fit_result=write_cfg(tmp_path, "fit.json", payload["fit_result"]))
     cfg = write_cfg(tmp_path, "bool.json", payload)

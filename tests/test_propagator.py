@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import numpy.testing as npt
@@ -20,7 +21,7 @@ from qaction import (
     spectral_decompose,
     tensor_pairs,
 )
-from qaction.propagator import BOLTZMANN_CUTOFF, decompose_for_time
+from qaction.propagator import BOLTZMANN_CUTOFF, _window_count, decompose_for_time
 
 # 1681 nodes: decomposed by the dense 2-D branch
 DENSE_GRID = Grid((5.0, 5.0), (41, 41))
@@ -221,11 +222,100 @@ def test_dense_separable_amplitudes_factorize(ho):
 
 
 def test_truncated_window_raises(ho):
-    """T = 1e-3 needs every state up to E_0 + 3.2e4; 16 nodes have 14 usable."""
+    """T = 1e-3 needs every state up to E_0 + 3.2e4; 16 nodes have 14 usable.
+    On the dense 2-D grid the weight quoted is that of the first dropped state."""
     with pytest.raises(NumericalError, match=r"weight up to 0\.\d+ of the ground state"):
         decompose_for_time(ho, Grid((8.0,), (16,)), 1e-3)
-    with pytest.raises(NumericalError, match="weight up to"):
+    with pytest.raises(NumericalError, match=r"254 lowest states .* weight up to 0\.937 of the ground state"):
         decompose_for_time(HO_2D, Grid((8.0, 8.0), (16, 16)), 1e-3)
+
+
+def test_window_narrower_than_rounding_keeps_the_ground_state():
+    """At T = 1e20 the window is far below the rounding of E_0, and the
+    inertia count reads 0 on this grid; the ground state is solved anyway."""
+    grid = Grid((6.0, 6.0), (30, 30))
+    assert _window_count(HO_2D, grid, -math.log(BOLTZMANN_CUTOFF) / 1e20) == 0
+    assert len(decompose_for_time(HO_2D, grid, 1e20).eigenvalues) == 1
+
+
+# 2116 nodes: decomposed by the shift-invert branch
+SPARSE_GRID = Grid((6.3, 6.3), (46, 46))
+QUARTIC = ActionSpec(mass=1.0, potential=PolynomialPotential(1, {(4,): 1.0}), hbar=1.0)
+
+
+@pytest.mark.parametrize(
+    "grid, n_levels",
+    [(Grid((6.0,), (301,)), 40), (Grid((6.0, 6.0), (30, 30)), 40), (SPARSE_GRID, 16)],
+    ids=["1d", "2d-dense", "2d-sparse"],
+)
+def test_window_count_equals_the_eigenvalues_below_the_shift(ho, coupled_2d, grid, n_levels):
+    """The inertia count agrees with a full spectrum, also for shifts within
+    1e-9 of an eigenvalue, on either side of it. Midpoints are taken only
+    between distinct levels: the x <-> y pairs are degenerate to 1e-13."""
+    action = ho if grid.dim == 1 else coupled_2d
+    E = scipy.linalg.eigvalsh(discretize_hamiltonian(action, grid).toarray())
+    levels = E[:n_levels]
+    midpoints = (0.5 * (levels[:-1] + levels[1:]))[np.diff(levels) > 1e-6]
+    shifts = np.concatenate([levels - 1e-9, levels + 1e-9, midpoints])
+    for sigma in shifts:
+        assert _window_count(action, grid, sigma - E[0]) == np.count_nonzero(E < sigma), sigma
+
+
+def test_window_count_moves_off_a_zero_pivot(ho, monkeypatch):
+    """A row swap in the factorization raises sigma by a relative 1e-12 and
+    factors again; a second swap raises NumericalError."""
+    import scipy.sparse.linalg as spla
+
+    grid, gap = Grid((6.0,), (301,)), 10.0
+    expected = _window_count(ho, grid, gap)
+    splu, swaps, diagonals = spla.splu, [], []
+
+    def swapping(A, **kwargs):
+        lu = splu(A, **kwargs)
+        diagonals.append(A.diagonal())
+        if swaps:
+            swaps.pop()
+            return SimpleNamespace(U=lu.U, perm_r=lu.perm_r[::-1])
+        return lu
+
+    monkeypatch.setattr(spla, "splu", swapping)
+    _window_count.cache_clear()
+    swaps[:] = [True]
+    assert _window_count(ho, grid, gap) == expected
+    sigma = 0.5 + gap  # E_0 of the oscillator to about 1e-3
+    npt.assert_allclose(diagonals[0] - diagonals[1], 1e-12 * sigma, rtol=2e-2)
+    _window_count.cache_clear()
+    swaps[:] = [True, True]
+    with pytest.raises(NumericalError, match="pivot-free"):
+        _window_count(ho, grid, gap)
+
+
+@pytest.mark.parametrize(
+    "action, grid, times",
+    [
+        (QUARTIC, Grid((7.0,), (1601,)), (0.05, 0.1, 4.0)),
+        (HO_2D, SPARSE_GRID, (4.0, 8.0)),
+    ],
+    ids=["1d-quartic", "2d-sparse"],
+)
+def test_window_sizing_matches_doubling_from_32(action, grid, times):
+    """Off the dense branch the count picks the k that doubling from 32 ends
+    on (128, 64 and 32 here), so the final solve is the same call and its
+    output the same bits."""
+    H = discretize_hamiltonian(action, grid)
+    kmax = grid.size - 2
+    for T in times:
+        gap_needed = -action.hbar * math.log(BOLTZMANN_CUTOFF) / T
+        k = min(32, kmax)
+        while True:
+            old = spectral_decompose(H, k, grid)
+            if old.eigenvalues[-1] - old.eigenvalues[0] >= gap_needed or k >= kmax:
+                break
+            k = min(2 * k, kmax)
+        new = decompose_for_time(action, grid, T)
+        assert len(new.eigenvalues) == k
+        assert np.array_equal(new.eigenvalues, old.eigenvalues)
+        assert np.array_equal(new.eigenvectors, old.eigenvectors)
 
 
 def _node_indices(grid, point):
