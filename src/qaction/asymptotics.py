@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import NumericalError
 from .model import ActionSpec, PolynomialPotential, _as_integer, _bisect_root
-from .propagator import Grid, _cached_decomposition
+from .propagator import Grid, _ground_state
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(15)
 # the same rule mapped onto [0, 1], for integrals along a ray
@@ -152,7 +152,7 @@ def ground_state_from_quantum_action(quantum: ActionSpec, grid: Grid) -> GroundS
 def ground_state_spectral(action: ActionSpec, grid: Grid) -> GroundStateInfo:
     """Reference ground state from direct diagonalization on the same grid
     (solved once per action and grid)."""
-    sd = _cached_decomposition(action, grid, 1)
+    sd = _ground_state(action, grid)
     psi = sd.eigenvectors[0]
     floor = -1e-10 * float(np.max(np.abs(psi)))
     if np.any(psi < floor):

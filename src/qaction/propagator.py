@@ -7,6 +7,18 @@ Eigenfunctions are normalized by the plain sum over nodes times h^dim, the
 inner product under which the stencil's eigenvectors are orthogonal, so they
 carry the continuum 1/sqrt(h) scale per dimension and the sum needs no extra
 factor.
+
+The box is symmetric, so when every term of V has an even exponent along an
+axis, mirroring that axis commutes with H, and H is the direct sum of its
+even and odd blocks there: 2 blocks in 1-D, 4 in 2-D for the potentials of
+the paper (an axis along which some term is odd stays whole, and with no
+even axis H is one block, solved as it stands). Each block lives on the
+x <= 0 half of its split axes, with V taken there and mirrored, so the
+sectors are exact mirrors even though ``linspace`` nodes miss exact mirrors
+by up to 1.8e-15. Blocks are counted and solved one by one, at about a
+quarter of the nodes each in 2-D. The ground state is positive (the stencil
+couples neighbours negatively: Perron-Frobenius), hence even, so E_0 is the
+lowest state of the all-even block.
 """
 from __future__ import annotations
 
@@ -22,13 +34,19 @@ from .model import ActionSpec, _as_integer, _as_number
 
 # spectral terms lighter than this fraction of the leading one are dropped
 BOLTZMANN_CUTOFF = 1e-14
-# 2-D grids up to this many nodes are diagonalized densely, larger ones by shift-invert
-DENSE_MAX_NODES = 2048
+# 2-D blocks of H up to this many nodes are diagonalized densely, larger ones by shift-invert. On the
+# coupled oscillator at T = 3 and 10, with 13 to 20 states per block in the window, dense and
+# shift-invert (32 states) solves of a block break even near 800 nodes (2-core Xeon, scipy 1.17);
+# for larger windows dense stays ahead beyond 1024 nodes.
+DENSE_MAX_NODES = 800
+# the most nodes a grid may hold, per axis and in total
+MAX_GRID_NODES = 2**16
 
 
 @dataclass(frozen=True)
 class Grid:
-    """Symmetric tensor grid [-L, L]^dim with N points per axis (N >= 16)."""
+    """Symmetric tensor grid [-L, L]^dim with N points per axis (N >= 16),
+    at most ``MAX_GRID_NODES`` in all."""
 
     extents: tuple
     npoints: tuple
@@ -46,6 +64,8 @@ class Grid:
             raise ValueError(f"extents must be positive, got {list(ext)}")
         if any(n < 16 for n in npt):
             raise ValueError("at least 16 points per axis required")
+        if math.prod(npt) > MAX_GRID_NODES:
+            raise ValueError(f"a grid holds at most {MAX_GRID_NODES} nodes, per axis and in total")
         object.__setattr__(self, "extents", ext)
         object.__setattr__(self, "npoints", npt)
 
@@ -170,36 +190,97 @@ class PropagatorTable:
         return ["xi", "yi", "xf", "yf", "T", "G"]
 
 
-def discretize_hamiltonian(action: ActionSpec, grid: Grid):
-    """Sparse Hermitian H = -(hbar^2/2m) Laplacian + V with Dirichlet walls (CSR)."""
+def _sectors(action: ActionSpec) -> list:
+    """Mirror sectors of H, one parity per axis, the all-even sector first.
+
+    An axis along which every term of V has an even exponent splits into its
+    even (+1) and odd (-1) halves; any other axis stays whole (0).
+    """
+    split = [all(exp[a] % 2 == 0 for exp, _ in action.potential.terms) for a in range(action.dimension)]
+    return list(itertools.product(*((1, -1) if s else (0,) for s in split)))
+
+
+def _axis_sector(n: int, parity: int) -> tuple:
+    """(m, take, coef): the m nodes one axis of n keeps in a sector, and how a
+    vector u over them returns to the whole axis, as coef * u[take] up to one
+    overall factor.
+
+    Parity 0 keeps the whole axis (take and coef are None). Parity +1 or -1
+    keeps the x <= 0 half; the centre node of an odd n belongs to the even
+    half, where its basis vector is that node alone, while every other one
+    is (node +- mirror) / sqrt(2).
+    """
+    if parity == 0:
+        return n, None, None
+    i = np.arange(n)
+    take = np.minimum(i, n - 1 - i)
+    coef = np.where(i > n - 1 - i, float(parity), 1.0)
+    if n % 2:
+        if parity > 0:
+            coef[n // 2] = math.sqrt(2.0)
+        else:
+            take[n // 2], coef[n // 2] = 0, 0.0
+    return n // 2 + (n % 2 if parity > 0 else 0), take, coef
+
+
+def discretize_hamiltonian(action: ActionSpec, grid: Grid, sector: tuple = None):
+    """Sparse Hermitian H = -(hbar^2/2m) Laplacian + V with Dirichlet walls (CSR).
+
+    Given one of the action's mirror sectors (one parity per axis, as from
+    ``_sectors``), it is the block of H on that sector instead: the Kronecker
+    sum of each axis's kinetic block plus V on the sector's nodes, the whole
+    axis for parity 0 and its x <= 0 half otherwise.
+    """
     import scipy.sparse as sp
 
     if action.dimension != grid.dim:
         raise ValueError(
             f"action dimension {action.dimension} != grid dimension {grid.dim}"
         )
+    if sector is None:
+        sector = (0,) * grid.dim
+    elif tuple(sector) not in _sectors(action):
+        raise ValueError(f"{sector} is not a mirror sector of this potential")
     hb2m = action.hbar**2 / (2.0 * action.mass)
-    mats = []
-    for h, n in zip(grid.spacing, grid.npoints):
-        main = np.full(n, 2.0 * hb2m / h**2)
-        off = np.full(n - 1, -hb2m / h**2)
+    mats, nodes = [], []
+    for axis, h, n, parity in zip(grid.axes(), grid.spacing, grid.npoints, sector):
+        m = _axis_sector(n, parity)[0]
+        main = np.full(m, 2.0 * hb2m / h**2)
+        off = np.full(m - 1, -hb2m / h**2)
+        if parity and n % 2 == 0:
+            main[-1] += parity * off[-1]  # the last node's mirror is its neighbour
+        elif parity > 0:
+            off[-1] *= math.sqrt(2.0)  # the centre node couples to both halves
         mats.append(sp.diags([off, main, off], [-1, 0, 1], format="csr"))
+        nodes.append(axis[:m])
     if grid.dim == 1:
         H = mats[0]
     else:
-        nx, ny = grid.npoints
-        H = sp.kron(mats[0], sp.identity(ny, format="csr")) + sp.kron(
-            sp.identity(nx, format="csr"), mats[1]
+        mx, my = (len(x) for x in nodes)
+        H = sp.kron(mats[0], sp.identity(my, format="csr")) + sp.kron(
+            sp.identity(mx, format="csr"), mats[1]
         )
-    H = H + sp.diags(action.potential.evaluate_points(grid.nodes()).ravel())
+    mesh = np.stack(np.meshgrid(*nodes, indexing="ij"), axis=-1)
+    H = H + sp.diags(action.potential.evaluate_points(mesh).ravel())
     return sp.csr_matrix(H)
 
 
-def _lowest_eigsh(H, k: int):
+def _node_scale(grid: Grid, sector: tuple) -> np.ndarray:
+    """Per node of a sector's block, the ratio of a node value to the
+    coefficient of that node's basis vector (sqrt 2 at an even centre, else 1)."""
+    scales = []
+    for n, parity in zip(grid.npoints, sector):
+        m, _, coef = _axis_sector(n, parity)
+        scales.append(np.ones(n) if coef is None else coef[:m])
+    return functools.reduce(np.multiply.outer, scales).ravel()
+
+
+def _lowest_eigsh(H, k: int, scale: np.ndarray):
     import scipy.sparse.linalg as spla
 
-    # Gershgorin bound (= min V for this stencil) less one: below the spectrum, so LM finds the lowest
-    offdiag = np.asarray(abs(H).sum(axis=1)).ravel() - np.abs(H.diagonal())
+    # Gershgorin bound of S H S^-1 with S = diag(scale), the stencil on node values (bound = min V),
+    # less one: below the spectrum, so LM finds the lowest
+    offdiag = scale * (abs(H) @ (1.0 / scale)) - np.abs(H.diagonal())
     sigma = float((H.diagonal() - offdiag).min()) - 1.0
     v0 = np.full(H.shape[0], 1.0 / math.sqrt(H.shape[0]))  # fixed start vector for determinism
     try:
@@ -209,32 +290,57 @@ def _lowest_eigsh(H, k: int):
 
 
 @functools.lru_cache(maxsize=16)
-def _window_count(action: ActionSpec, grid: Grid, gap: float) -> int:
-    """Count of the grid states below E_0 + gap, made without solving for them: by Sylvester's law
-    of inertia, the negative pivots of H - sigma I factored unpivoted (a Sturm count if tridiagonal)."""
+def _sector_hamiltonians(action: ActionSpec, grid: Grid) -> tuple:
+    """(sector, block of H) for each mirror sector, the all-even one first."""
+    return tuple((s, discretize_hamiltonian(action, grid, s)) for s in _sectors(action))
+
+
+@functools.lru_cache(maxsize=16)
+def _ground_energy(action: ActionSpec, grid: Grid) -> float:
+    """E_0: the lattice ground state is positive, hence even (module docstring)."""
+    sector, H = _sector_hamiltonians(action, grid)[0]
+    return float(_lowest_eigsh(H, 1, _node_scale(grid, sector))[0][0])
+
+
+def _inertia(H, sigma: float) -> int:
+    """Count of the eigenvalues of H below sigma, made without solving for them: by Sylvester's
+    law of inertia, the negative pivots of H - sigma I factored unpivoted (a Sturm count if tridiagonal)."""
     import scipy.sparse as sp
     import scipy.sparse.linalg as spla
 
-    H = discretize_hamiltonian(action, grid)
-    sigma = float(_lowest_eigsh(H, 1)[0][0]) + gap
+    n = H.shape[0]
     for _ in range(2):
-        A = (H - sigma * sp.identity(grid.size)).tocsc()
+        A = (H - sigma * sp.identity(n)).tocsc()
         lu = spla.splu(A, permc_spec="NATURAL", diag_pivot_thresh=0.0, options={"SymmetricMode": True})
-        if np.array_equal(lu.perm_r, np.arange(grid.size)):
+        if np.array_equal(lu.perm_r, np.arange(n)):
             return int(np.count_nonzero(lu.U.diagonal() < 0.0))
         sigma += 1e-12 * abs(sigma)  # SuperLU swapped rows at an exactly zero pivot
     raise NumericalError(f"no pivot-free factorization of H - sigma I near sigma = {sigma:g}")
 
 
-def spectral_decompose(H, k: int, grid: Grid) -> SpectralData:
+@functools.lru_cache(maxsize=16)
+def _window_count(action: ActionSpec, grid: Grid, gap: float) -> tuple:
+    """Per mirror sector, the count of its states below E_0 + gap."""
+    sigma = _ground_energy(action, grid) + gap
+    return tuple(_inertia(H, sigma) for _, H in _sector_hamiltonians(action, grid))
+
+
+def spectral_decompose(H, k: int, grid: Grid, sector: tuple = None) -> SpectralData:
     """Lowest-k eigenpairs, normalized to unit h^dim-weighted sum of squares,
-    each with its largest entry positive."""
+    each with its largest entry positive.
+
+    With a ``sector``, H is that sector's block (``discretize_hamiltonian``)
+    and each eigenvector is returned over the whole grid, mirrored by its
+    parity, so that mirrored nodes carry bitwise equal or opposite values.
+    """
     import scipy.linalg
 
     n = H.shape[0]
     if not 1 <= k <= n - 2:
         raise ValueError(f"need 1 <= k <= {n - 2}, got {k}")
-    if grid.size != n:
+    sector = sector or (0,) * grid.dim
+    axes = [_axis_sector(npt, p) for npt, p in zip(grid.npoints, sector)]
+    if math.prod(m for m, _, _ in axes) != n:
         raise ValueError("grid does not match Hamiltonian size")
     if grid.dim == 1:
         d = H.diagonal()
@@ -245,9 +351,16 @@ def spectral_decompose(H, k: int, grid: Grid) -> SpectralData:
         vals, vecs = scipy.linalg.eigh(H.toarray(), subset_by_index=[0, k - 1])
         vecs = vecs.T
     else:
-        vals, vecs = _lowest_eigsh(H, k)
+        vals, vecs = _lowest_eigsh(H, k, _node_scale(grid, sector))
         order = np.argsort(vals)
         vals, vecs = vals[order], vecs[:, order].T
+    shape = [m for m, _, _ in axes]
+    for a, (_, take, coef) in enumerate(axes):
+        if take is not None:
+            vecs = np.take(vecs.reshape([k] + shape), take, axis=a + 1)
+            vecs *= coef.reshape((-1,) + (1,) * (grid.dim - 1 - a))
+            shape[a] = len(take)
+            vecs = vecs.reshape(k, -1)
     # rescale rows in place: a vectorized rescale would hold a second k x n array
     scale = 1.0 / math.sqrt(math.prod(grid.spacing))
     for v in vecs:
@@ -256,48 +369,90 @@ def spectral_decompose(H, k: int, grid: Grid) -> SpectralData:
 
 
 @functools.lru_cache(maxsize=16)
-def _cached_decomposition(action: ActionSpec, grid: Grid, k: int) -> SpectralData:
-    H = discretize_hamiltonian(action, grid)
-    return spectral_decompose(H, k, grid)
+def _ground_state(action: ActionSpec, grid: Grid) -> SpectralData:
+    """The lowest state alone, solved on the all-even block that holds it."""
+    sector, H = _sector_hamiltonians(action, grid)[0]
+    return spectral_decompose(H, 1, grid, sector)
 
 
 def _truncation_error(kept: int, dropped_gap: float, T: float, hbar: float) -> NumericalError:
     weight = math.exp(-dropped_gap * T / hbar)
     return NumericalError(
-        f"the grid's {kept} lowest states do not cover the Boltzmann window at T={T:g}: "
+        f"the grid resolves {kept} states, too few for the Boltzmann window at T={T:g}: "
         f"dropped states carry weight up to {weight:.3g} of the ground state's "
         f"(cutoff {BOLTZMANN_CUTOFF:g}); use a finer grid or a longer T"
     )
 
 
-def decompose_for_time(action: ActionSpec, grid: Grid, T: float) -> SpectralData:
-    """Decomposition with enough states that dropped Boltzmann weights < 1e-14.
+def _solve_sector(H, sector: tuple, grid: Grid, count: int, e0: float, gap: float) -> SpectralData:
+    """A dense 2-D block solves exactly its ``count`` states, any other the
+    first of 32, 64, 128, ... above it, doubled while the last state solved
+    still lies within ``gap`` of the global E_0."""
+    kmax = H.shape[0] - 2
+    if grid.dim == 2 and H.shape[0] <= DENSE_MAX_NODES:
+        return spectral_decompose(H, count, grid, sector)
+    k = min(32 << (count // 32).bit_length(), kmax)
+    while True:
+        sd = spectral_decompose(H, k, grid, sector)
+        if sd.eigenvalues[-1] - e0 >= gap or k >= kmax:
+            return sd
+        k = min(2 * k, kmax)
 
-    The states with E - E_0 < -hbar ln(1e-14) / T are counted first, without a
-    solve. A dense 2-D grid solves for exactly those, other grids for the first
-    of 32, 64, 128, ... above the count, doubled while the last state solved
-    lies inside. Raises NumericalError when the grid has too few states.
+
+def decompose_for_time(action: ActionSpec, grid: Grid, T: float) -> SpectralData:
+    """The states whose Boltzmann weight exp(-(E - E_0) T / hbar) is at least 1e-14.
+
+    H splits into one block per mirror sector (``_sectors``): an axis splits
+    into even and odd halves when every term of V is even along it, so the
+    paper's potentials give 2 blocks in 1-D and 4 in 2-D, and a V even along
+    no axis one block, the whole H. Each block holds V on the x <= 0 half of
+    its split axes, mirrored (grid nodes are not exact mirrors). E_0 is the
+    lowest state of the all-even block: the ground state is positive
+    (Perron-Frobenius), hence even. Each block's states with
+    E - E_0 < -hbar ln(1e-14) / T are counted first, without a solve
+    (``_window_count``). Then each block with states in the window is solved
+    once: a 2-D block of at most ``DENSE_MAX_NODES`` = 800 nodes densely, for
+    exactly its counted states (the measured break-even with shift-invert on
+    small windows); a larger one by shift-invert, and a 1-D one by the
+    tridiagonal solver, for the first of 32, 64, 128, ... above its count.
+    The solves are merged by energy (a stable sort) and cut to the window,
+    since past it a union of per-block solves need not be the lowest states
+    of H. Raises NumericalError, before any solve, when a block has more
+    states in the window than it resolves (two fewer than its nodes),
+    quoting the weight of the first state dropped.
     """
     if not (math.isfinite(T) and T > 0):
         raise ValueError(f"transition time must be positive and finite, got {T}")
-    gap_needed = -action.hbar * math.log(BOLTZMANN_CUTOFF) / T
-    kmax = grid.size - 2
-    count = _window_count(action, grid, gap_needed)
-    if grid.dim == 2 and grid.size <= DENSE_MAX_NODES:
-        if count > kmax:
-            import scipy.linalg
-            E = scipy.linalg.eigh(discretize_hamiltonian(action, grid).toarray(), eigvals_only=True)
-            raise _truncation_error(kmax, E[kmax] - E[0], T, action.hbar)
-        return _cached_decomposition(action, grid, max(count, 1))
-    k = min(32 << (count // 32).bit_length(), kmax)
-    while True:
-        sd = _cached_decomposition(action, grid, k)
-        gap = sd.eigenvalues[-1] - sd.eigenvalues[0]
-        if gap >= gap_needed:
-            return sd
-        if k >= kmax:
-            raise _truncation_error(kmax, gap, T, action.hbar)
-        k = min(2 * k, kmax)
+    return _window_states(action, grid, T)
+
+
+@functools.lru_cache(maxsize=4)  # each entry holds a window's eigenvectors
+def _window_states(action: ActionSpec, grid: Grid, T: float) -> SpectralData:
+    gap = -action.hbar * math.log(BOLTZMANN_CUTOFF) / T
+    counts = list(_window_count(action, grid, gap))
+    e0 = _ground_energy(action, grid)
+    blocks = _sector_hamiltonians(action, grid)
+    counts[0] = max(counts[0], 1)  # the window can be narrower than the rounding of E_0
+    short = [(sector, H) for (sector, H), count in zip(blocks, counts) if count > H.shape[0] - 2]
+    if short:
+        # the first state a block drops is its (n - 1)th, the second from the top
+        dropped = min(-float(_lowest_eigsh(-H, 2, _node_scale(grid, s))[0].max()) for s, H in short)
+        raise _truncation_error(sum(H.shape[0] - 2 for _, H in blocks), dropped - e0, T, action.hbar)
+    parts = [
+        _solve_sector(H, sector, grid, count, e0, gap)
+        for (sector, H), count in zip(blocks, counts)
+        if count > 0
+    ]
+    E = np.concatenate([p.eigenvalues for p in parts])
+    order = np.argsort(E, kind="stable")
+    E = E[order]
+    inside = np.exp(-(E - E[0]) * T / action.hbar) >= BOLTZMANN_CUTOFF
+    # row by row: concatenating the parts first would hold every solved vector twice
+    rows = [v for p in parts for v in p.eigenvectors]
+    vecs = np.empty((np.count_nonzero(inside), grid.size))
+    for out, i in zip(vecs, order[inside]):
+        out[:] = rows[i]
+    return SpectralData(grid=grid, eigenvalues=E[inside], eigenvectors=vecs)
 
 
 def euclidean_propagate(action: ActionSpec, grid: Grid, T: float, pairs) -> PropagatorTable:
@@ -309,11 +464,8 @@ def euclidean_propagate(action: ActionSpec, grid: Grid, T: float, pairs) -> Prop
     idx_i = [grid.index_of(p[0]) for p in pairs]
     idx_f = [grid.index_of(p[1]) for p in pairs]
     sd = decompose_for_time(action, grid, T)
-    E = sd.eigenvalues
-    weights = np.exp(-(E - E[0]) * T / action.hbar)
-    keep = weights >= BOLTZMANN_CUTOFF
-    psis = sd.eigenvectors[keep]
-    boltz = np.exp(-E[keep] * T / action.hbar)
+    psis = sd.eigenvectors
+    boltz = np.exp(-sd.eigenvalues * T / action.hbar)
     amps = np.array(
         [float(np.sum(psis[:, i] * psis[:, f] * boltz)) for i, f in zip(idx_i, idx_f)]
     )

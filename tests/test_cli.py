@@ -433,8 +433,14 @@ def test_format_choices_enforced(tmp_path, prop_cfg):
 
 
 def _clear_spectral_caches():
-    propagator._cached_decomposition.cache_clear()
-    propagator._window_count.cache_clear()
+    for cached in (
+        propagator._window_states,
+        propagator._ground_state,
+        propagator._window_count,
+        propagator._ground_energy,
+        propagator._sector_hamiltonians,
+    ):
+        cached.cache_clear()
 
 
 def test_off_node_pair_rejected_before_eigensolve(tmp_path, monkeypatch):
@@ -460,19 +466,28 @@ def test_off_node_pair_rejected_before_eigensolve(tmp_path, monkeypatch):
 
 
 def _count_solves(monkeypatch):
-    """Calls per eigensolver, and per window-count factorization (splu)."""
+    """Per eigensolver, the states each call solved for, and per window-count
+    factorization (splu) the order of the matrix it factored."""
     import scipy.sparse.linalg
 
     calls = {}
+
+    def size(name, args, kwargs):
+        if name == "splu":
+            return args[0].shape[0]
+        if name == "eigsh":
+            return kwargs["k"]
+        lo, hi = kwargs.get("subset_by_index") or kwargs.get("select_range") or (0, len(args[0]) - 1)
+        return hi - lo + 1
 
     def count(module, name):
         func = getattr(module, name)
 
         def wrapper(*args, **kwargs):
-            calls[name] += 1
+            calls[name].append(size(name, args, kwargs))
             return func(*args, **kwargs)
 
-        calls[name] = 0
+        calls[name] = []
         monkeypatch.setattr(module, name, wrapper)
 
     for name in ("eigh", "eigvalsh", "eigh_tridiagonal"):
@@ -484,9 +499,12 @@ def _count_solves(monkeypatch):
 
 
 def test_dense_propagate_solves_once_per_time(tmp_path, monkeypatch):
-    """Per new T one window count (a k = 1 eigsh and one factorization) and one
-    vector solve of exactly the counted states; no values-only solve, and
-    neither the repeated T nor the spectrum.csv lookup solves anything again."""
+    """V is even in x and y, so H splits into four mirror sectors of 23x23,
+    23x22, 22x23 and 22x22 nodes. E_0 comes from one k = 1 eigsh of the
+    all-even block, for every T. Per new T each sector is counted (one
+    factorization) and solved once, for exactly its counted states; no
+    values-only solve, and neither the repeated T nor the spectrum.csv lookup
+    solves anything again."""
     calls = _count_solves(monkeypatch)
     rows = {}
     for T in (3.0, 1.5, 3.0):
@@ -503,13 +521,20 @@ def test_dense_propagate_solves_once_per_time(tmp_path, monkeypatch):
         out = tmp_path / f"dense-{T}"
         assert main(["propagate", "--config", cfg, "--out", str(out)]) == 0
         rows[T] = len(read_rows(out / "spectrum.csv")[1])
-    assert calls == {"eigh": 2, "eigvalsh": 0, "eigh_tridiagonal": 0, "eigsh": 2, "splu": 2}
-    assert rows[3.0] == 78 < rows[1.5]
+    assert {name: len(sizes) for name, sizes in calls.items()} == {
+        "eigh": 8, "eigvalsh": 0, "eigh_tridiagonal": 0, "eigsh": 1, "splu": 8
+    }
+    assert calls["eigsh"] == [1]
+    assert calls["splu"] == [529, 506, 506, 484] * 2
+    assert rows[3.0] == 78 == sum(calls["eigh"][:4])
+    assert rows[1.5] == sum(calls["eigh"][4:]) > 78
 
 
 def test_tridiagonal_propagate_solves_once(tmp_path, monkeypatch):
-    """V = x^4 at T = 0.05 has 101 states in the window: the count sizes the
-    solve at 128 states at once, where doubling from 32 solved three times."""
+    """V = x^4 at T = 0.05 has 108 states in the window on this grid, 54 even
+    and 54 odd: each mirror sector (201 and 200 nodes) is counted and solved once, for the first of
+    32, 64, ... above its count, where doubling from 32 on the whole grid
+    solved three times. spectrum.csv lists exactly the window."""
     calls = _count_solves(monkeypatch)
     cfg = write_cfg(
         tmp_path,
@@ -522,8 +547,8 @@ def test_tridiagonal_propagate_solves_once(tmp_path, monkeypatch):
         },
     )
     assert main(["propagate", "--config", cfg, "--out", str(tmp_path / "quartic")]) == 0
-    assert calls == {"eigh": 0, "eigvalsh": 0, "eigh_tridiagonal": 1, "eigsh": 1, "splu": 1}
-    assert len(read_rows(tmp_path / "quartic" / "spectrum.csv")[1]) == 128
+    assert calls == {"eigh": [], "eigvalsh": [], "eigh_tridiagonal": [64, 64], "eigsh": [1], "splu": [201, 200]}
+    assert len(read_rows(tmp_path / "quartic" / "spectrum.csv")[1]) == 108
 
 
 def test_analytic_without_e_gr_solves_the_ground_state_once(tmp_path, monkeypatch):
@@ -779,6 +804,31 @@ def test_poincare_value_outside_its_range_exits_2_leaving_no_files(tmp_path, pay
     cfg = write_cfg(tmp_path, "range.json", payload)
     out = tmp_path / "range"
     assert main(["poincare", "--config", cfg, "--out", str(out)]) == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "grid",
+    [
+        {"extents": [8.0], "npoints": [10**400]},
+        {"extents": [8.0], "npoints": [2**63]},
+        {"extents": [8.0, 8.0], "npoints": [256, 257]},
+    ],
+    ids=["npoints-1e400", "npoints-2e63", "total"],
+)
+def test_grid_beyond_its_node_bound_exits_2_leaving_no_files(tmp_path, monkeypatch, grid):
+    """A grid holds at most 2^16 nodes, per axis and in total; 10^400 and
+    2^63 points once crashed with OverflowError and IndexError."""
+    def no_solve(*args, **kwargs):
+        raise AssertionError("eigensolver reached with an oversized grid")
+
+    _clear_spectral_caches()
+    monkeypatch.setattr(propagator, "_window_count", no_solve)
+    dim = len(grid["npoints"])
+    payload = dict(PROPAGATE_BASE, grid=grid, pairs={"points": [0.0]} if dim == 1 else [[[0.0, 0.0], [0.0, 0.0]]])
+    cfg = write_cfg(tmp_path, "big.json", dict(payload, action=HO if dim == 1 else UNCOUPLED))
+    out = tmp_path / "big"
+    assert main(["propagate", "--config", cfg, "--out", str(out)]) == 2
     assert not out.exists()
 
 

@@ -1,11 +1,12 @@
 import math
+import re
 from types import SimpleNamespace
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 import scipy.linalg
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qaction import (
@@ -21,7 +22,16 @@ from qaction import (
     spectral_decompose,
     tensor_pairs,
 )
-from qaction.propagator import BOLTZMANN_CUTOFF, _window_count, decompose_for_time
+from qaction import propagator
+from qaction.propagator import (
+    BOLTZMANN_CUTOFF,
+    MAX_GRID_NODES,
+    _ground_energy,
+    _sector_hamiltonians,
+    _sectors,
+    _window_count,
+    decompose_for_time,
+)
 
 # 1681 nodes: decomposed by the dense 2-D branch
 DENSE_GRID = Grid((5.0, 5.0), (41, 41))
@@ -222,43 +232,77 @@ def test_dense_separable_amplitudes_factorize(ho):
 
 
 def test_truncated_window_raises(ho):
-    """T = 1e-3 needs every state up to E_0 + 3.2e4; 16 nodes have 14 usable.
-    On the dense 2-D grid the weight quoted is that of the first dropped state."""
-    with pytest.raises(NumericalError, match=r"weight up to 0\.\d+ of the ground state"):
-        decompose_for_time(ho, Grid((8.0,), (16,)), 1e-3)
-    with pytest.raises(NumericalError, match=r"254 lowest states .* weight up to 0\.937 of the ground state"):
-        decompose_for_time(HO_2D, Grid((8.0, 8.0), (16, 16)), 1e-3)
+    """T = 1e-3 needs every state up to E_0 + 3.2e4. A block of n nodes
+    resolves n - 2 states, so the 8-node mirror sectors of a 16-node axis
+    resolve 12 states in 1-D and 4 x 62 = 248 in 2-D. The weight quoted is
+    that of the first dropped state, the lowest (n - 1)th state of a sector.
+    The reference takes each sector's levels from a dense solve of the whole
+    H: in 1-D the states alternate in parity, and this 2-D V is separable, so
+    a sector's levels are the sums of 1-D levels of its two parities."""
+    T = 1e-3
+    axis = Grid((8.0,), (16,))
+    E = scipy.linalg.eigvalsh(discretize_hamiltonian(ho, axis).toarray())
+    halves = (E[0::2], E[1::2])
+    weight = math.exp(-(min(h[6] for h in halves) - E[0]) * T)
+    assert weight == math.exp(-(E[12] - E[0]) * T)
+    with pytest.raises(NumericalError, match=rf"resolves 12 states, .* weight up to {re.escape(f'{weight:.3g}')} of"):
+        decompose_for_time(ho, axis, T)
+    grid = Grid((8.0, 8.0), (16, 16))
+    full = scipy.linalg.eigvalsh(discretize_hamiltonian(HO_2D, grid).toarray())
+    sectors = [np.sort(np.add.outer(ex, ey).ravel()) for ex in halves for ey in halves]
+    npt.assert_allclose(np.sort(np.concatenate(sectors)), full, rtol=0, atol=1e-10)
+    weight = math.exp(-(min(s[62] for s in sectors) - full[0]) * T)
+    with pytest.raises(NumericalError, match=rf"resolves 248 states, .* weight up to {re.escape(f'{weight:.3g}')} of"):
+        decompose_for_time(HO_2D, grid, T)
 
 
 def test_window_narrower_than_rounding_keeps_the_ground_state():
     """At T = 1e20 the window is far below the rounding of E_0, and the
     inertia count reads 0 on this grid; the ground state is solved anyway."""
     grid = Grid((6.0, 6.0), (30, 30))
-    assert _window_count(HO_2D, grid, -math.log(BOLTZMANN_CUTOFF) / 1e20) == 0
+    assert sum(_window_count(HO_2D, grid, -math.log(BOLTZMANN_CUTOFF) / 1e20)) == 0
     assert len(decompose_for_time(HO_2D, grid, 1e20).eigenvalues) == 1
 
 
-# 2116 nodes: decomposed by the shift-invert branch
-SPARSE_GRID = Grid((6.3, 6.3), (46, 46))
+# 3600 nodes: four mirror sectors of 900, each decomposed by shift-invert
+SPARSE_GRID = Grid((6.3, 6.3), (60, 60))
 QUARTIC = ActionSpec(mass=1.0, potential=PolynomialPotential(1, {(4,): 1.0}), hbar=1.0)
+# odd in x, even in y: two sectors of 41 x 21 and 41 x 20 nodes on a 41 x 41 grid
+TILTED = ActionSpec(
+    mass=1.0, potential=PolynomialPotential(2, {(2, 0): 0.5, (0, 2): 0.5, (1, 2): 0.1, (2, 2): 0.05})
+)
+
+
+def test_mirror_sectors_follow_the_parity_of_every_term(coupled_2d):
+    assert _sectors(coupled_2d) == [(1, 1), (1, -1), (-1, 1), (-1, -1)]
+    assert _sectors(TILTED) == [(0, 1), (0, -1)]
+    assert _sectors(ActionSpec(mass=1.0, potential=PolynomialPotential(2, {(2, 0): 1.0, (1, 1): 0.1}))) == [(0, 0)]
+    assert [H.shape[0] for _, H in _sector_hamiltonians(TILTED, Grid((5.0, 5.0), (41, 41)))] == [861, 820]
+    with pytest.raises(ValueError, match="mirror sector"):
+        discretize_hamiltonian(TILTED, Grid((5.0, 5.0), (41, 41)), (1, 1))
 
 
 @pytest.mark.parametrize(
-    "grid, n_levels",
-    [(Grid((6.0,), (301,)), 40), (Grid((6.0, 6.0), (30, 30)), 40), (SPARSE_GRID, 16)],
+    "action, grid, n_levels",
+    [
+        (None, Grid((6.0,), (301,)), 40),
+        (None, Grid((6.0, 6.0), (30, 30)), 40),
+        (TILTED, Grid((5.0, 5.0), (41, 41)), 16),
+    ],
     ids=["1d", "2d-dense", "2d-sparse"],
 )
-def test_window_count_equals_the_eigenvalues_below_the_shift(ho, coupled_2d, grid, n_levels):
-    """The inertia count agrees with a full spectrum, also for shifts within
-    1e-9 of an eigenvalue, on either side of it. Midpoints are taken only
-    between distinct levels: the x <-> y pairs are degenerate to 1e-13."""
-    action = ho if grid.dim == 1 else coupled_2d
+def test_window_count_equals_the_eigenvalues_below_the_shift(ho, coupled_2d, action, grid, n_levels):
+    """The per-sector inertia counts add up to a full spectrum's count, also
+    for shifts within 1e-9 of an eigenvalue, on either side of it. Midpoints
+    are taken only between distinct levels: the x <-> y pairs are degenerate
+    to 1e-13. The last grid's sectors are solved by shift-invert."""
+    action = action or (ho if grid.dim == 1 else coupled_2d)
     E = scipy.linalg.eigvalsh(discretize_hamiltonian(action, grid).toarray())
     levels = E[:n_levels]
     midpoints = (0.5 * (levels[:-1] + levels[1:]))[np.diff(levels) > 1e-6]
     shifts = np.concatenate([levels - 1e-9, levels + 1e-9, midpoints])
     for sigma in shifts:
-        assert _window_count(action, grid, sigma - E[0]) == np.count_nonzero(E < sigma), sigma
+        assert sum(_window_count(action, grid, sigma - E[0])) == np.count_nonzero(E < sigma), sigma
 
 
 def test_window_count_moves_off_a_zero_pivot(ho, monkeypatch):
@@ -291,31 +335,160 @@ def test_window_count_moves_off_a_zero_pivot(ho, monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "action, grid, times",
+    "action, grid, sizes",
     [
-        (QUARTIC, Grid((7.0,), (1601,)), (0.05, 0.1, 4.0)),
-        (HO_2D, SPARSE_GRID, (4.0, 8.0)),
+        (QUARTIC, Grid((7.0,), (1601,)), {0.05: [64, 64], 0.1: [32, 32], 4.0: [32, 32]}),
+        (HO_2D, SPARSE_GRID, {2.2: [64, 64, 64, 32], 8.0: [32, 32, 32, 32]}),
     ],
     ids=["1d-quartic", "2d-sparse"],
 )
-def test_window_sizing_matches_doubling_from_32(action, grid, times):
-    """Off the dense branch the count picks the k that doubling from 32 ends
-    on (128, 64 and 32 here), so the final solve is the same call and its
-    output the same bits."""
-    H = discretize_hamiltonian(action, grid)
-    kmax = grid.size - 2
-    for T in times:
+def test_window_sizing_matches_doubling_from_32(action, grid, sizes, monkeypatch):
+    """Off the dense branch each mirror sector's count picks the k that
+    doubling from 32 ends on, when the last state solved is measured against
+    the global E_0. So each sector's solve is the same call, and the window
+    cut from the stably merged solves the same bits."""
+    e0 = _ground_energy(action, grid)
+    solved = []
+
+    def recorded(H, k, grid, sector=None):
+        solved.append(k)
+        return spectral_decompose(H, k, grid, sector)
+
+    monkeypatch.setattr(propagator, "spectral_decompose", recorded)
+    for T, expected in sizes.items():
         gap_needed = -action.hbar * math.log(BOLTZMANN_CUTOFF) / T
-        k = min(32, kmax)
+        ks, parts = [], []
+        for sector, H in _sector_hamiltonians(action, grid):
+            kmax = H.shape[0] - 2
+            k = min(32, kmax)
+            while True:
+                old = spectral_decompose(H, k, grid, sector)
+                if old.eigenvalues[-1] - e0 >= gap_needed or k >= kmax:
+                    break
+                k = min(2 * k, kmax)
+            ks.append(k)
+            parts.append(old)
+        solved.clear()
+        propagator._window_states.cache_clear()
+        new = decompose_for_time(action, grid, T)
+        assert solved == ks == expected
+        E = np.concatenate([p.eigenvalues for p in parts])
+        order = np.argsort(E, kind="stable")
+        inside = np.exp(-(E[order] - E[order[0]]) * T / action.hbar) >= BOLTZMANN_CUTOFF
+        assert np.array_equal(new.eigenvalues, E[order][inside])
+        assert np.array_equal(new.eigenvectors, np.concatenate([p.eigenvectors for p in parts])[order[inside]])
+
+
+def test_sparse_sectors_reproduce_the_separable_spectrum_and_amplitudes(ho):
+    """V = (x^2 + y^2)/2 on the shift-invert sectors of SPARSE_GRID: the
+    window's levels are the sums of the 1-D levels on one axis, and G is the
+    product of the 1-D amplitudes."""
+    T = 3.0
+    axis = Grid((6.3,), (60,))
+    E = scipy.linalg.eigvalsh(discretize_hamiltonian(ho, axis).toarray())
+    sums = np.sort(np.add.outer(E, E).ravel())
+    sd = decompose_for_time(HO_2D, SPARSE_GRID, T)
+    npt.assert_allclose(sd.eigenvalues, sums[: len(sd.eigenvalues)], rtol=0, atol=1e-10)
+    assert sums[len(sd.eigenvalues)] - sums[0] > -math.log(BOLTZMANN_CUTOFF) / T
+    xs = axis.axes()[0][[20, 27, 30, 38]]
+    axis_amp = euclidean_propagate(ho, axis, T, tensor_pairs([(x,) for x in xs], [(x,) for x in xs])).amplitudes
+    axis_amp = dict(zip([(a, b) for a in xs for b in xs], axis_amp))
+    pairs = [((xs[0], xs[2]), (xs[3], xs[1])), ((xs[1], xs[1]), (xs[2], xs[2])), ((xs[3], xs[0]), (xs[0], xs[3]))]
+    amps = euclidean_propagate(HO_2D, SPARSE_GRID, T, pairs).amplitudes
+    product = [axis_amp[(xi[0], xf[0])] * axis_amp[(xi[1], xf[1])] for xi, xf in pairs]
+    npt.assert_allclose(amps, product, rtol=1e-10, atol=0)
+
+
+def _small_case(dim: int):
+    """(npoints, extent, a, c, T) on a small grid, odd or even per axis."""
+    return st.tuples(
+        st.tuples(*[st.integers(16, 40 if dim == 1 else 22)] * dim),
+        st.floats(4.0, 6.0),
+        st.floats(0.5, 2.0),
+        st.floats(0.05, 0.3),
+        st.floats(4.0, 10.0),
+    )
+
+
+def _small_action(dim: int, odd_in_x: bool, a: float, c: float) -> ActionSpec:
+    """A confining V, even along every axis, or with a term odd in x (x^3 in
+    1-D, x y^2 in 2-D, which leaves V even in y)."""
+    if dim == 1:
+        terms = {(2,): a, (4,): c, (3,): c if odd_in_x else 0.0}
+    else:
+        terms = {(2, 0): a, (0, 2): 1.0, (2, 2): c, (1, 2): c if odd_in_x else 0.0}
+    return ActionSpec(mass=1.0, potential=PolynomialPotential(dim, terms))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from([(1, False), (2, False), (2, True)]), st.data())
+def test_mirrored_pairs_get_bitwise_equal_amplitudes(kind, data):
+    """Mirroring both ends of a pair along every axis on which V is even
+    leaves G unchanged bit for bit: each sector's vectors are mirrored
+    exactly, and the mirrored pair meets the same products in the same order."""
+    dim, odd_in_x = kind
+    npoints, L, a, c, T = data.draw(_small_case(dim))
+    grid = Grid((L,) * dim, npoints)
+    flips = [not (odd_in_x and axis == 0) for axis in range(dim)]
+    node = st.tuples(*[st.integers(0, n - 1) for n in npoints])
+    ends = [data.draw(node) for _ in range(8)]
+
+    def point(index, mirror):
+        return tuple(
+            ax[n - 1 - i if mirror and flip else i]
+            for ax, n, i, flip in zip(grid.axes(), npoints, index, flips)
+        )
+
+    pairs = [(point(i, m), point(f, m)) for m in (False, True) for i, f in zip(ends[::2], ends[1::2])]
+    try:
+        amps = euclidean_propagate(_small_action(dim, odd_in_x, a, c), grid, T, pairs).amplitudes
+    except NumericalError:
+        assume(False)  # the window overflows this small grid
+    assert np.array_equal(amps[:4], amps[4:])
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.sampled_from([1, 2]), st.data())
+def test_an_odd_term_keeps_its_axis_whole(dim, data):
+    """With a term odd in x only y splits; in 1-D H stays one block, solved
+    and summed as on the whole grid (k from doubling 32, then the states
+    above the cutoff), so the amplitudes keep their bits."""
+    npoints, L, a, c, T = data.draw(_small_case(dim))
+    grid = Grid((L,) * dim, npoints)
+    action = _small_action(dim, True, a, c)
+    assert _sectors(action) == ([(0,)] if dim == 1 else [(0, 1), (0, -1)])
+    try:
+        sd = decompose_for_time(action, grid, T)
+    except NumericalError:
+        assume(False)  # the window overflows this small grid
+    H = discretize_hamiltonian(action, grid)
+    E = scipy.linalg.eigvalsh(H.toarray())
+    npt.assert_allclose(sd.eigenvalues, E[: len(sd.eigenvalues)], rtol=0, atol=1e-10)
+    assert (E[len(sd.eigenvalues)] - E[0]) * T > -math.log(BOLTZMANN_CUTOFF)
+    if dim == 1:
+        gap_needed = -math.log(BOLTZMANN_CUTOFF) / T
+        kmax, k = grid.size - 2, min(32, grid.size - 2)
         while True:
-            old = spectral_decompose(H, k, grid)
-            if old.eigenvalues[-1] - old.eigenvalues[0] >= gap_needed or k >= kmax:
+            whole = spectral_decompose(H, k, grid)
+            if whole.eigenvalues[-1] - whole.eigenvalues[0] >= gap_needed or k >= kmax:
                 break
             k = min(2 * k, kmax)
-        new = decompose_for_time(action, grid, T)
-        assert len(new.eigenvalues) == k
-        assert np.array_equal(new.eigenvalues, old.eigenvalues)
-        assert np.array_equal(new.eigenvectors, old.eigenvectors)
+        keep = np.exp(-(whole.eigenvalues - whole.eigenvalues[0]) * T) >= BOLTZMANN_CUTOFF
+        psis, boltz = whole.eigenvectors[keep], np.exp(-whole.eigenvalues[keep] * T)
+        nodes = grid.axes()[0][:: max(1, grid.size // 5)]
+        pairs = tensor_pairs([(x,) for x in nodes], [(x,) for x in nodes])
+        expected = [
+            float(np.sum(psis[:, grid.index_of(i)] * psis[:, grid.index_of(f)] * boltz)) for i, f in pairs
+        ]
+        assert euclidean_propagate(action, grid, T, pairs).amplitudes.tolist() == expected
+
+
+def test_grid_node_count_is_bounded():
+    assert Grid((8.0,), (MAX_GRID_NODES,)).size == MAX_GRID_NODES
+    assert Grid((8.0, 8.0), (256, 256)).size == MAX_GRID_NODES
+    for npoints in [(MAX_GRID_NODES + 1,), (256, 257), (16, 2**63), (10**400,)]:
+        with pytest.raises(ValueError, match=f"at most {MAX_GRID_NODES} nodes"):
+            Grid((8.0,) * len(npoints), npoints)
 
 
 def _node_indices(grid, point):
