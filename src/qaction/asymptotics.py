@@ -139,12 +139,16 @@ def ground_state_from_quantum_action(quantum: ActionSpec, grid: Grid) -> GroundS
     The energy is the minimum of the trial potential, by Newton from the
     lowest grid node; the wavefunction is exp(-Phi/hbar) with Phi the
     settling action from that minimum, the same Phi whose norm pins the
-    fit's ln Z.
+    fit's ln Z. An even trial must have its global minimum at the origin,
+    as the transformation law requires: a double well has two mirrored
+    minima, and the state would peak in whichever one rounding favours.
     """
     if quantum.dimension != 1 or grid.dim != 1:
         raise ValueError("ground-state extraction is defined for 1-D actions")
     if not quantum.potential.is_confining():
         raise ValueError("trial potential must be confining")
+    if all(e % 2 == 0 for (e,), _ in quantum.potential.terms):
+        _require_minimum_at_origin(quantum.potential, "ground-state extraction")
     phi, e_gr = _settling_action(quantum, grid)
     return _state_from_phi(grid, e_gr, phi, quantum.hbar)
 

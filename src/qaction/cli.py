@@ -25,6 +25,7 @@ import json
 import os
 import sys
 import tempfile
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -49,7 +50,7 @@ from .chaos import (
 )
 from .errors import NumericalError
 from .model import ActionSpec, _as_integer, _as_number, _json_floats
-from .propagator import Grid, decompose_for_time, euclidean_propagate, tensor_pairs
+from .propagator import MAX_GRID_NODES, Grid, decompose_for_time, euclidean_propagate, tensor_pairs
 from .qfit import (
     FLOW_CSV_HEADER,
     FitProblem,
@@ -134,7 +135,7 @@ def _parse_pairs(data, grid: Grid, classical: ActionSpec = None, where: str = "p
             return tensor_pairs(points, points)
         count = _integer(data, "points_per_axis", where=where)
         span = _get(data, "span", list, where=where)
-        _expect(count >= 2, f"{where}: points_per_axis must be >= 2")
+        _expect(2 <= count <= MAX_GRID_NODES, f"{where}: points_per_axis must lie in [2, {MAX_GRID_NODES}]")
         if len(span) == 2 and not isinstance(span[0], list):
             span = [span] * grid.dim
         _expect(
@@ -323,15 +324,7 @@ def cmd_analytic(cfg: dict, args) -> list:
         wkb = wkb_compare(classical, inversion, e_gr, grid)
 
     gs_rows = [[float(x), float(p)] for x, p in zip(grid.axes()[0], state.psi)]
-    wkb_payload = {
-        "e_gr": wkb.e_gr,
-        "turning_point": wkb.turning_point,
-        "distance_quantum": wkb.distance_quantum,
-        "distance_classical": wkb.distance_classical,
-        "excluded_fraction": wkb.excluded_fraction,
-        "ground_state_energy_used": e_gr,
-        "ground_state_source": state.source,
-    }
+    wkb_payload = dict(asdict(wkb), ground_state_energy_used=e_gr, ground_state_source=state.source)
     return [
         _table_artifact("ground_state", ["x", "psi"], gs_rows, args.format),
         _table_artifact("transformation_law", ["x", "residual"], law_rows, args.format),

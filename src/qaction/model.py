@@ -16,6 +16,8 @@ import numpy as np
 from .errors import NumericalError
 
 Exponents = tuple[int, ...]
+# highest total degree of a term: the paper stops at 4, acceptance criterion 4 at 10, and the kernels spell x^n as n products
+MAX_DEGREE = 32
 
 
 def _as_number(value, what: str) -> float:
@@ -62,6 +64,8 @@ def _canonical_terms(dimension: int, terms) -> tuple[tuple[Exponents, float], ..
             )
         if any(e < 0 for e in exp):
             raise ValueError(f"exponent {exp} has a negative entry")
+        if sum(exp) > MAX_DEGREE:
+            raise ValueError(f"exponent {exp} has a degree above {MAX_DEGREE}")
         coef = _as_number(coef, f"the coefficient of {exp}")
         if exp in out:
             raise ValueError(f"duplicate exponent {exp}")

@@ -27,7 +27,7 @@ import numpy as np
 
 from .asymptotics import ground_state_spectral, quantum_action_log_norm_sq
 from .errors import NumericalError
-from .model import ActionSpec, PolynomialPotential, _as_integer, _json_floats
+from .model import MAX_DEGREE, ActionSpec, PolynomialPotential, _as_integer, _json_floats
 from .propagator import Grid, PropagatorTable, tensor_pairs
 from .trajectory import MIN_NODES, solve_euclidean_bvp
 
@@ -54,6 +54,8 @@ def _normalize_ansatz(ansatz, dim: int) -> tuple:
             exp = tuple(_as_integer(p, "an ansatz exponent") for p in exp)
             if len(exp) != dim or any(p < 0 for p in exp):
                 raise ValueError(f"ansatz exponent {exp} invalid for dimension {dim}")
+            if sum(exp) > MAX_DEGREE:
+                raise ValueError(f"ansatz exponent {exp} has a degree above {MAX_DEGREE}")
             if exp in seen:
                 raise ValueError(f"ansatz exponent {exp} appears twice")
             seen.add(exp)

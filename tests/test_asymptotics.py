@@ -123,6 +123,17 @@ def test_law_residual_errors(ho, ho_quantum):
         transformation_law_residual(ho, 0.5, other_hbar, 1.0)
 
 
+@pytest.mark.parametrize("npoints", [601, 2401, 9601])
+def test_extraction_refuses_an_even_trial_with_its_minimum_off_the_origin(npoints):
+    """V = x^4/4 - x^2 has mirrored minima at +-sqrt(2), and the state would
+    peak in whichever one Newton's start rounds toward (+sqrt(2) on the first
+    two grids, -sqrt(2) on the third). An even trial, as the law needs, must
+    have its global minimum at the origin."""
+    double_well = ActionSpec(mass=1.0, potential=PolynomialPotential(1, {(4,): 0.25, (2,): -1.0}))
+    with pytest.raises(ValueError, match="minimum at the origin"):
+        ground_state_from_quantum_action(double_well, Grid((4.0,), (npoints,)))
+
+
 @pytest.mark.parametrize(
     "terms",
     [

@@ -12,6 +12,7 @@ import scipy.linalg
 
 from qaction import Grid, chaos, propagator
 from qaction.cli import _parse_pairs, main
+from qaction.model import MAX_DEGREE
 from qaction.qfit import FLOW_CSV_HEADER
 from qaction.trajectory import _step_loop
 
@@ -433,13 +434,7 @@ def test_format_choices_enforced(tmp_path, prop_cfg):
 
 
 def _clear_spectral_caches():
-    for cached in (
-        propagator._window_states,
-        propagator._ground_state,
-        propagator._window_count,
-        propagator._ground_energy,
-        propagator._sector_hamiltonians,
-    ):
+    for cached in (propagator.decompose_for_time, propagator._ground_state, propagator._sector_hamiltonians):
         cached.cache_clear()
 
 
@@ -500,11 +495,11 @@ def _count_solves(monkeypatch):
 
 def test_dense_propagate_solves_once_per_time(tmp_path, monkeypatch):
     """V is even in x and y, so H splits into four mirror sectors of 23x23,
-    23x22, 22x23 and 22x22 nodes. E_0 comes from one k = 1 eigsh of the
-    all-even block, for every T. Per new T each sector is counted (one
-    factorization) and solved once, for exactly its counted states; no
-    values-only solve, and neither the repeated T nor the spectrum.csv lookup
-    solves anything again."""
+    23x22, 22x23 and 22x22 nodes. E_0 comes from one k = 1 solve of the
+    all-even block, the ground state, for every T. Per new T each sector is
+    counted (one factorization) and solved once, for exactly its counted
+    states; no values-only solve, and neither the repeated T nor the
+    spectrum.csv lookup solves anything again."""
     calls = _count_solves(monkeypatch)
     rows = {}
     for T in (3.0, 1.5, 3.0):
@@ -522,19 +517,19 @@ def test_dense_propagate_solves_once_per_time(tmp_path, monkeypatch):
         assert main(["propagate", "--config", cfg, "--out", str(out)]) == 0
         rows[T] = len(read_rows(out / "spectrum.csv")[1])
     assert {name: len(sizes) for name, sizes in calls.items()} == {
-        "eigh": 8, "eigvalsh": 0, "eigh_tridiagonal": 0, "eigsh": 1, "splu": 8
+        "eigh": 9, "eigvalsh": 0, "eigh_tridiagonal": 0, "eigsh": 0, "splu": 8
     }
-    assert calls["eigsh"] == [1]
+    assert calls["eigh"][0] == 1
     assert calls["splu"] == [529, 506, 506, 484] * 2
-    assert rows[3.0] == 78 == sum(calls["eigh"][:4])
-    assert rows[1.5] == sum(calls["eigh"][4:]) > 78
+    assert rows[3.0] == 78 == sum(calls["eigh"][1:5])
+    assert rows[1.5] == sum(calls["eigh"][5:]) > 78
 
 
 def test_tridiagonal_propagate_solves_once(tmp_path, monkeypatch):
     """V = x^4 at T = 0.05 has 108 states in the window on this grid, 54 even
-    and 54 odd: each mirror sector (201 and 200 nodes) is counted and solved once, for the first of
-    32, 64, ... above its count, where doubling from 32 on the whole grid
-    solved three times. spectrum.csv lists exactly the window."""
+    and 54 odd. The ground state (k = 1) gives E_0; then each mirror sector
+    (201 and 200 nodes) is counted and solved once, for the first of 32, 64,
+    ... above its count. spectrum.csv lists exactly the window."""
     calls = _count_solves(monkeypatch)
     cfg = write_cfg(
         tmp_path,
@@ -547,8 +542,26 @@ def test_tridiagonal_propagate_solves_once(tmp_path, monkeypatch):
         },
     )
     assert main(["propagate", "--config", cfg, "--out", str(tmp_path / "quartic")]) == 0
-    assert calls == {"eigh": [], "eigvalsh": [], "eigh_tridiagonal": [64, 64], "eigsh": [1], "splu": [201, 200]}
+    assert calls == {"eigh": [], "eigvalsh": [], "eigh_tridiagonal": [1, 64, 64], "eigsh": [], "splu": [201, 200]}
     assert len(read_rows(tmp_path / "quartic" / "spectrum.csv")[1]) == 108
+
+
+@pytest.mark.parametrize(
+    "action, grid, solver",
+    [(HO, {"extents": [8.0], "npoints": [401]}, "eigh_tridiagonal"),
+     (UNCOUPLED, {"extents": [6.6, 6.6], "npoints": [45, 45]}, "eigh")],
+    ids=["1d", "2d-dense"],
+)
+def test_auto_pairs_and_the_window_share_one_ground_state_solve(tmp_path, monkeypatch, action, grid, solver):
+    """"auto" pairs are read off the ground state, whose energy also sets
+    the Boltzmann window: the lowest state of the all-even block is solved
+    once, and every later solve is one block's window."""
+    calls = _count_solves(monkeypatch)
+    cfg = write_cfg(tmp_path, "auto.json", {"action": action, "grid": grid, "T": 3.0, "pairs": "auto"})
+    assert main(["propagate", "--config", cfg, "--out", str(tmp_path / "auto")]) == 0
+    assert calls["eigsh"] == []
+    assert calls[solver][0] == 1 and 1 not in calls[solver][1:]
+    assert len(calls[solver]) == 1 + len(calls["splu"])
 
 
 def test_analytic_without_e_gr_solves_the_ground_state_once(tmp_path, monkeypatch):
@@ -829,6 +842,33 @@ def test_grid_beyond_its_node_bound_exits_2_leaving_no_files(tmp_path, monkeypat
     cfg = write_cfg(tmp_path, "big.json", dict(payload, action=HO if dim == 1 else UNCOUPLED))
     out = tmp_path / "big"
     assert main(["propagate", "--config", cfg, "--out", str(out)]) == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, payload",
+    [
+        ("propagate", dict(PROPAGATE_BASE, action=_ho_with_terms({"exp": [2], "coef": 0.5}, {"exp": [10**400], "coef": 1.0}))),
+        ("propagate", dict(PROPAGATE_BASE, action=_ho_with_terms({"exp": [2], "coef": 0.5}, {"exp": [100000], "coef": 1.0}))),
+        ("fit", dict(FIT_BASE, T=2.0, ansatz=[[0], [2], [MAX_DEGREE + 2]])),
+        ("propagate", dict(PROPAGATE_BASE, pairs={"points_per_axis": 2**63, "span": [-1.0, 1.0]})),
+    ],
+    ids=["exponent-1e400", "exponent-100000", "ansatz-degree", "points_per_axis-2e63"],
+)
+def test_value_beyond_its_bound_exits_2_before_eigensolve(tmp_path, monkeypatch, command, payload):
+    """A term's degree is bounded in the action and in the ansatz, and a span's
+    point count by the grid's node bound; an exponent of 10^400 once crashed
+    with OverflowError, one of 100000 with RecursionError in the generated
+    kernel, and 2^63 points per axis with IndexError."""
+    def no_solve(*args, **kwargs):
+        raise AssertionError("eigensolver reached with a value beyond its bound")
+
+    _clear_spectral_caches()
+    monkeypatch.setattr(propagator, "_window_count", no_solve)
+    monkeypatch.setattr(propagator, "spectral_decompose", no_solve)
+    cfg = write_cfg(tmp_path, "bound.json", payload)
+    out = tmp_path / "bound"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 2
     assert not out.exists()
 
 

@@ -26,7 +26,7 @@ from qaction import propagator
 from qaction.propagator import (
     BOLTZMANN_CUTOFF,
     MAX_GRID_NODES,
-    _ground_energy,
+    _ground_state,
     _sector_hamiltonians,
     _sectors,
     _window_count,
@@ -259,7 +259,7 @@ def test_truncated_window_raises(ho):
 def test_window_narrower_than_rounding_keeps_the_ground_state():
     """At T = 1e20 the window is far below the rounding of E_0, and the
     inertia count reads 0 on this grid; the ground state is solved anyway."""
-    grid = Grid((6.0, 6.0), (30, 30))
+    grid = Grid((6.0, 6.0), (32, 32))
     assert sum(_window_count(HO_2D, grid, -math.log(BOLTZMANN_CUTOFF) / 1e20)) == 0
     assert len(decompose_for_time(HO_2D, grid, 1e20).eigenvalues) == 1
 
@@ -323,38 +323,41 @@ def test_window_count_moves_off_a_zero_pivot(ho, monkeypatch):
         return lu
 
     monkeypatch.setattr(spla, "splu", swapping)
-    _window_count.cache_clear()
     swaps[:] = [True]
     assert _window_count(ho, grid, gap) == expected
     sigma = 0.5 + gap  # E_0 of the oscillator to about 1e-3
     npt.assert_allclose(diagonals[0] - diagonals[1], 1e-12 * sigma, rtol=2e-2)
-    _window_count.cache_clear()
     swaps[:] = [True, True]
     with pytest.raises(NumericalError, match="pivot-free"):
         _window_count(ho, grid, gap)
 
 
-@pytest.mark.parametrize(
-    "action, grid, sizes",
-    [
-        (QUARTIC, Grid((7.0,), (1601,)), {0.05: [64, 64], 0.1: [32, 32], 4.0: [32, 32]}),
-        (HO_2D, SPARSE_GRID, {2.2: [64, 64, 64, 32], 8.0: [32, 32, 32, 32]}),
-    ],
-    ids=["1d-quartic", "2d-sparse"],
-)
-def test_window_sizing_matches_doubling_from_32(action, grid, sizes, monkeypatch):
-    """Off the dense branch each mirror sector's count picks the k that
-    doubling from 32 ends on, when the last state solved is measured against
-    the global E_0. So each sector's solve is the same call, and the window
-    cut from the stably merged solves the same bits."""
-    e0 = _ground_energy(action, grid)
+def _record_solves(monkeypatch) -> list:
+    """The k of every spectral_decompose call from here on, with the window caches cleared."""
     solved = []
 
     def recorded(H, k, grid, sector=None):
         solved.append(k)
         return spectral_decompose(H, k, grid, sector)
 
+    decompose_for_time.cache_clear()
+    _ground_state.cache_clear()
     monkeypatch.setattr(propagator, "spectral_decompose", recorded)
+    return solved
+
+
+@pytest.mark.parametrize(
+    "action, grid, sizes",
+    [(QUARTIC, Grid((7.0,), (1601,)), {0.05: [64, 64], 0.1: [32, 32], 4.0: [32, 32]})],
+    ids=["1d-quartic"],
+)
+def test_window_sizing_matches_doubling_from_32(action, grid, sizes, monkeypatch):
+    """In 1-D each mirror sector's count picks the k that doubling from 32
+    ends on, when the last state solved is measured against E_0. So each
+    sector's solve is the same call, and the window cut from the stably
+    merged solves the same bits."""
+    solved = _record_solves(monkeypatch)
+    e0 = _ground_state(action, grid).eigenvalues[0]
     for T, expected in sizes.items():
         gap_needed = -action.hbar * math.log(BOLTZMANN_CUTOFF) / T
         ks, parts = [], []
@@ -369,7 +372,7 @@ def test_window_sizing_matches_doubling_from_32(action, grid, sizes, monkeypatch
             ks.append(k)
             parts.append(old)
         solved.clear()
-        propagator._window_states.cache_clear()
+        decompose_for_time.cache_clear()
         new = decompose_for_time(action, grid, T)
         assert solved == ks == expected
         E = np.concatenate([p.eigenvalues for p in parts])
@@ -377,6 +380,36 @@ def test_window_sizing_matches_doubling_from_32(action, grid, sizes, monkeypatch
         inside = np.exp(-(E[order] - E[order[0]]) * T / action.hbar) >= BOLTZMANN_CUTOFF
         assert np.array_equal(new.eigenvalues, E[order][inside])
         assert np.array_equal(new.eigenvectors, np.concatenate([p.eigenvectors for p in parts])[order[inside]])
+
+
+@pytest.mark.parametrize(
+    "action, grid, sizes",
+    [
+        (HO_2D, SPARSE_GRID, {2.2: [36, 36, 36, 28], 8.0: [6, 3, 3, 3]}),
+        (None, Grid((6.3, 6.3), (64, 64)), {3.0: [19, 15, 15, 13]}),
+    ],
+    ids=["ho-60x60", "coupled-64x64"],
+)
+def test_2d_blocks_solve_exactly_their_counted_states(coupled_2d, action, grid, sizes, monkeypatch):
+    """A 2-D block is solved once, for exactly the states its inertia count
+    puts in the window, after the one k = 1 solve of the ground state; here
+    every block is shift-invert, and every state solved is kept. The first
+    grid is separable, so its counts follow from 1-D levels: a sector's
+    levels are the sums of even (+1) or odd (-1) levels along each axis."""
+    action = action or coupled_2d
+    solved = _record_solves(monkeypatch)
+    for T, expected in sizes.items():
+        sd = decompose_for_time(action, grid, T)
+        assert solved[-4:] == expected and len(sd.eigenvalues) == sum(expected)
+    assert solved[0] == 1 and len(solved) == 1 + 4 * len(sizes)
+    if action is HO_2D:
+        ho = ActionSpec(mass=1.0, potential=PolynomialPotential(1, {(2,): 0.5}))
+        E = scipy.linalg.eigvalsh(discretize_hamiltonian(ho, Grid((6.3,), (60,))).toarray())
+        levels = {1: E[0::2], -1: E[1::2]}
+        sums = [np.add.outer(levels[px], levels[py]) for px, py in _sectors(action)]
+        for T, expected in sizes.items():
+            top = 2 * E[0] - math.log(BOLTZMANN_CUTOFF) / T
+            assert [np.count_nonzero(s < top) for s in sums] == expected
 
 
 def test_sparse_sectors_reproduce_the_separable_spectrum_and_amplitudes(ho):
