@@ -56,7 +56,6 @@ from .asymptotics import (
 )
 from .chaos import (
     PoincareSection,
-    SectionComparison,
     SectionSpec,
     compare_sections,
     generate_section,
@@ -81,7 +80,6 @@ __all__ = [
     "PolynomialPotential",
     "PropagatorTable",
     "ScaleTransform",
-    "SectionComparison",
     "SectionSpec",
     "SpectralData",
     "TrajectorySolution",

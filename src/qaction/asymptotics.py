@@ -336,9 +336,11 @@ class WkbReport:
     excluded_fraction: float
 
 
-def wkb_compare(classical: ActionSpec, quantum, e_gr: float, grid: Grid) -> WkbReport:
+def wkb_compare(classical: ActionSpec, state: GroundStateInfo, e_gr: float) -> WkbReport:
     """Compare classical-WKB and quantum-substituted forms to the true state.
 
+    ``state`` is the quantum-substituted ground state, from a trial action
+    or from an inverted transformation law; the comparison runs on its grid.
     The classical branch uses |2m(V-E_gr)|^(-1/4) with the cosine phase
     inside the well and the decaying exponential with connection factor 1/2
     outside; nodes with |2m(V-E_gr)| < 1e-3 near the turning points are
@@ -347,17 +349,12 @@ def wkb_compare(classical: ActionSpec, quantum, e_gr: float, grid: Grid) -> WkbR
     is constant, and is compared without exclusions.
     """
     _require_1d_even(classical.potential, "WKB comparison")
+    grid = state.grid
     if grid.dim != 1:
         raise ValueError("WKB comparison requires a 1-D grid")
     ref = ground_state_spectral(classical, grid)
-    if isinstance(quantum, InversionResult):
-        sub = quantum.ground_state()
-    else:
-        sub = ground_state_from_quantum_action(quantum, grid)
-    if sub.grid != grid:
-        raise ValueError("quantum-substituted state must live on the same grid")
     w = grid.weights_flat()
-    d_quantum = math.sqrt(float(np.dot(w, (sub.psi - ref.psi) ** 2)))
+    d_quantum = math.sqrt(float(np.dot(w, (state.psi - ref.psi) ** 2)))
 
     m, hb = classical.mass, classical.hbar
     pot = classical.potential

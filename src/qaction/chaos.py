@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import NumericalError
 from .model import ActionSpec, _as_integer, _as_number, _bisect_root, _json_floats
-from .trajectory import PhaseState, _step_loop, hamiltonian_energy
+from .trajectory import MAX_STEPS, PhaseState, _step_loop, hamiltonian_energy
 
 _CONVENTIONS = ("above-minimum", "absolute")
 # R2 additive recurrence (plastic-number based): deterministic low-discrepancy
@@ -34,7 +34,6 @@ class SectionSpec:
     """Section plane, energy, and integration policy for one section run."""
 
     energy: float
-    initial_conditions: tuple
     dt: float = 1e-3
     max_crossings: int = 200
     plane_axis: int = 1
@@ -52,39 +51,37 @@ class SectionSpec:
             raise ValueError(f"time step must lie in (0, 1e-2], got {self.dt}")
         if self.max_crossings < 1:
             raise ValueError("need at least one crossing per orbit")
+        if not 1 <= self.max_steps <= MAX_STEPS:
+            raise ValueError(f"section max_steps must lie in [1, 2**62], got {self.max_steps}")
         if self.plane_axis not in (0, 1):
             raise ValueError("plane axis must be 0 or 1")
         if self.orientation not in (-1, 1):
             raise ValueError("orientation must be +1 or -1")
         if self.energy_convention not in _CONVENTIONS:
             raise ValueError(f"unknown energy convention {self.energy_convention!r}")
-        ics = tuple(self.initial_conditions)
-        if not ics:
-            raise ValueError("at least one initial condition required")
-        for s in ics:
-            if not isinstance(s, PhaseState) or s.dim != 2:
-                raise ValueError("initial conditions must be 2-D PhaseState values")
-        object.__setattr__(self, "initial_conditions", ics)
 
 
-def _absolute_energy(action: ActionSpec, spec: SectionSpec) -> float:
-    if spec.energy_convention == "absolute":
-        return spec.energy
+def _on_plane(plane_axis: int, c, u) -> tuple:
+    """(x, y) of the point with plane coordinate c and in-plane coordinate u."""
+    return (c, u) if plane_axis == 0 else (u, c)
+
+
+def _shell_energy(action: ActionSpec, spec: SectionSpec) -> float:
+    """Absolute energy of the section's shell, which must exceed the potential minimum."""
     _, vmin = action.potential.minimum()
-    return vmin + spec.energy
+    e_abs = spec.energy if spec.energy_convention == "absolute" else vmin + spec.energy
+    if e_abs <= vmin:
+        raise ValueError("section energy must exceed the potential minimum")
+    return e_abs
 
 
 @functools.lru_cache(maxsize=16)
 def _plane_extent(action: ActionSpec, plane_axis: int, plane_value: float, e_abs: float) -> tuple:
     """Half-widths (x_max, p_max) of the allowed region inside the plane."""
     pot = action.potential
-    axis = 1 - plane_axis  # in-plane position coordinate
 
     def v_line(u: float) -> float:
-        z = [0.0, 0.0]
-        z[axis] = u
-        z[plane_axis] = plane_value
-        return pot(tuple(z))
+        return pot(_on_plane(plane_axis, plane_value, u))
 
     if v_line(0.0) >= e_abs:
         raise ValueError("section energy does not reach the plane through the origin")
@@ -102,16 +99,12 @@ def _plane_extent(action: ActionSpec, plane_axis: int, plane_value: float, e_abs
 
 def section_initial_conditions(
     action: ActionSpec,
-    energy: float,
+    spec: SectionSpec,
     n_orbits: int,
-    plane_axis: int = 1,
-    plane_value: float = 0.0,
-    orientation: int = 1,
-    energy_convention: str = "above-minimum",
     fill_fraction: float = 0.9,
     start_index: int = 1,
 ) -> tuple:
-    """Low-discrepancy initial conditions on the energy shell in the plane.
+    """Low-discrepancy initial conditions on the energy shell in the plane of ``spec``.
 
     Points (x, p_x) follow the two-dimensional additive golden-like
     recurrence inside the allowed region, scaled by fill_fraction so the
@@ -128,39 +121,24 @@ def section_initial_conditions(
     start_index = _as_integer(start_index, "start_index")
     if not 0 <= start_index <= MAX_START_INDEX:
         raise ValueError(f"start_index must lie in [0, 2**53], got {start_index}")
-    probe = SectionSpec(
-        energy=energy,
-        initial_conditions=(PhaseState((0.0, 0.0), (0.0, 1.0)),),
-        plane_axis=plane_axis,
-        plane_value=plane_value,
-        orientation=orientation,
-        energy_convention=energy_convention,
-    )
-    e_abs = _absolute_energy(action, probe)
-    x_max, _ = _plane_extent(action, probe.plane_axis, probe.plane_value, e_abs)
+    e_abs = _shell_energy(action, spec)
+    pax, c = spec.plane_axis, spec.plane_value
+    x_max, _ = _plane_extent(action, pax, c, e_abs)
     pot = action.potential
     m = action.mass
-    axis = 1 - plane_axis
     states = []
     k = start_index
     while len(states) < n_orbits:
         u = (0.5 + _R2_ALPHA[0] * k) % 1.0
         w = (0.5 + _R2_ALPHA[1] * k) % 1.0
         k += 1
-        x = fill_fraction * x_max * (2.0 * u - 1.0)
-        z = [0.0, 0.0]
-        z[axis] = x
-        z[plane_axis] = plane_value
-        room = 2.0 * m * (e_abs - pot(tuple(z)))
+        pos = _on_plane(pax, c, fill_fraction * x_max * (2.0 * u - 1.0))
+        room = 2.0 * m * (e_abs - pot(pos))
         if room <= 0.0:
             continue
         px = fill_fraction * math.sqrt(room) * (2.0 * w - 1.0)
         p_plane = math.sqrt(room - px * px)
-        pos = tuple(z)
-        mom = [0.0, 0.0]
-        mom[axis] = px
-        mom[plane_axis] = orientation * p_plane
-        states.append(PhaseState(pos, tuple(mom)))
+        states.append(PhaseState(pos, _on_plane(pax, spec.orientation * p_plane, px)))
     return tuple(states)
 
 
@@ -176,17 +154,17 @@ class PoincareSection:
     def __post_init__(self):
         pot = self.action_used.potential
         m = self.action_used.mass
-        axis = 1 - self.spec.plane_axis
-        c = self.spec.plane_value
+        pax, c = self.spec.plane_axis, self.spec.plane_value
         for pts in self.orbits:
             if pts.size == 0:
                 continue
-            z = np.zeros((len(pts), 2))
-            z[:, axis] = pts[:, 0]
-            z[:, self.spec.plane_axis] = c
-            v = pot.evaluate_points(z)
+            v = pot.evaluate_points(np.column_stack(_on_plane(pax, np.full(len(pts), c), pts[:, 0])))
             if np.any(pts[:, 1] ** 2 / (2.0 * m) > self.e_absolute - v + 1e-8):
                 raise NumericalError("section point outside the allowed region")
+
+    def extent(self) -> tuple:
+        """Half-widths (x_max, p_max) of the allowed region in the section plane."""
+        return _plane_extent(self.action_used, self.spec.plane_axis, self.spec.plane_value, self.e_absolute)
 
     @property
     def n_points(self) -> int:
@@ -201,15 +179,13 @@ class PoincareSection:
         return ["orbit", "x", "px"]
 
 
-def _henon_refine(x, y_from, px, py, m, grad, axis, plane_axis, c):
-    """One RK4 step using the plane coordinate as the independent variable."""
+def _henon_refine(x, y_from, px, py, m, grad, plane_axis, c):
+    """One RK4 step using the plane coordinate as the independent variable;
+    x and px are in-plane, y and py across the plane."""
 
     def deriv(xx, yy, ppx, ppy):
-        z = [0.0, 0.0]
-        z[axis] = xx
-        z[plane_axis] = yy
-        g = grad(*z)
-        fx, fy = -g[axis], -g[plane_axis]
+        g = grad(*_on_plane(plane_axis, yy, xx))
+        fx, fy = -g[1 - plane_axis], -g[plane_axis]
         return ppx / ppy, m * fx / ppy, m * fy / ppy
 
     h = c - y_from
@@ -255,12 +231,9 @@ def _orbit_crossings(action: ActionSpec, spec: SectionSpec, e_abs: float, start:
             if abs(prev[2 + pax]) < 1e-10:
                 raise NumericalError("crossing with vanishing plane momentum; reduce dt")
             x_c, px_c, py_c = _henon_refine(
-                prev[axis], prev[pax], prev[2 + axis], prev[2 + pax], m, grad, axis, pax, c,
+                prev[axis], prev[pax], prev[2 + axis], prev[2 + pax], m, grad, pax, c,
             )
-            z = [0.0, 0.0]
-            z[axis] = x_c
-            z[pax] = c
-            e_cross = (px_c**2 + py_c**2) / (2.0 * m) + pot(z)
+            e_cross = (px_c**2 + py_c**2) / (2.0 * m) + pot(_on_plane(pax, c, x_c))
             if abs(e_cross - e_abs) > 1e-8 * max(1.0, abs(e_abs)):
                 raise NumericalError("energy at a refined crossing drifted beyond 1e-8")
             points.append((x_c, px_c))
@@ -269,29 +242,31 @@ def _orbit_crossings(action: ActionSpec, spec: SectionSpec, e_abs: float, start:
         last_transit = direction
 
 
-def generate_section(action: ActionSpec, spec: SectionSpec) -> PoincareSection:
+def generate_section(action: ActionSpec, spec: SectionSpec, initial_conditions) -> PoincareSection:
     """Integrate every initial condition and collect oriented plane crossings.
 
-    Each orbit is stepped on its own until it has ``max_crossings``
-    crossings, within ``max_steps`` steps. Crossings are detected as sign
-    changes of the plane coordinate between consecutive symplectic steps
-    with the required momentum orientation; opposite-orientation transits
-    are tracked so a missed (grazing) return is reported instead of silently
-    double-counting.
+    The initial conditions are 2-D phase states on the shell of ``spec``, at
+    least one. Each orbit is stepped on its own until it has
+    ``max_crossings`` crossings, within ``max_steps`` steps. Crossings are
+    detected as sign changes of the plane coordinate between consecutive
+    symplectic steps with the required momentum orientation;
+    opposite-orientation transits are tracked so a missed (grazing) return
+    is reported instead of silently double-counting.
     """
     if action.dimension != 2:
         raise ValueError("sections require a 2-D action")
-    e_abs = _absolute_energy(action, spec)
-    ics = spec.initial_conditions
+    ics = tuple(initial_conditions)
+    if not ics:
+        raise ValueError("at least one initial condition required")
+    if not all(isinstance(s, PhaseState) and s.dim == 2 for s in ics):
+        raise ValueError("initial conditions must be 2-D PhaseState values")
+    e_abs = _shell_energy(action, spec)
     for s in ics:
         if abs(hamiltonian_energy(action, s) - e_abs) > 1e-10 * max(1.0, abs(e_abs)):
             raise ValueError(
                 f"initial condition {s} misses the energy shell "
                 f"H={e_abs} beyond 1e-10"
             )
-    _, vmin = action.potential.minimum()
-    if e_abs <= vmin:
-        raise ValueError("section energy must exceed the potential minimum")
     orbits = tuple(_orbit_crossings(action, spec, e_abs, s) for s in ics)
     return PoincareSection(spec=spec, action_used=action, e_absolute=e_abs, orbits=orbits)
 
@@ -319,17 +294,12 @@ def _occupied_boxes(section: PoincareSection, boxes, x_max, p_max) -> set:
 def _allowed_boxes(section: PoincareSection, boxes, x_max, p_max) -> int:
     """Boxes whose center lies inside the energetically allowed plane region."""
     nx, npx = boxes
-    pot = section.action_used.potential
-    m = section.action_used.mass
-    axis = 1 - section.spec.plane_axis
     cx = -x_max + (np.arange(nx) + 0.5) * (2.0 * x_max / nx)
     cp = -p_max + (np.arange(npx) + 0.5) * (2.0 * p_max / npx)
-    z = np.zeros((nx, 2))
-    z[:, axis] = cx
-    z[:, section.spec.plane_axis] = section.spec.plane_value
-    v = pot.evaluate_points(z)
-    room = section.e_absolute - v
-    allowed = (cp[None, :] ** 2 / (2.0 * m)) <= room[:, None]
+    spec = section.spec
+    z = np.column_stack(_on_plane(spec.plane_axis, np.full(nx, spec.plane_value), cx))
+    room = section.e_absolute - section.action_used.potential.evaluate_points(z)
+    allowed = (cp[None, :] ** 2 / (2.0 * section.action_used.mass)) <= room[:, None]
     return int(np.count_nonzero(allowed))
 
 
@@ -338,8 +308,7 @@ def section_occupancy(section: PoincareSection, boxes: tuple = (48, 48)) -> floa
     if section.n_points == 0:
         raise ValueError("cannot measure occupancy of an empty section")
     nx, npx = _box_counts(boxes)
-    spec = section.spec
-    x_max, p_max = _plane_extent(section.action_used, spec.plane_axis, spec.plane_value, section.e_absolute)
+    x_max, p_max = section.extent()
     occ = _occupied_boxes(section, (nx, npx), x_max, p_max)
     allowed = _allowed_boxes(section, (nx, npx), x_max, p_max)
     return len(occ) / allowed
@@ -352,8 +321,7 @@ def orbit_thickness(section: PoincareSection, n_angle_bins: int = 32) -> list:
     average over angular bins of the radial standard deviation, a proxy for
     how far the cloud departs from a thin closed curve.
     """
-    spec = section.spec
-    x_max, p_max = _plane_extent(section.action_used, spec.plane_axis, spec.plane_value, section.e_absolute)
+    x_max, p_max = section.extent()
     out = []
     for pts in section.orbits:
         if len(pts) < 8:
@@ -377,34 +345,20 @@ def orbit_thickness(section: PoincareSection, n_angle_bins: int = 32) -> list:
     return out
 
 
-@dataclass(frozen=True)
-class SectionComparison:
-    """Descriptive comparison of two sections at equal shell energy."""
-
-    occupancy_a: float
-    occupancy_b: float
-    symmetric_difference: float
-    points_a: int
-    points_b: int
-    thickness_a: tuple
-    thickness_b: tuple
-
-    def to_json_dict(self) -> dict:
-        return {
-            "occupancy_classical": self.occupancy_a,
-            "occupancy_quantum": self.occupancy_b,
-            "symmetric_difference": self.symmetric_difference,
-            "points_classical": self.points_a,
-            "points_quantum": self.points_b,
-            "thickness_classical": _json_floats(self.thickness_a),
-            "thickness_quantum": _json_floats(self.thickness_b),
-        }
+def _section_summary(section: PoincareSection, boxes: tuple, side: str) -> dict:
+    """Occupancy, point count and orbit thicknesses of one side of a comparison."""
+    return {
+        f"occupancy_{side}": section_occupancy(section, boxes),
+        f"points_{side}": section.n_points,
+        f"thickness_{side}": _json_floats(orbit_thickness(section)),
+    }
 
 
 def compare_sections(
     classical: PoincareSection, quantum: PoincareSection, boxes: tuple = (48, 48)
-) -> SectionComparison:
-    """Occupancies plus the symmetric difference of occupied box sets.
+) -> dict:
+    """Occupancies, point counts, orbit thicknesses and the symmetric
+    difference of the occupied box sets, as the JSON object of a comparison.
 
     Both sections must use the same plane, orientation, and energy
     convention; the box partition for the symmetric difference spans the
@@ -424,20 +378,13 @@ def compare_sections(
         raise ValueError("sections use different planes or orientations")
     if classical.n_points == 0 or quantum.n_points == 0:
         raise ValueError("cannot compare empty sections")
-    nx, npx = _box_counts(boxes)
-    xa, pa = _plane_extent(classical.action_used, sa.plane_axis, sa.plane_value, classical.e_absolute)
-    xb, pb = _plane_extent(quantum.action_used, sb.plane_axis, sb.plane_value, quantum.e_absolute)
+    boxes = _box_counts(boxes)
+    (xa, pa), (xb, pb) = classical.extent(), quantum.extent()
     x_max, p_max = max(xa, xb), max(pa, pb)
-    occ_a = _occupied_boxes(classical, (nx, npx), x_max, p_max)
-    occ_b = _occupied_boxes(quantum, (nx, npx), x_max, p_max)
-    union = occ_a | occ_b
-    sym = len(occ_a ^ occ_b) / len(union)
-    return SectionComparison(
-        occupancy_a=section_occupancy(classical, (nx, npx)),
-        occupancy_b=section_occupancy(quantum, (nx, npx)),
-        symmetric_difference=sym,
-        points_a=classical.n_points,
-        points_b=quantum.n_points,
-        thickness_a=tuple(orbit_thickness(classical)),
-        thickness_b=tuple(orbit_thickness(quantum)),
-    )
+    occ_a = _occupied_boxes(classical, boxes, x_max, p_max)
+    occ_b = _occupied_boxes(quantum, boxes, x_max, p_max)
+    return {
+        **_section_summary(classical, boxes, "classical"),
+        **_section_summary(quantum, boxes, "quantum"),
+        "symmetric_difference": len(occ_a ^ occ_b) / len(occ_a | occ_b),
+    }

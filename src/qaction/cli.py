@@ -40,17 +40,11 @@ from .asymptotics import (
     wkb_compare,
 )
 from .chaos import (
-    SectionSpec,
-    _box_counts,
-    compare_sections,
-    generate_section,
-    orbit_thickness,
-    section_initial_conditions,
-    section_occupancy,
+    SectionSpec, _box_counts, _section_summary, compare_sections, generate_section, section_initial_conditions,
 )
 from .errors import NumericalError
-from .model import ActionSpec, _as_integer, _as_number, _json_floats
-from .propagator import MAX_GRID_NODES, Grid, decompose_for_time, euclidean_propagate, tensor_pairs
+from .model import ActionSpec, _as_integer, _as_number
+from .propagator import MAX_GRID_NODES, MAX_PAIRS, Grid, decompose_for_time, euclidean_propagate, tensor_pairs
 from .qfit import (
     FLOW_CSV_HEADER,
     FitProblem,
@@ -122,7 +116,8 @@ def _parse_pairs(data, grid: Grid, classical: ActionSpec = None, where: str = "p
     "auto" picks nodes where the spectral ground state is above 1e-4 of its
     peak; {"points": [...]} takes the tensor square of explicit points;
     {"points_per_axis", "span"} snaps an even subdivision to grid nodes;
-    a plain list is read as explicit [initial, final] pairs.
+    a plain list is read as explicit [initial, final] pairs. Every form is
+    refused before its list is built when it would exceed ``MAX_PAIRS``.
     """
     if data == "auto":
         _expect(classical is not None, f"{where}: 'auto' needs a classical action")
@@ -157,7 +152,7 @@ def _parse_pairs(data, grid: Grid, classical: ActionSpec = None, where: str = "p
         _expect(len(pairs) > 0, f"{where}: empty pair list after filtering")
         return pairs
     _expect(isinstance(data, list), f"{where} must be 'auto', an object, or a list")
-    _expect(len(data) > 0, f"{where}: empty pair list")
+    _expect(0 < len(data) <= MAX_PAIRS, f"{where}: need 1 to {MAX_PAIRS} pairs, got {len(data)}")
     out = []
     for entry in data:
         _expect(
@@ -315,13 +310,12 @@ def cmd_analytic(cfg: dict, args) -> list:
         xs = xs[quantum.potential.evaluate_points(xs[:, None]) > quantum.potential.minimum()[1]]
         law = transformation_law_residual(classical, e_gr, quantum, xs)
         law_rows = [[float(x), float(r)] for x, r in zip(xs, law)]
-        wkb = wkb_compare(classical, quantum, e_gr, grid)
     else:
         inversion = invert_transformation_law(classical, e_gr, grid)
         state = inversion.ground_state()
         lx, lr = transformation_law_residual_grid(inversion)
         law_rows = [[float(x), float(r)] for x, r in zip(lx, lr)]
-        wkb = wkb_compare(classical, inversion, e_gr, grid)
+    wkb = wkb_compare(classical, state, e_gr)
 
     gs_rows = [[float(x), float(p)] for x, p in zip(grid.axes()[0], state.psi)]
     wkb_payload = dict(asdict(wkb), ground_state_energy_used=e_gr, ground_state_source=state.source)
@@ -348,18 +342,20 @@ def _section_artifacts(stem: str, section, fmt: str) -> tuple:
 def cmd_poincare(cfg: dict, args) -> list:
     classical = _parse_action(_get(cfg, "action", dict), "action", confining=True)
     _expect(classical.dimension == 2, "sections need a 2-D action")
-    energy = _number(cfg, "energy")
     n_orbits = _integer(cfg, "n_orbits", default=12)
-    dt = _number(cfg, "dt", default=1e-3)
-    max_crossings = _integer(cfg, "max_crossings", default=200)
-    convention = _get(cfg, "energy_convention", str, default="above-minimum")
     fill = _number(cfg, "fill_fraction", default=0.9)
     start_index = _integer(cfg, "start_index", default=1)
     boxes = _box_counts(_get(cfg, "boxes", list, default=[48, 48]))
     plane = _get(cfg, "plane", dict, default={})
-    plane_axis = _integer(plane, "axis", default=1, where="plane")
-    plane_value = _number(plane, "value", default=0.0, where="plane")
-    orientation = _integer(plane, "orientation", default=1, where="plane")
+    spec = SectionSpec(
+        energy=_number(cfg, "energy"),
+        dt=_number(cfg, "dt", default=1e-3),
+        max_crossings=_integer(cfg, "max_crossings", default=200),
+        plane_axis=_integer(plane, "axis", default=1, where="plane"),
+        plane_value=_number(plane, "value", default=0.0, where="plane"),
+        orientation=_integer(plane, "orientation", default=1, where="plane"),
+        energy_convention=_get(cfg, "energy_convention", str, default="above-minimum"),
+    )
 
     quantum = None
     fit_path = cfg.get("fit_result")
@@ -372,31 +368,17 @@ def cmd_poincare(cfg: dict, args) -> list:
         _expect(quantum.dimension == 2, "fit_result holds a non-2-D action")
 
     def build(action: ActionSpec):
-        ics = section_initial_conditions(
-            action, energy, n_orbits,
-            plane_axis=plane_axis, plane_value=plane_value, orientation=orientation,
-            energy_convention=convention, fill_fraction=fill, start_index=start_index,
-        )
-        spec = SectionSpec(
-            energy=energy, initial_conditions=ics, dt=dt,
-            max_crossings=max_crossings, plane_axis=plane_axis,
-            plane_value=plane_value, orientation=orientation,
-            energy_convention=convention,
-        )
-        return generate_section(action, spec)
+        ics = section_initial_conditions(action, spec, n_orbits, fill_fraction=fill, start_index=start_index)
+        return generate_section(action, spec, ics)
 
     sec_classical = build(classical)
     artifacts = [_section_artifacts("section_classical", sec_classical, args.format)]
     if quantum is not None:
         sec_quantum = build(quantum)
         artifacts.append(_section_artifacts("section_quantum", sec_quantum, args.format))
-        comparison = compare_sections(sec_classical, sec_quantum, boxes=boxes).to_json_dict()
+        comparison = compare_sections(sec_classical, sec_quantum, boxes=boxes)
     else:
-        comparison = {
-            "occupancy_classical": section_occupancy(sec_classical, boxes=boxes),
-            "points_classical": sec_classical.n_points,
-            "thickness_classical": _json_floats(orbit_thickness(sec_classical)),
-        }
+        comparison = _section_summary(sec_classical, boxes, "classical")
     artifacts.append(_json_artifact("comparison.json", comparison))
     return artifacts
 

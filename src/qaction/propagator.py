@@ -43,6 +43,8 @@ BOLTZMANN_CUTOFF = 1e-14
 DENSE_MAX_NODES = 800
 # the most nodes a grid may hold, per axis and in total
 MAX_GRID_NODES = 2**16
+# the most boundary pairs of one table; the largest in use, the 2-D "auto" pairs, number 11^4 = 14641
+MAX_PAIRS = 2**16
 
 
 @dataclass(frozen=True)
@@ -420,8 +422,8 @@ def decompose_for_time(action: ActionSpec, grid: Grid, T: float) -> SpectralData
 def euclidean_propagate(action: ActionSpec, grid: Grid, T: float, pairs) -> PropagatorTable:
     """Spectral Euclidean amplitudes for boundary pairs lying on grid nodes."""
     pairs = _normalize_pairs(pairs, grid.dim)
-    if not pairs:
-        raise ValueError("at least one boundary pair required")
+    if not 1 <= len(pairs) <= MAX_PAIRS:
+        raise ValueError(f"a table holds 1 to {MAX_PAIRS} boundary pairs, got {len(pairs)}")
     # off-node pairs fail here, before any eigensolve
     idx_i = [grid.index_of(p[0]) for p in pairs]
     idx_f = [grid.index_of(p[1]) for p in pairs]
@@ -447,9 +449,11 @@ def _normalize_pairs(pairs, dim: int):
 
 
 def tensor_pairs(initial_points, final_points):
-    """All (initial, final) combinations of two point collections."""
+    """All (initial, final) combinations of two point collections, at most ``MAX_PAIRS``."""
     init = [tuple(np.atleast_1d(p)) for p in initial_points]
     fin = [tuple(np.atleast_1d(p)) for p in final_points]
+    if len(init) * len(fin) > MAX_PAIRS:
+        raise ValueError(f"a table holds at most {MAX_PAIRS} boundary pairs, got {len(init)} x {len(fin)}")
     return [(a, b) for a in init for b in fin]
 
 

@@ -74,32 +74,32 @@ def hamiltonian_energy(action: ActionSpec, state: PhaseState) -> float:
 # -- Euclidean boundary value problem ---------------------------------------
 
 
-def _el_defect(path: np.ndarray, dt: float, m: float, pot: PolynomialPotential) -> np.ndarray:
-    acc = (path[2:] - 2.0 * path[1:-1] + path[:-2]) / dt**2
-    return m * acc - pot.gradient_points(path[1:-1])
+def _el_defect(path: np.ndarray, dt: float, m: float, pot: PolynomialPotential) -> tuple:
+    """Euler-Lagrange defect at the interior nodes, and the magnitude of its terms.
 
-
-def _defect_scale(path, dt, m, pot):
-    """Magnitude of the terms composing the Euler-Lagrange defect.
-
-    Scaling the defect by this (backward-error convention) keeps the
-    convergence test meaningful: the raw second difference carries an
+    Scaling the defect by that magnitude (backward-error convention) keeps
+    the convergence test meaningful: the raw second difference carries an
     irreducible eps*m*|x|/dt^2 rounding floor.
     """
+    grad = pot.gradient_points(path[1:-1])
+    acc = (path[2:] - 2.0 * path[1:-1] + path[:-2]) / dt**2
     mags = m * (np.abs(path[2:]) + 2.0 * np.abs(path[1:-1]) + np.abs(path[:-2])) / dt**2
-    mags += np.abs(pot.gradient_points(path[1:-1]))
-    return 1.0 + float(np.max(mags))
+    mags += np.abs(grad)
+    return m * acc - grad, 1.0 + float(np.max(mags))
 
 
 def _newton_relax(pot, m, path, dt):
-    """Damped Newton on the interior nodes; returns (path, scaled residual, ok)."""
+    """Damped Newton on the interior nodes; returns (path, scaled residual, ok).
+
+    Each iterate evaluates the defect once: the accepted line-search trial's
+    defect is the next iterate's."""
     import scipy.linalg
 
     n, dim = path.shape
     c = m / dt**2
+    F, scale = _el_defect(path, dt, m, pot)
     for _ in range(MAX_NEWTON):
-        F = _el_defect(path, dt, m, pot)
-        res = float(np.max(np.abs(F))) / _defect_scale(path, dt, m, pot)
+        res = float(np.max(np.abs(F))) / scale
         if res <= NEWTON_RTOL:
             return path, res, True
         hess = pot.hessian_points(path[1:-1])
@@ -120,15 +120,15 @@ def _newton_relax(pot, m, path, dt):
         while lam > 1e-10:
             trial = path.copy()
             trial[1:-1] += lam * delta
-            f1 = float(np.linalg.norm(_el_defect(trial, dt, m, pot)))
+            F1, scale1 = _el_defect(trial, dt, m, pot)
+            f1 = float(np.linalg.norm(F1))
             if f1 <= (1.0 - 0.25 * lam) * f0 or f1 < 1e-300:
-                path = trial
+                path, F, scale = trial, F1, scale1
                 break
             lam *= 0.5
         else:
             return path, res, False
-    F = _el_defect(path, dt, m, pot)
-    res = float(np.max(np.abs(F))) / _defect_scale(path, dt, m, pot)
+    res = float(np.max(np.abs(F))) / scale
     return path, res, res <= NEWTON_RTOL
 
 
@@ -221,7 +221,7 @@ _FR_DRIFT = (_FR_THETA / 2.0, (1.0 - _FR_THETA) / 2.0)
 _FR_KICK = (_FR_THETA, 1.0 - 2.0 * _FR_THETA)
 C_FLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")  # no FMA, no -ffast-math
 C_BUILD_TIMEOUT_S = 30.0
-C_CHUNK = 2**62  # most steps per call of the C loop: a C long wraps a larger count silently
+MAX_STEPS = 2**62  # most steps of one run: ctypes wraps a count beyond a C long long silently
 
 
 def _step_statements(dimension: int, terms: tuple, mass: float, dt: float) -> list:
@@ -260,14 +260,14 @@ def _python_loop(statements: list, q: str):
 
 
 def _c_loop(statements: list, q: str, python_loop):
-    """The loop compiled as C ``long loop(long n, double c, double *s)``, or None.
+    """The loop compiled as C ``long long loop(long long n, double c, double *s)``, or None.
 
     ``s`` holds the state in s[0..3] and the state before the last step in
-    s[4..7]. The shared library is built in a fresh temporary directory and
-    loaded, and the directory is removed before returning, so nothing is left
-    behind. A count beyond ``C_CHUNK`` goes in chunks. None when no
-    compiler is found, the build fails or times out, or the compiled loop
-    differs in any bit from ``python_loop`` on a short probe.
+    s[4..7]. Its domain is 0 <= n <= ``MAX_STEPS``; callers bound n there. The
+    shared library is built in a fresh temporary directory and loaded, and
+    the directory is removed before returning, so nothing is left behind.
+    None when no compiler is found, the build fails or times out, or the
+    compiled loop differs in any bit from ``python_loop`` on a short probe.
     """
     import ctypes
     import shutil
@@ -276,14 +276,14 @@ def _c_loop(statements: list, q: str, python_loop):
     import threading
 
     compiler = shutil.which("cc") or shutil.which("gcc")
-    if compiler is None or ctypes.sizeof(ctypes.c_long) < 8:  # a C long must hold C_CHUNK
+    if compiler is None:
         return None
     source = "\n".join([
-        "long loop(long n, double c, double *s)",
+        "long long loop(long long n, double c, double *s)",
         "{",
         "    double x = s[0], y = s[1], px = s[2], py = s[3];",
         "    double x0 = x, y0 = y, px0 = px, py0 = py;",
-        "    long k = 0;",
+        "    long long k = 0;",
         "    while (k < n) {",
         "        k++;",
         "        x0 = x; y0 = y; px0 = px; py0 = py;",
@@ -318,23 +318,17 @@ def _c_loop(statements: list, q: str, python_loop):
             compiled = ctypes.CDLL(f"{build}/loop.so").loop  # holds its library loaded
     except OSError:
         return None
-    compiled.argtypes = (ctypes.c_long, ctypes.c_double, ctypes.POINTER(ctypes.c_double))
-    compiled.restype = ctypes.c_long
-    axis = "xy".index(q)
+    compiled.argtypes = (ctypes.c_longlong, ctypes.c_double, ctypes.POINTER(ctypes.c_double))
+    compiled.restype = ctypes.c_longlong
     state_type = ctypes.c_double * 8
 
     def loop(n, c, x, y, px, py):
         s = state_type(x, y, px, py)
-        k = compiled(max(min(n, C_CHUNK), 0), c, s)
-        while k < n and k % C_CHUNK == 0:
-            q0, q1 = s[4 + axis], s[axis]
-            if q0 < c <= q1 or q1 <= c < q0:  # the last step of a full chunk crossed
-                break
-            k += compiled(min(n - k, C_CHUNK), c, s)
+        k = compiled(n, c, s)
         return k, tuple(s[4:]), tuple(s[:4])
 
     loop.backend = "c"
-    return loop if _same_bits(loop, python_loop, axis) else None
+    return loop if _same_bits(loop, python_loop, "xy".index(q)) else None
 
 
 def _same_bits(loop, reference, axis: int) -> bool:
@@ -358,12 +352,12 @@ def _same_bits(loop, reference, axis: int) -> bool:
 def _step_loop(dimension: int, terms: tuple, mass: float, dt: float, plane_axis: int):
     """Forest-Ruth loop ``loop(n, c, x, y, px, py) -> (k, before, after)``.
 
-    Takes at most n steps of H = (px^2 + py^2)/2m + V and returns after the
-    first step k at which the plane coordinate (x or y by plane_axis) changes
-    side of c, with the states (x, y, px, py) before and after that step; c =
-    nan is a plane no step crosses. The loop runs as C when a C compiler is
-    on PATH and as generated Python otherwise, with the same bits either way;
-    ``loop.backend`` names the one that runs.
+    Takes at most n steps (0 <= n <= ``MAX_STEPS``) of H = (px^2 + py^2)/2m + V
+    and returns after the first step k at which the plane coordinate (x or y
+    by plane_axis) changes side of c, with the states (x, y, px, py) before
+    and after that step; c = nan is a plane no step crosses. The loop runs as
+    C when a C compiler is on PATH and as generated Python otherwise, with the
+    same bits either way; ``loop.backend`` names the one that runs.
     """
     statements = _step_statements(dimension, terms, mass, dt)
     q = "xy"[plane_axis]
@@ -381,7 +375,7 @@ def integrate_realtime(
     """Forest-Ruth fourth-order integration of Hamilton's equations.
 
     Returns the states at steps 0, store_every, 2*store_every, ... plus the
-    final step; the number of steps is round(T/dt).
+    final step; the number of steps is round(T/dt), at most ``MAX_STEPS``.
     """
     if dt <= 0 or not math.isfinite(dt):
         raise ValueError(f"dt must be positive, got {dt}")
@@ -389,6 +383,8 @@ def integrate_realtime(
         raise ValueError("dt above 1e-2 is outside the validated step range")
     if T <= 0:
         raise ValueError(f"integration time must be positive, got {T}")
+    if not T / dt <= MAX_STEPS:
+        raise ValueError(f"T/dt = {T / dt} steps, beyond the bound of 2**62")
     if s0.dim != action.dimension:
         raise ValueError("initial state dimension does not match the action")
     if store_every < 1:

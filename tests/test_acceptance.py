@@ -24,6 +24,7 @@ from qaction import (
     euclidean_propagate,
     fit_quantum_action,
     generate_section,
+    ground_state_from_quantum_action,
     ground_state_spectral,
     hamiltonian_energy,
     ho_exact_propagator,
@@ -183,11 +184,12 @@ def test_criterion_4_transformation_law():
 
 def test_criterion_5_wkb():
     t0 = time.perf_counter()
-    rep_ho = wkb_compare(HO, HO_QUANTUM, 0.5, Grid((8.0,), (8001,)))
+    ho_state = ground_state_from_quantum_action(HO_QUANTUM, Grid((8.0,), (8001,)))
+    rep_ho = wkb_compare(HO, ho_state, 0.5)
     e_quartic = ground_state_spectral(QUARTIC, Grid((8.0,), (8001,))).energy
     grid_q = Grid((2.5,), (401,))
     inv_q = invert_transformation_law(QUARTIC, e_quartic, grid_q)
-    rep_q = wkb_compare(QUARTIC, inv_q, e_quartic, grid_q)
+    rep_q = wkb_compare(QUARTIC, inv_q.ground_state(), e_quartic)
     elapsed = time.perf_counter() - t0
     ok = (
         rep_ho.distance_quantum < 1e-6
@@ -273,10 +275,9 @@ def test_criterion_8_chaos_pipeline():
     unc = ActionSpec(
         mass=1.0, potential=PolynomialPotential(2, {(2, 0): 0.5, (0, 2): 0.5}), hbar=1.0
     )
-    ics = section_initial_conditions(unc, 2.0, 6)
-    sec = generate_section(
-        unc, SectionSpec(energy=2.0, initial_conditions=ics, dt=1e-3, max_crossings=50)
-    )
+    spec = SectionSpec(energy=2.0, dt=1e-3, max_crossings=50)
+    ics = section_initial_conditions(unc, spec, 6)
+    sec = generate_section(unc, spec, ics)
     ellipse_dev = 0.0
     for ic, pts in zip(ics, sec.orbits):
         e_x = ic.momentum[0] ** 2 / 2.0 + 0.5 * ic.position[0] ** 2
@@ -288,11 +289,8 @@ def test_criterion_8_chaos_pipeline():
     # (ii) occupancy grows from the regular to the chaotic regime
     occ = {}
     for energy in (2.0, 30.0):
-        ics = section_initial_conditions(COUPLED, energy, 8)
-        section = generate_section(
-            COUPLED,
-            SectionSpec(energy=energy, initial_conditions=ics, dt=1e-3, max_crossings=200),
-        )
+        spec = SectionSpec(energy=energy, dt=1e-3, max_crossings=200)
+        section = generate_section(COUPLED, spec, section_initial_conditions(COUPLED, spec, 8))
         occ[energy] = section_occupancy(section, (32, 32))
 
     # (iii) fitted trial action weakens the coupling

@@ -217,7 +217,7 @@ def test_quartic_reconstruction_overlap(quartic):
 
 def test_wkb_ho_quantum_form_exact(ho, ho_quantum):
     grid = Grid((8.0,), (8001,))
-    rep = wkb_compare(ho, ho_quantum, 0.5, grid)
+    rep = wkb_compare(ho, ground_state_from_quantum_action(ho_quantum, grid), 0.5)
     assert rep.distance_quantum < 1e-6
     assert rep.distance_classical > rep.distance_quantum
     assert rep.turning_point == pytest.approx(1.0, abs=1e-8)
@@ -227,17 +227,17 @@ def test_wkb_ho_quantum_form_exact(ho, ho_quantum):
 def test_wkb_quartic_inversion_form(quartic):
     grid = Grid((2.5,), (401,))
     inv = invert_transformation_law(quartic, QUARTIC_E0, grid)
-    rep = wkb_compare(quartic, inv, QUARTIC_E0, grid)
+    rep = wkb_compare(quartic, inv.ground_state(), QUARTIC_E0)
     assert rep.distance_quantum < 1e-3
     assert rep.distance_classical > rep.distance_quantum
 
 
 def test_wkb_energy_window(ho, ho_quantum):
-    grid = Grid((8.0,), (801,))
+    state = ground_state_from_quantum_action(ho_quantum, Grid((8.0,), (801,)))
     with pytest.raises(ValueError):
-        wkb_compare(ho, ho_quantum, -0.1, grid)
+        wkb_compare(ho, state, -0.1)
     with pytest.raises(ValueError):
-        wkb_compare(ho, ho_quantum, 1e9, grid)
+        wkb_compare(ho, state, 1e9)
 
 
 def test_hydrogen_l1_atomic_units():

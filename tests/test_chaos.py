@@ -18,6 +18,7 @@ from qaction import (
     section_initial_conditions,
     section_occupancy,
 )
+from qaction.trajectory import MAX_STEPS
 
 
 @pytest.fixture(scope="module")
@@ -32,29 +33,21 @@ def uncoupled_section():
     act = ActionSpec(
         mass=1.0, potential=PolynomialPotential(2, {(2, 0): 0.5, (0, 2): 1.0}), hbar=1.0
     )
-    ics = section_initial_conditions(act, 1.5, 3, energy_convention="absolute")
-    spec = SectionSpec(
-        energy=1.5,
-        initial_conditions=ics,
-        dt=2e-3,
-        max_crossings=40,
-        energy_convention="absolute",
-    )
-    return act, ics, generate_section(act, spec)
+    spec = SectionSpec(energy=1.5, dt=2e-3, max_crossings=40, energy_convention="absolute")
+    ics = section_initial_conditions(act, spec, 3)
+    return act, ics, generate_section(act, spec, ics)
 
 
 @pytest.fixture(scope="module")
 def coupled_section_low(coupled):
-    ics = section_initial_conditions(coupled, 2.0, 4)
-    spec = SectionSpec(energy=2.0, initial_conditions=ics, dt=2e-3, max_crossings=60)
-    return generate_section(coupled, spec)
+    spec = SectionSpec(energy=2.0, dt=2e-3, max_crossings=60)
+    return generate_section(coupled, spec, section_initial_conditions(coupled, spec, 4))
 
 
 @pytest.fixture(scope="module")
 def coupled_section_high(coupled):
-    ics = section_initial_conditions(coupled, 30.0, 4)
-    spec = SectionSpec(energy=30.0, initial_conditions=ics, dt=2e-3, max_crossings=60)
-    return generate_section(coupled, spec)
+    spec = SectionSpec(energy=30.0, dt=2e-3, max_crossings=60)
+    return generate_section(coupled, spec, section_initial_conditions(coupled, spec, 4))
 
 
 def test_uncoupled_crossings_on_invariant_ellipse(uncoupled_section):
@@ -96,21 +89,35 @@ def test_section_rows_and_header(uncoupled_section):
 
 
 def test_mirror_symmetry_is_exact(coupled):
-    ics = section_initial_conditions(coupled, 2.0, 1)
+    ics = section_initial_conditions(coupled, SectionSpec(energy=2.0), 1)
     mirrored = tuple(
         PhaseState(tuple(-x for x in s.position), tuple(-p for p in s.momentum))
         for s in ics
     )
-    sec_a = generate_section(
-        coupled,
-        SectionSpec(energy=2.0, initial_conditions=ics, dt=2e-3, max_crossings=20, orientation=-1),
-    )
-    sec_b = generate_section(
-        coupled,
-        SectionSpec(energy=2.0, initial_conditions=mirrored, dt=2e-3, max_crossings=20, orientation=1),
-    )
+    spec = SectionSpec(energy=2.0, dt=2e-3, max_crossings=20, orientation=-1)
+    sec_a = generate_section(coupled, spec, ics)
+    sec_b = generate_section(coupled, dataclasses.replace(spec, orientation=1), mirrored)
     for a, b in zip(sec_a.orbits, sec_b.orbits):
         assert np.max(np.abs(a + b)) == 0.0
+
+
+def test_plane_axis_0_is_the_swapped_plane_axis_1(coupled):
+    """The coupled V is symmetric under x <-> y, so the section on x = c is
+    the section on y = c with the coordinates swapped: the initial conditions
+    bitwise, the crossings up to the rounding of the swapped step."""
+    spec_y = SectionSpec(energy=2.0, dt=2e-3, max_crossings=20, plane_value=0.3, orientation=-1)
+    spec_x = dataclasses.replace(spec_y, plane_axis=0)
+    ics_y = section_initial_conditions(coupled, spec_y, 2)
+    ics_x = section_initial_conditions(coupled, spec_x, 2)
+    assert ics_x == tuple(PhaseState(s.position[::-1], s.momentum[::-1]) for s in ics_y)
+    assert all(s.position[0] == 0.3 and s.momentum[0] < 0.0 for s in ics_x)
+    sec_y = generate_section(coupled, spec_y, ics_y)
+    sec_x = generate_section(coupled, spec_x, ics_x)
+    assert sec_x.n_points == sec_y.n_points == 40
+    assert sec_x.extent() == sec_y.extent()
+    for a, b in zip(sec_x.orbits, sec_y.orbits):
+        assert np.max(np.abs(a - b)) < 1e-10
+    assert section_occupancy(sec_x, (16, 16)) == section_occupancy(sec_y, (16, 16))
 
 
 def test_occupancy_grows_with_energy(coupled_section_low, coupled_section_high):
@@ -122,28 +129,25 @@ def test_occupancy_grows_with_energy(coupled_section_low, coupled_section_high):
 
 def test_compare_identical_sections(coupled_section_low):
     cmp = compare_sections(coupled_section_low, coupled_section_low, (16, 16))
-    assert cmp.symmetric_difference == 0.0
-    assert cmp.occupancy_a == cmp.occupancy_b
-    assert cmp.points_a == cmp.points_b == coupled_section_low.n_points
-    d = cmp.to_json_dict()
-    assert d["symmetric_difference"] == 0.0
-    assert d["points_classical"] == cmp.points_a
+    assert set(cmp) == {
+        "occupancy_classical", "occupancy_quantum", "symmetric_difference", "points_classical",
+        "points_quantum", "thickness_classical", "thickness_quantum",
+    }
+    assert cmp["symmetric_difference"] == 0.0
+    assert cmp["occupancy_classical"] == cmp["occupancy_quantum"]
+    assert cmp["points_classical"] == cmp["points_quantum"] == coupled_section_low.n_points
+    assert cmp["thickness_classical"] == cmp["thickness_quantum"] == orbit_thickness(coupled_section_low)
 
 
 def test_compare_rejects_mismatched_sections(coupled, coupled_section_low):
-    ics = section_initial_conditions(coupled, 2.0, 1)
+    ics = section_initial_conditions(coupled, SectionSpec(energy=2.0), 1)
     flipped = generate_section(
-        coupled,
-        SectionSpec(energy=2.0, initial_conditions=ics, dt=2e-3, max_crossings=10, orientation=-1),
+        coupled, SectionSpec(energy=2.0, dt=2e-3, max_crossings=10, orientation=-1), ics
     )
     with pytest.raises(ValueError, match="orientation"):
         compare_sections(coupled_section_low, flipped)
     other_conv = PoincareSection(
-        spec=SectionSpec(
-            energy=2.0,
-            initial_conditions=ics,
-            energy_convention="absolute",
-        ),
+        spec=SectionSpec(energy=2.0, energy_convention="absolute"),
         action_used=coupled,
         e_absolute=2.0,
         orbits=(np.array([[0.1, 0.0]]),),
@@ -153,82 +157,87 @@ def test_compare_rejects_mismatched_sections(coupled, coupled_section_low):
 
 
 def test_initial_conditions_deterministic(coupled):
-    a = section_initial_conditions(coupled, 2.0, 5)
-    b = section_initial_conditions(coupled, 2.0, 5)
+    spec = SectionSpec(energy=2.0)
+    a = section_initial_conditions(coupled, spec, 5)
+    b = section_initial_conditions(coupled, spec, 5)
     assert a == b
-    shifted = section_initial_conditions(coupled, 2.0, 5, start_index=7)
+    shifted = section_initial_conditions(coupled, spec, 5, start_index=7)
     assert shifted != a
     e_abs = 2.0 + coupled.potential((0.0, 0.0))
     for s in a:
         assert s.position[1] == 0.0
         assert s.momentum[1] > 0.0
         assert abs(hamiltonian_energy(coupled, s) - e_abs) < 1e-10
-    down = section_initial_conditions(coupled, 2.0, 3, orientation=-1)
+    down = section_initial_conditions(coupled, SectionSpec(energy=2.0, orientation=-1), 3)
     assert all(s.momentum[1] < 0.0 for s in down)
 
 
 def test_initial_conditions_validation(coupled, ho):
+    spec = SectionSpec(energy=2.0)
     with pytest.raises(ValueError):
-        section_initial_conditions(ho, 2.0, 4)
+        section_initial_conditions(ho, spec, 4)
     with pytest.raises(ValueError):
-        section_initial_conditions(coupled, 2.0, 0)
+        section_initial_conditions(coupled, spec, 0)
     with pytest.raises(ValueError):
-        section_initial_conditions(coupled, 2.0, 4, fill_fraction=1.0)
+        section_initial_conditions(coupled, spec, 4, fill_fraction=1.0)
     for start_index in (-1, 2**53 + 1, 10**400, 1.0, True):
         with pytest.raises(ValueError, match="start_index"):
-            section_initial_conditions(coupled, 2.0, 4, start_index=start_index)
-    assert len(section_initial_conditions(coupled, 2.0, 2, start_index=2**53)) == 2
+            section_initial_conditions(coupled, spec, 4, start_index=start_index)
+    assert len(section_initial_conditions(coupled, spec, 2, start_index=2**53)) == 2
     with pytest.raises(ValueError, match="does not reach"):
         section_initial_conditions(
-            coupled, 0.5, 2, plane_value=10.0, energy_convention="absolute"
+            coupled, SectionSpec(energy=0.5, plane_value=10.0, energy_convention="absolute"), 2
         )
+    for energy, convention in ((0.0, "above-minimum"), (-0.5, "absolute")):
+        with pytest.raises(ValueError, match="exceed"):
+            section_initial_conditions(coupled, SectionSpec(energy=energy, energy_convention=convention), 2)
 
 
 def test_section_spec_validation(coupled):
-    ok = PhaseState((0.0, 0.0), (0.0, 1.0))
     with pytest.raises(ValueError):
-        SectionSpec(energy=math.nan, initial_conditions=(ok,))
+        SectionSpec(energy=math.nan)
     with pytest.raises(ValueError):
-        SectionSpec(energy=1.0, initial_conditions=(ok,), dt=0.02)
+        SectionSpec(energy=1.0, dt=0.02)
     with pytest.raises(ValueError):
-        SectionSpec(energy=1.0, initial_conditions=(ok,), max_crossings=0)
+        SectionSpec(energy=1.0, max_crossings=0)
     with pytest.raises(ValueError):
-        SectionSpec(energy=1.0, initial_conditions=(ok,), plane_axis=2)
+        SectionSpec(energy=1.0, plane_axis=2)
     with pytest.raises(ValueError):
-        SectionSpec(energy=1.0, initial_conditions=(ok,), orientation=0)
+        SectionSpec(energy=1.0, orientation=0)
     with pytest.raises(ValueError):
-        SectionSpec(energy=1.0, initial_conditions=(ok,), energy_convention="shifted")
-    with pytest.raises(ValueError):
-        SectionSpec(energy=1.0, initial_conditions=())
-    with pytest.raises(ValueError):
-        SectionSpec(energy=1.0, initial_conditions=(PhaseState((0.0,), (1.0,)),))
+        SectionSpec(energy=1.0, energy_convention="shifted")
+    assert not any(f.name == "initial_conditions" for f in dataclasses.fields(SectionSpec))
+
+
+@pytest.mark.parametrize("max_steps", [0, -1, MAX_STEPS + 1, 2**64 + 3])
+def test_max_steps_beyond_its_bound_is_refused(max_steps):
+    """The C step loop takes a long long, and ctypes wraps a larger count
+    silently (2**64 + 3 arrives as 3), so the spec, made before any step, bounds it."""
+    with pytest.raises(ValueError, match=r"max_steps must lie in \[1, 2\*\*62\]"):
+        SectionSpec(energy=2.0, max_steps=max_steps)
+    assert SectionSpec(energy=2.0, max_steps=MAX_STEPS).max_steps == 2**62
 
 
 def test_generate_section_guards(coupled):
+    spec = SectionSpec(energy=2.0)
     off_shell = PhaseState((0.0, 0.0), (0.0, 1.0))
     with pytest.raises(ValueError, match="energy shell"):
-        generate_section(
-            coupled, SectionSpec(energy=2.0, initial_conditions=(off_shell,))
-        )
+        generate_section(coupled, spec, (off_shell,))
     resting = PhaseState((0.0, 0.0), (0.0, 0.0))
     with pytest.raises(ValueError, match="exceed"):
-        generate_section(
-            coupled,
-            SectionSpec(
-                energy=0.0, initial_conditions=(resting,), energy_convention="absolute"
-            ),
-        )
-    ics = section_initial_conditions(coupled, 2.0, 1)
+        generate_section(coupled, SectionSpec(energy=0.0, energy_convention="absolute"), (resting,))
+    with pytest.raises(ValueError, match="at least one"):
+        generate_section(coupled, spec, ())
+    for bad in (PhaseState((0.0,), (2.0,)), ((0.0, 0.0), (0.0, 2.0))):
+        with pytest.raises(ValueError, match="2-D PhaseState"):
+            generate_section(coupled, spec, (bad,))
+    ics = section_initial_conditions(coupled, spec, 1)
     with pytest.raises(NumericalError, match="steps"):
-        generate_section(
-            coupled,
-            SectionSpec(energy=2.0, initial_conditions=ics, max_crossings=50, max_steps=40),
-        )
+        generate_section(coupled, SectionSpec(energy=2.0, max_crossings=50, max_steps=40), ics)
 
 
 def test_section_point_outside_region_rejected(coupled):
-    ics = section_initial_conditions(coupled, 2.0, 1)
-    spec = SectionSpec(energy=2.0, initial_conditions=ics)
+    spec = SectionSpec(energy=2.0)
     with pytest.raises(NumericalError, match="allowed region"):
         PoincareSection(
             spec=spec,
@@ -239,8 +248,7 @@ def test_section_point_outside_region_rejected(coupled):
 
 
 def test_occupancy_validation(coupled, coupled_section_low):
-    ics = section_initial_conditions(coupled, 2.0, 1)
-    spec = SectionSpec(energy=2.0, initial_conditions=ics)
+    spec = SectionSpec(energy=2.0)
     empty = PoincareSection(
         spec=spec, action_used=coupled, e_absolute=2.0, orbits=(np.empty((0, 2)),)
     )
@@ -255,11 +263,11 @@ def test_occupancy_validation(coupled, coupled_section_low):
 
 
 def test_each_orbit_gives_the_same_crossings_alone(coupled):
-    ics = section_initial_conditions(coupled, 30.0, 3)
-    spec = SectionSpec(energy=30.0, initial_conditions=ics, dt=2e-3, max_crossings=10)
-    together = generate_section(coupled, spec)
+    spec = SectionSpec(energy=30.0, dt=2e-3, max_crossings=10)
+    ics = section_initial_conditions(coupled, spec, 3)
+    together = generate_section(coupled, spec, ics)
     for ic, pts in zip(ics, together.orbits):
-        alone = generate_section(coupled, dataclasses.replace(spec, initial_conditions=(ic,)))
+        alone = generate_section(coupled, spec, (ic,))
         assert np.array_equal(alone.orbits[0], pts)
 
 
@@ -278,6 +286,5 @@ def test_each_orbit_gives_the_same_crossings_alone(coupled):
 def test_section_spec_reads_numbers_and_integers_by_the_one_rule(coupled, field, value):
     """A fractional max_crossings used to step max_steps per orbit before failing,
     and a float plane axis to fail with a TypeError inside the stepper."""
-    ics = section_initial_conditions(coupled, 2.0, 1)
     with pytest.raises(ValueError, match=field):
-        SectionSpec(**{"energy": 2.0, "initial_conditions": ics, field: value})
+        SectionSpec(**{"energy": 2.0, field: value})

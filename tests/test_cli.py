@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 import pytest
@@ -13,6 +14,7 @@ import scipy.linalg
 from qaction import Grid, chaos, propagator
 from qaction.cli import _parse_pairs, main
 from qaction.model import MAX_DEGREE
+from qaction.propagator import MAX_PAIRS
 from qaction.qfit import FLOW_CSV_HEADER
 from qaction.trajectory import _step_loop
 
@@ -312,9 +314,9 @@ def test_poincare_classical_only(tmp_path):
     assert (out / "section_classical.csv").exists()
     assert not (out / "section_quantum.csv").exists()
     comparison = json.loads((out / "comparison.json").read_text())
+    assert set(comparison) == {"occupancy_classical", "points_classical", "thickness_classical"}
     assert comparison["points_classical"] == 12
     assert 0.0 < comparison["occupancy_classical"] < 1.0
-    assert "occupancy_quantum" not in comparison
 
 
 def test_poincare_with_fit_result_gnuplot(tmp_path):
@@ -737,6 +739,7 @@ def test_non_finite_or_fractional_input_exit_2_before_eigensolve(tmp_path, monke
 
 # -- JSON booleans are not numbers -------------------------------------------
 
+GRID_1001 = {"extents": [8.0], "npoints": [1001]}
 POINCARE_BASE = {"action": COUPLED, "energy": 2.0, "n_orbits": 2, "max_crossings": 6}
 HO_COEF_TRUE = dict(HO, potential={"dim": 1, "terms": [{"exp": [2], "coef": True}]})
 
@@ -852,14 +855,23 @@ def test_grid_beyond_its_node_bound_exits_2_leaving_no_files(tmp_path, monkeypat
         ("propagate", dict(PROPAGATE_BASE, action=_ho_with_terms({"exp": [2], "coef": 0.5}, {"exp": [100000], "coef": 1.0}))),
         ("fit", dict(FIT_BASE, T=2.0, ansatz=[[0], [2], [MAX_DEGREE + 2]])),
         ("propagate", dict(PROPAGATE_BASE, pairs={"points_per_axis": 2**63, "span": [-1.0, 1.0]})),
+        ("propagate", dict(PROPAGATE_BASE, grid=GRID_1001, pairs={"points_per_axis": 257, "span": [-8.0, 8.0]})),
+        ("propagate", dict(PROPAGATE_BASE, pairs={"points": [0.0] * 257})),
+        ("propagate", dict(PROPAGATE_BASE, pairs=[[0.0, 0.0]] * (MAX_PAIRS + 1))),
+        ("propagate", dict(PROPAGATE_BASE, action=UNCOUPLED, grid={"extents": [6.3, 6.3], "npoints": [64, 64]},
+                           pairs={"points_per_axis": 17, "span": [-6.0, 6.0]})),
     ],
-    ids=["exponent-1e400", "exponent-100000", "ansatz-degree", "points_per_axis-2e63"],
+    ids=[
+        "exponent-1e400", "exponent-100000", "ansatz-degree", "points_per_axis-2e63",
+        "pairs-257-per-axis", "pairs-257-points", "pairs-list-65537", "pairs-2d-17-per-axis",
+    ],
 )
 def test_value_beyond_its_bound_exits_2_before_eigensolve(tmp_path, monkeypatch, command, payload):
-    """A term's degree is bounded in the action and in the ansatz, and a span's
-    point count by the grid's node bound; an exponent of 10^400 once crashed
-    with OverflowError, one of 100000 with RecursionError in the generated
-    kernel, and 2^63 points per axis with IndexError."""
+    """A term's degree is bounded in the action and in the ansatz, a span's
+    point count by the grid's node bound, and the pair count of every pairs
+    form by MAX_PAIRS; an exponent of 10^400 once crashed with OverflowError,
+    one of 100000 with RecursionError in the generated kernel, and 2^63
+    points per axis with IndexError."""
     def no_solve(*args, **kwargs):
         raise AssertionError("eigensolver reached with a value beyond its bound")
 
@@ -869,6 +881,29 @@ def test_value_beyond_its_bound_exits_2_before_eigensolve(tmp_path, monkeypatch,
     cfg = write_cfg(tmp_path, "bound.json", payload)
     out = tmp_path / "bound"
     assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    assert not out.exists()
+
+
+def test_pair_count_up_to_its_bound_is_built_without_an_eigensolve(monkeypatch):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("eigensolver reached while building pairs")
+
+    monkeypatch.setattr(propagator, "_window_count", no_solve)
+    monkeypatch.setattr(propagator, "spectral_decompose", no_solve)
+    pairs = _parse_pairs({"points_per_axis": 256, "span": [-8.0, 8.0]}, Grid((8.0,), (1001,)))
+    assert len(pairs) == MAX_PAIRS == 65536
+
+
+def test_a_million_pairs_exit_2_at_once(tmp_path):
+    """1001 points per axis on 1001 nodes asked for 1,002,001 pairs, which
+    took 47 s and 463 MB to fail with exit 3; the count is refused first."""
+    cfg = write_cfg(tmp_path, "million.json", dict(
+        PROPAGATE_BASE, grid=GRID_1001, pairs={"points_per_axis": 1001, "span": [-8.0, 8.0]},
+    ))
+    out = tmp_path / "million"
+    t0 = time.perf_counter()
+    assert main(["propagate", "--config", cfg, "--out", str(out)]) == 2
+    assert time.perf_counter() - t0 < 2.0
     assert not out.exists()
 
 
@@ -926,3 +961,22 @@ def test_bench_tracer_runs_a_command_and_counts_every_method(tmp_path):
         spans.setdefault(name, []).append(attrs)
     assert spans["spectral_decompose"] == [{"k": 1, "dim": 1, "size": 301}]
     assert len(spans["wkb_compare"]) == 1
+    assert len(spans["ground_state_from_quantum_action"]) == 1
+
+
+def test_bench_tracer_sees_the_classical_only_summary_under_main(tmp_path):
+    """``bench/run.py`` counts ``section_occupancy`` and ``orbit_thickness``
+    toward its comparison time only when their parent span is ``main``; the
+    classical-only summary must call them directly from the command."""
+    cfg = write_cfg(tmp_path, "poinc.json", POINCARE_BASE)
+    trace = tmp_path / "trace.json"
+    env = dict(os.environ, PYTHONPATH=SRC + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    done = subprocess.run(
+        [sys.executable, str(BENCH / "tracer.py"), str(trace), "poincare",
+         "--config", cfg, "--out", str(tmp_path / "out"), "--workers", "1"],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    spans = json.loads(trace.read_text())["spans"]
+    parents = {name: spans[parent][0] for name, _, _, _, parent, _ in spans if parent is not None}
+    assert parents["section_occupancy"] == parents["orbit_thickness"] == "main"

@@ -26,6 +26,7 @@ from qaction import propagator
 from qaction.propagator import (
     BOLTZMANN_CUTOFF,
     MAX_GRID_NODES,
+    MAX_PAIRS,
     _ground_state,
     _sector_hamiltonians,
     _sectors,
@@ -192,6 +193,19 @@ def test_propagate_rejects_bad_inputs(ho, ho_grid):
         euclidean_propagate(ho, ho_grid, -1.0, [((0.0,), (0.0,))])
     with pytest.raises(ValueError):
         euclidean_propagate(ho, ho_grid, 1.0, [((9.0,), (0.0,))])
+
+
+def test_pair_count_beyond_its_bound_is_refused_before_eigensolve(ho, ho_grid, monkeypatch):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("eigensolver reached with too many pairs")
+
+    monkeypatch.setattr(propagator, "decompose_for_time", no_solve)
+    for pairs in ([], [((0.0,), (0.0,))] * (MAX_PAIRS + 1)):
+        with pytest.raises(ValueError, match="boundary pairs"):
+            euclidean_propagate(ho, ho_grid, 1.0, pairs)
+    with pytest.raises(ValueError, match="boundary pairs"):
+        tensor_pairs([(0.0,)] * 257, [(0.0,)] * 256)
+    assert len(tensor_pairs([(0.0,)] * 256, [(0.0,)] * 256)) == MAX_PAIRS
 
 
 def test_table_rejects_nonpositive_amplitude(ho, ho_grid):

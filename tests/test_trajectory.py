@@ -26,7 +26,7 @@ from qaction import (
 )
 from qaction.chaos import _henon_refine, _orbit_crossings
 from qaction import trajectory
-from qaction.trajectory import _c_loop, _python_loop, _step_loop, _step_statements
+from qaction.trajectory import MAX_STEPS, _c_loop, _python_loop, _step_loop, _step_statements
 
 COMPILER = shutil.which("cc") or shutil.which("gcc")
 
@@ -55,6 +55,26 @@ def test_free_particle_straight_line():
     assert sol.converged
     assert abs(sol.action - 1.0) < 1e-10
     npt.assert_allclose(sol.path[:, 0], np.linspace(0.0, 2.0, len(sol.times)), atol=1e-10)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_one_newton_step_evaluates_the_gradient_twice(monkeypatch, dim):
+    """A linear problem converges in one Newton step. The defect and its
+    scale share one gradient evaluation, and the accepted line-search trial's
+    defect is the next iterate's: one evaluation at the start, one at the trial."""
+    terms = {(2,): 0.5} if dim == 1 else {(2, 0): 0.5, (0, 2): 0.5}
+    action = ActionSpec(mass=1.0, potential=PolynomialPotential(dim, terms), hbar=1.0)
+    calls = []
+    gradient_points = PolynomialPotential.gradient_points
+
+    def counted(self, points):
+        calls.append(len(points))
+        return gradient_points(self, points)
+
+    monkeypatch.setattr(PolynomialPotential, "gradient_points", counted)
+    sol = solve_euclidean_bvp(action, (0.5, -0.2)[:dim], (1.0, 0.3)[:dim], 1.0, n_nodes=65)
+    assert sol.converged and sol.residual < 1e-15
+    assert calls == [63, 63]
 
 
 def test_action_quadrature_order(ho):
@@ -360,13 +380,12 @@ def test_step_landing_on_the_plane_takes_the_side_it_left(coupled_2d, py0):
 
     orient = 1 if py0 > 0 else -1
     spec = SectionSpec(
-        energy=0.0, initial_conditions=(PhaseState(start[:2], start[2:]),), dt=1e-3,
-        max_crossings=1, plane_value=c, orientation=orient, energy_convention="absolute",
+        energy=0.0, dt=1e-3, max_crossings=1, plane_value=c, orientation=orient, energy_convention="absolute",
     )
-    e_abs = hamiltonian_energy(coupled_2d, spec.initial_conditions[0])
-    (point,) = _orbit_crossings(coupled_2d, spec, e_abs, spec.initial_conditions[0])
+    s0 = PhaseState(start[:2], start[2:])
+    (point,) = _orbit_crossings(coupled_2d, spec, hamiltonian_energy(coupled_2d, s0), s0)
     x, y, px, py = ref[k - 2]
-    x_c, px_c, _ = _henon_refine(x, y, px, py, 1.0, pot.kernel().gradient, 0, 1, c)
+    x_c, px_c, _ = _henon_refine(x, y, px, py, 1.0, pot.kernel().gradient, 1, c)
     assert (point[0], point[1]) == (x_c, px_c)
 
 
@@ -384,42 +403,39 @@ def test_max_steps_counts_every_step_across_returns(coupled_2d):
     assert last is not None
     s0 = PhaseState(start[:2], start[2:])
     spec = SectionSpec(
-        energy=hamiltonian_energy(coupled_2d, s0), initial_conditions=(s0,), dt=1e-3,
+        energy=hamiltonian_energy(coupled_2d, s0), dt=1e-3,
         max_crossings=crossings, energy_convention="absolute", max_steps=last,
     )
-    assert len(generate_section(coupled_2d, spec).orbits[0]) == crossings
+    assert len(generate_section(coupled_2d, spec, (s0,)).orbits[0]) == crossings
     with pytest.raises(NumericalError, match="did not reach"):
-        generate_section(coupled_2d, dataclasses.replace(spec, max_steps=last - 1))
+        generate_section(coupled_2d, dataclasses.replace(spec, max_steps=last - 1), (s0,))
 
 
 # -- the compiled back-end and its Python fallback ---------------------------
 
 
-def test_step_count_beyond_a_c_long_stops_at_the_crossing(coupled_2d):
-    """2**64 + 3 would reach C as 3; the loop goes in chunks and still stops
-    at the crossing of step 40."""
-    start = (0.3, 0.0, 0.5, 0.9)
-    ref = reference_states(coupled_2d, start, 1e-3, 40)
-    c = 0.5 * (ref[38][1] + ref[39][1])
-    for loop in step_loops(2, coupled_2d.potential.terms, 1.0, 1e-3, 1):
-        k, before, after = loop(2**64 + 3, c, *start)
-        assert k == 40
-        assert bits(before) == bits(ref[38]) and bits(after) == bits(ref[39])
-        assert loop(-(2**64) + 5, c, *start) == (0, start, start)
+def test_step_count_beyond_its_bound_is_refused_before_stepping(coupled_2d, monkeypatch):
+    """round(T/dt) may reach MAX_STEPS = 2**62 and no further: ctypes would wrap
+    a count beyond a C long long silently (2**64 + 3 arrives as 3)."""
+    calls = []
 
+    def fake_loop(*key):
+        def loop(n, c, x, y, px, py):
+            calls.append(n)
+            return n, (x, y, px, py), (x, y, px, py)
+        return loop
 
-def test_chunked_calls_take_every_step_and_stop_at_a_chunk_end(coupled_2d, monkeypatch):
-    """In chunks of 8 steps, a run without a plane takes all 45 steps, and a
-    crossing on step 40, the last of a full chunk, ends the loop there."""
-    monkeypatch.setattr(trajectory, "C_CHUNK", 8)
-    start = (0.3, 0.0, 0.5, 0.9)
-    ref = reference_states(coupled_2d, start, 1e-3, 45)
-    c = 0.5 * (ref[38][1] + ref[39][1])
-    for loop in step_loops(2, coupled_2d.potential.terms, 1.0, 1e-3, 1):
-        k, before, after = loop(45, math.nan, *start)
-        assert k == 45 and bits(before) == bits(ref[43]) and bits(after) == bits(ref[44])
-        k, before, after = loop(2**64 + 3, c, *start)
-        assert k == 40 and bits(after) == bits(ref[39])
+    monkeypatch.setattr(trajectory, "_step_loop", fake_loop)
+    s0 = PhaseState((0.3, 0.0), (0.5, 0.9))
+    dt = 2.0**-10  # T/dt below is exact
+    T = MAX_STEPS * dt
+    assert len(integrate_realtime(coupled_2d, s0, T, dt, store_every=MAX_STEPS)) == 2
+    assert calls == [MAX_STEPS]
+    too_many = [(math.nextafter(T, math.inf), dt), (1e17, 1e-3), (math.inf, dt), (math.nan, dt), (1.0, 5e-324)]
+    for T_bad, dt_bad in too_many:
+        with pytest.raises(ValueError):
+            integrate_realtime(coupled_2d, s0, T_bad, dt_bad)
+    assert calls == [MAX_STEPS]
 
 
 def _coupled_run(loop):
