@@ -5,6 +5,12 @@ fitting of the quantum action, closed-form large-T asymptotics (ground
 state, transformation law, WKB correspondence, hydrogen radial sector),
 and classical-vs-quantum Poincare section comparison.
 """
+import os
+
+# one BLAS thread, set before numpy loads: a threaded BLAS sums in an order that
+# depends on its thread count, and outputs must depend on the config alone
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
 from .errors import NumericalError
 from .model import (
     ActionSpec,
@@ -36,7 +42,6 @@ from .qfit import (
     default_pairs,
     fit_flow,
     fit_quantum_action,
-    fit_residual,
     flow_rows,
 )
 from .asymptotics import (
@@ -91,7 +96,6 @@ __all__ = [
     "euclidean_propagate",
     "fit_flow",
     "fit_quantum_action",
-    "fit_residual",
     "flow_rows",
     "generate_section",
     "ground_state_from_quantum_action",

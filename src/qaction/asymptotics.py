@@ -22,6 +22,7 @@ from .errors import NumericalError
 from .model import ActionSpec, PolynomialPotential, _as_integer, _bisect_root
 from .propagator import Grid, _ground_state
 
+MAX_L = 1000  # most rows of the hydrogen table
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(15)
 # the same rule mapped onto [0, 1], for integrals along a ray
 _RAY_S = 0.5 * (_GL_NODES + 1.0)
@@ -472,8 +473,8 @@ def hydrogen_sector(l: int, hbar=1, mass=1, e2=1) -> HydrogenSector:
 
 def hydrogen_table(l_max: int):
     """Rows (l, mu, nu, E_l) as floats for l = 1 .. l_max, in units hbar = m = e^2 = 1."""
-    if l_max < 1:
-        raise ValueError("l_max must be >= 1")
+    if not 1 <= l_max <= MAX_L:
+        raise ValueError(f"l_max must lie in [1, {MAX_L}], got {l_max}")
     rows = []
     for l in range(1, l_max + 1):
         s = hydrogen_sector(l)

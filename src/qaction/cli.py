@@ -31,6 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from .asymptotics import (
+    MAX_L,
     ground_state_from_quantum_action,
     hydrogen_table,
     invert_transformation_law,
@@ -244,7 +245,7 @@ def cmd_propagate(cfg: dict, args) -> list:
 def _fit_result_payload(result) -> dict:
     payload = result.to_json_dict()
     if not result.converged:
-        payload["warning"] = "fit stopped at its evaluation limit before meeting a least-squares tolerance"
+        payload["warning"] = "fit stopped at its evaluation limit before meeting its gradient or step test"
     return payload
 
 
@@ -298,7 +299,7 @@ def cmd_analytic(cfg: dict, args) -> list:
     if e_gr is not None:
         e_gr = _as_number(e_gr, "e_gr")
     l_max = _integer(cfg, "hydrogen_l_max", default=3)
-    _expect(l_max >= 1, "hydrogen_l_max must be >= 1")
+    _expect(1 <= l_max <= MAX_L, f"hydrogen_l_max must lie in [1, {MAX_L}]")
 
     if e_gr is None:
         e_gr = ground_state_spectral(classical, grid).energy

@@ -308,10 +308,13 @@ def _inertia(H, sigma: float) -> int:
     n = H.shape[0]
     for _ in range(2):
         A = (H - sigma * sp.identity(n)).tocsc()
-        lu = spla.splu(A, permc_spec="NATURAL", diag_pivot_thresh=0.0, options={"SymmetricMode": True})
-        if np.array_equal(lu.perm_r, np.arange(n)):
-            return int(np.count_nonzero(lu.U.diagonal() < 0.0))
-        sigma += 1e-12 * abs(sigma)  # SuperLU swapped rows at an exactly zero pivot
+        try:
+            lu = spla.splu(A, permc_spec="NATURAL", diag_pivot_thresh=0.0, options={"SymmetricMode": True})
+            if np.array_equal(lu.perm_r, np.arange(n)):
+                return int(np.count_nonzero(lu.U.diagonal() < 0.0))
+        except RuntimeError:  # "Factor is exactly singular"
+            pass
+        sigma += 1e-12 * abs(sigma)  # an exactly zero pivot, row-swapped or singular: move off it
     raise NumericalError(f"no pivot-free factorization of H - sigma I near sigma = {sigma:g}")
 
 

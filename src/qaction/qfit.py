@@ -5,10 +5,11 @@ G = Z exp(-S/hbar) holds across a whole table of boundary pairs, where S is
 the extremal Euclidean action of the trial dynamics for each pair. Residuals
 live in log space, the offset ln Z enters linearly and is eliminated
 analytically (variable projection), and the remaining parameters are fitted
-by trust-region Gauss-Newton. The quoted action is the discrete action that
-the trajectory solver makes stationary, so its parameter derivatives are
-plain sums along the converged path (envelope theorem) and every objective
-evaluation returns its exact Jacobian with no extra solve.
+by this module's own Levenberg-Marquardt loop. The quoted action is the
+discrete action that the trajectory solver makes stationary, so its
+parameter derivatives are plain sums along the converged path (envelope
+theorem) and every objective evaluation returns its exact Jacobian with no
+extra solve.
 
 When the ansatz carries a constant term, its coefficient is not searchable:
 shifting it trades exactly against ln Z. The fit pins it after convergence
@@ -29,7 +30,7 @@ from .asymptotics import ground_state_spectral, quantum_action_log_norm_sq
 from .errors import NumericalError
 from .model import MAX_DEGREE, ActionSpec, PolynomialPotential, _as_integer, _json_floats
 from .propagator import Grid, PropagatorTable, tensor_pairs
-from .trajectory import MIN_NODES, solve_euclidean_bvp
+from .trajectory import MAX_NODES, MIN_NODES, solve_euclidean_bvp
 
 PENALTY_FAILED = 1.0e3  # per-pair residual charged when the inner BVP fails
 
@@ -188,13 +189,13 @@ def _solve_pair(action, x_i, x_f, T, n_nodes, init_path, values):
 
 def _normalize_n_nodes(n_nodes):
     """Either a node count or a (coarse, fine) pair with halved step, each
-    count at least the trajectory solver's MIN_NODES."""
+    count in the trajectory solver's [MIN_NODES, MAX_NODES]."""
     pair = isinstance(n_nodes, (tuple, list))
     if pair and len(n_nodes) != 2:
         raise ValueError("n_nodes pair must have exactly two entries")
     counts = tuple(_as_integer(n, "n_nodes") for n in (n_nodes if pair else (n_nodes,)))
-    if min(counts) < MIN_NODES:
-        raise ValueError(f"at least {MIN_NODES} mesh nodes required, got {n_nodes}")
+    if not MIN_NODES <= min(counts) <= max(counts) <= MAX_NODES:
+        raise ValueError(f"mesh node counts must lie in [{MIN_NODES}, {MAX_NODES}], got {n_nodes}")
     if not pair:
         return counts[0]
     if counts[1] != 2 * counts[0] - 1:
@@ -300,28 +301,6 @@ class _Evaluator:
         return _EvalDetail(z_free, failed, vector, np.where(okp[:, None], jac, 0.0))
 
 
-def fit_residual(
-    trial: ActionSpec,
-    problem: FitProblem,
-    log_z=None,
-    *,
-    n_nodes=257,
-) -> float:
-    """RMS over pairs of [ln G + S_trial/hbar - ln Z] for one trial action.
-
-    With log_z omitted the offset is set to its analytic optimum (the mean
-    of ln G + S/hbar over pairs whose trajectory solve converged). Failed
-    pairs contribute a flat 1e3 penalty instead of raising. n_nodes is the
-    trajectory node count; a (coarse, 2*coarse-1) pair requests step-halving
-    extrapolation of the discrete action (needed at large T where the
-    trajectory hugs the potential minimum).
-    """
-    if trial.dimension != problem.dimension:
-        raise ValueError("trial action dimension does not match the problem")
-    ev = _Evaluator(problem, n_nodes)
-    return ev.detail(trial, log_z=log_z).objective
-
-
 @dataclass(frozen=True, eq=False)
 class FitResult:
     """Optimized trial action with its offset and residual diagnostics."""
@@ -379,6 +358,39 @@ def _fit_diagnostics(det: _EvalDetail) -> tuple:
     return gradient_norm, tuple(float(v) for v in np.sqrt(np.maximum(var, 0.0)))
 
 
+def _levenberg_marquardt(evaluate, y, max_nfev):
+    """Minimize |r(y)|^2 / 2 from y; ``evaluate(y)`` gives (detail, dr/dy).
+
+    Solves (J^T J + mu I) step = -J^T r with Nielsen's damping update
+    (Madsen, Nielsen & Tingleff 2004, sec. 3.2), mu starting near zero so
+    that steps near the optimum are Gauss-Newton steps. A step below
+    sqrt(eps) of y is taken as it stands, since the cost cannot rank points
+    that close. Returns (y, detail, converged): converged once ||J^T r||_inf
+    falls to 1e-12 or such a step is taken, before ``max_nfev`` evaluations.
+    """
+    det, jac = evaluate(y)
+    nfev, nu = 1, 2.0
+    mu = 1e-9 * float(np.max(np.sum(jac**2, axis=0), initial=0.0))
+    while True:
+        g = jac.T @ det.vector
+        if np.max(np.abs(g), initial=0.0) <= 1e-12:
+            return y, det, True
+        if nfev >= max_nfev:
+            return y, det, False
+        step = np.linalg.solve(jac.T @ jac + mu * np.eye(len(y)), -g)
+        trial, trial_jac = evaluate(y + step)
+        nfev += 1
+        last = np.max(np.abs(step)) <= 1.5e-8 * (1.0 + np.max(np.abs(y)))
+        gain = (det.vector @ det.vector - trial.vector @ trial.vector) / (step @ (mu * step - g))
+        if gain > 0.0 or last:
+            y, det, jac = y + step, trial, trial_jac
+            if last:
+                return y, det, True
+            mu, nu = mu * max(1.0 / 3.0, 1.0 - (2.0 * gain - 1.0) ** 3), 2.0
+        else:
+            mu, nu = mu * nu, 2.0 * nu
+
+
 def fit_quantum_action(
     problem: FitProblem,
     *,
@@ -386,60 +398,37 @@ def fit_quantum_action(
     n_nodes=257,
     max_nfev: int = None,
 ) -> FitResult:
-    """Trust-region Gauss-Newton fit of the log residuals.
+    """Levenberg-Marquardt fit of the log residuals.
 
     Starts at the classical parameters (or ``initial``) and runs
-    ``scipy.optimize.least_squares`` (method "trf", at most ``max_nfev``
-    evaluations; scipy's default when None) on the search vector scaled by
-    its starting magnitudes, with the mean projected out of residuals and
-    Jacobian so the offset ln Z stays analytic. One evaluation is one set of
-    warm-started boundary-value solves and yields the residuals and their
-    exact Jacobian together. Failed pairs and non-confining trials cost
-    penalty residuals, so the trust region rejects such steps. ``converged``
-    means least squares met one of its tolerances. ``potential_minimum`` is
+    ``_levenberg_marquardt`` for at most ``max_nfev`` evaluations (100 per
+    search parameter when None) on the search vector scaled by its starting
+    magnitudes, with the mean projected out of residuals and Jacobian so the
+    offset ln Z stays analytic. One evaluation is one set of warm-started
+    boundary-value solves and yields the residuals and their exact Jacobian
+    together. Failed pairs and non-confining trials cost penalty residuals,
+    so the damping rejects such steps. ``converged`` means the gradient or
+    step test was met before the evaluation cap. ``potential_minimum`` is
     the fitted potential's minimum, by Newton from the lowest grid node.
     """
-    import scipy.optimize
-
     if len(problem.table.pairs) < 2 * problem.n_free:
         raise ValueError(
             f"{len(problem.table.pairs)} pairs cannot determine {problem.n_free} "
             "free parameters (need at least twice as many)"
         )
+    if max_nfev is not None and _as_integer(max_nfev, "max_nfev") < 1:
+        raise ValueError(f"max_nfev must be at least 1, got {max_nfev}")
     theta0 = _theta_vector(problem, initial if initial is not None else problem.classical)
     scales = np.maximum(np.abs(theta0), 0.25)
     ev = _Evaluator(problem, n_nodes)
-    last = {}
 
     def evaluate(y):
-        # fun and jac at one point share one set of solves
-        key = y.tobytes()
-        if last.get("key") != key:
-            last.update(key=key, detail=ev.detail(_trial_from_theta(problem, y * scales)))
-        return last["detail"]
+        det = ev.detail(_trial_from_theta(problem, y * scales))
+        return det, det.jacobian * scales
 
-    y = theta0 / scales
-    converged = True
-    if len(y) > 0:
-        res = scipy.optimize.least_squares(
-            lambda y: evaluate(y).vector,
-            y,
-            jac=lambda y: evaluate(y).jacobian * scales,
-            method="trf",
-            max_nfev=max_nfev,
-        )
-        y = np.asarray(res.x, dtype=float)
-        converged = bool(res.status >= 1)
-        if converged:
-            # the cost is flat to rounding near the optimum, which stalls the
-            # trust region short of it; the exact gradient still resolves the
-            # root, so finish with one Gauss-Newton step if it is that small
-            det = evaluate(y)
-            step = np.linalg.lstsq(det.jacobian * scales, det.vector, rcond=None)[0]
-            if np.max(np.abs(step)) <= 1e-6:
-                y = y - step
+    cap = 100 * len(theta0) if max_nfev is None else max_nfev
+    y, det, converged = _levenberg_marquardt(evaluate, theta0 / scales, cap)
     theta = y * scales
-    det = evaluate(y)
     shape = _trial_from_theta(problem, theta)
 
     if not math.isfinite(det.log_z_free):

@@ -14,11 +14,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ActionSpec, PolynomialPotential, _derivative_terms, _polynomial_source
+from .model import ActionSpec, PolynomialPotential, _as_integer, _derivative_terms, _polynomial_source
 
 NEWTON_RTOL = 1e-10
 MAX_NEWTON = 60
 MIN_NODES = 32  # fewest mesh nodes of a two-point solve
+MAX_NODES = 2**16  # most mesh nodes of a two-point solve
 
 
 @dataclass(frozen=True)
@@ -152,8 +153,8 @@ def solve_euclidean_bvp(
     """
     if T <= 0:
         raise ValueError(f"transition time must be positive, got {T}")
-    if n_nodes < MIN_NODES:
-        raise ValueError(f"at least {MIN_NODES} mesh nodes required, got {n_nodes}")
+    if not MIN_NODES <= n_nodes <= MAX_NODES:
+        raise ValueError(f"mesh node count must lie in [{MIN_NODES}, {MAX_NODES}], got {n_nodes}")
     dim = action.dimension
     x_i = np.atleast_1d(np.asarray(x_i, dtype=float))
     x_f = np.atleast_1d(np.asarray(x_f, dtype=float))
@@ -387,7 +388,7 @@ def integrate_realtime(
         raise ValueError(f"T/dt = {T / dt} steps, beyond the bound of 2**62")
     if s0.dim != action.dimension:
         raise ValueError("initial state dimension does not match the action")
-    if store_every < 1:
+    if _as_integer(store_every, "store_every") < 1:
         raise ValueError("store_every must be >= 1")
     n_steps = max(1, int(round(T / dt)))
     dim = s0.dim

@@ -21,6 +21,7 @@ from qaction import (
     transformation_law_residual_grid,
     wkb_compare,
 )
+from qaction.asymptotics import MAX_L
 
 QUARTIC_E0 = 0.6679862592  # Richardson-extrapolated ground energy of V = x^4
 
@@ -300,6 +301,8 @@ def test_hydrogen_validation():
         hydrogen_sector(1, e2=0)
     with pytest.raises(ValueError):
         hydrogen_table(0)
+    with pytest.raises(ValueError, match=rf"\[1, {MAX_L}\]"):
+        hydrogen_table(MAX_L + 1)
 
 
 def test_hydrogen_table_rows():

@@ -12,6 +12,7 @@ import pytest
 import scipy.linalg
 
 from qaction import Grid, chaos, propagator
+from qaction.asymptotics import MAX_L
 from qaction.cli import _parse_pairs, main
 from qaction.model import MAX_DEGREE
 from qaction.propagator import MAX_PAIRS
@@ -678,17 +679,66 @@ def test_poincare_loads_no_scipy(tmp_path):
     assert (out / "section_quantum.csv").exists()
 
 
-def test_propagate_and_analytic_skip_scipy_optimize(tmp_path, prop_cfg):
+def test_propagate_analytic_and_fit_skip_scipy_optimize(tmp_path, prop_cfg):
     analytic_cfg = write_cfg(
         tmp_path,
         "analytic.json",
         {"action": HO, "grid": {"extents": [6.0], "npoints": [301]}, "quantum": HO_QUANTUM, "e_gr": 0.5},
     )
-    for command, cfg in (("propagate", prop_cfg), ("analytic", analytic_cfg)):
+    fit_cfg = write_cfg(tmp_path, "fit.json", dict(FIT_BASE, T=2.0, fit_mass=False, n_nodes=129))
+    for command, cfg in (("propagate", prop_cfg), ("analytic", analytic_cfg), ("fit", fit_cfg)):
         code, mods = _fresh_run([command, "--config", cfg, "--out", str(tmp_path / command)])
         assert code == 0
         assert "scipy.linalg" in mods
         assert not [m for m in mods if m.startswith("scipy.optimize")]
+
+
+def _spawn_propagate(cfg: str, out: Path, blas_threads: str) -> int:
+    """Exit code of ``propagate`` in a new interpreter started with that BLAS thread count."""
+    env = dict(os.environ, PYTHONPATH=SRC + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    env["OPENBLAS_NUM_THREADS"] = blas_threads
+    argv = [sys.executable, "-m", "qaction.cli", "propagate", "--config", cfg, "--out", str(out)]
+    return subprocess.run(argv, env=env, capture_output=True, text=True, timeout=300).returncode
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        {"action": COUPLED, "grid": {"extents": [6.0, 6.0], "npoints": [33, 33]}, "T": 1.0,
+         "pairs": {"points_per_axis": 3, "span": [-1.0, 1.0]}},
+        {"action": HO, "grid": {"extents": [8.0], "npoints": [12801]}, "T": 0.5,
+         "pairs": {"points_per_axis": 11, "span": [-2.0, 2.0]}},
+    ],
+    ids=["dense-2d", "cancelling-1d"],
+)
+def test_propagate_output_does_not_depend_on_the_blas_thread_count(tmp_path, payload):
+    """Threaded BLAS sums in a thread-dependent order; both configs wrote
+    different bits under one and two threads before the package pinned one."""
+    cfg = write_cfg(tmp_path, "cfg.json", payload)
+    for threads in ("1", "2"):
+        assert _spawn_propagate(cfg, tmp_path / threads, threads) == 0
+    for name in ("propagator.csv", "spectrum.csv"):
+        assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes()
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_exactly_singular_inertia_factor_exits_3_leaving_no_files(tmp_path, threads):
+    """At T = 1e20 the window edge sits on E_0 to rounding, and on this grid
+    the unpivoted factor of H - sigma I is exactly singular; sigma moves off
+    it as for a row swap, and the run fails on its amplitudes instead."""
+    cfg = write_cfg(
+        tmp_path,
+        "ho2d.json",
+        {
+            "action": UNCOUPLED,
+            "grid": {"extents": [6.0, 6.0], "npoints": [31, 31]},
+            "T": 1e20,
+            "pairs": {"points_per_axis": 3, "span": [-1.0, 1.0]},
+        },
+    )
+    out = tmp_path / "nothing"
+    assert _spawn_propagate(cfg, out, threads) == 3
+    assert not out.exists()
 
 
 # -- time and grid input outside the validated range -------------------------
@@ -699,6 +749,7 @@ FIT_BASE = {
     "pairs": {"points": [-1.0, 0.0, 1.0]},
     "ansatz": [[0], [2]],
 }
+ANALYTIC_BASE = {"action": HO, "grid": {"extents": [6.0], "npoints": [301]}}
 PROPAGATE_BASE = {
     "action": HO,
     "grid": {"extents": [8.0], "npoints": [401]},
@@ -860,18 +911,26 @@ def test_grid_beyond_its_node_bound_exits_2_leaving_no_files(tmp_path, monkeypat
         ("propagate", dict(PROPAGATE_BASE, pairs=[[0.0, 0.0]] * (MAX_PAIRS + 1))),
         ("propagate", dict(PROPAGATE_BASE, action=UNCOUPLED, grid={"extents": [6.3, 6.3], "npoints": [64, 64]},
                            pairs={"points_per_axis": 17, "span": [-6.0, 6.0]})),
+        ("fit", dict(FIT_BASE, T=2.0, n_nodes=2**40)),
+        ("fit", dict(FIT_BASE, T=2.0, n_nodes=[2**16, 2**17 - 1])),
+        ("analytic", dict(ANALYTIC_BASE, hydrogen_l_max=MAX_L + 1)),
+        ("analytic", dict(ANALYTIC_BASE, hydrogen_l_max=2**63)),
+        ("analytic", dict(ANALYTIC_BASE, hydrogen_l_max=10**400)),
     ],
     ids=[
         "exponent-1e400", "exponent-100000", "ansatz-degree", "points_per_axis-2e63",
         "pairs-257-per-axis", "pairs-257-points", "pairs-list-65537", "pairs-2d-17-per-axis",
+        "n_nodes-2e40", "n_nodes-pair-beyond-2e16", "l_max-1001", "l_max-2e63", "l_max-1e400",
     ],
 )
 def test_value_beyond_its_bound_exits_2_before_eigensolve(tmp_path, monkeypatch, command, payload):
     """A term's degree is bounded in the action and in the ansatz, a span's
     point count by the grid's node bound, and the pair count of every pairs
-    form by MAX_PAIRS; an exponent of 10^400 once crashed with OverflowError,
-    one of 100000 with RecursionError in the generated kernel, and 2^63
-    points per axis with IndexError."""
+    form by MAX_PAIRS, a fit's node count by MAX_NODES and the hydrogen rows
+    by MAX_L; an exponent of 10^400 once crashed with OverflowError, one of
+    100000 with RecursionError in the generated kernel, 2^63 points per axis
+    with IndexError, 2^40 fit nodes with _ArrayMemoryError, and 2^63 hydrogen
+    rows ran past 20 s after the ground-state solve."""
     def no_solve(*args, **kwargs):
         raise AssertionError("eigensolver reached with a value beyond its bound")
 

@@ -273,7 +273,7 @@ def test_truncated_window_raises(ho):
 def test_window_narrower_than_rounding_keeps_the_ground_state():
     """At T = 1e20 the window is far below the rounding of E_0, and the
     inertia count reads 0 on this grid; the ground state is solved anyway."""
-    grid = Grid((6.0, 6.0), (32, 32))
+    grid = Grid((6.0, 6.0), (35, 35))
     assert sum(_window_count(HO_2D, grid, -math.log(BOLTZMANN_CUTOFF) / 1e20)) == 0
     assert len(decompose_for_time(HO_2D, grid, 1e20).eigenvalues) == 1
 

@@ -14,7 +14,6 @@ from qaction import (
     euclidean_propagate,
     fit_flow,
     fit_quantum_action,
-    fit_residual,
     flow_rows,
     quantum_action_log_norm_sq,
     solve_euclidean_bvp,
@@ -40,18 +39,18 @@ def test_true_action_residual_below_1e5(ho_spec, ho_table_t1):
     residual is pure discretization noise."""
     prob = FitProblem(classical=ho_spec, table=ho_table_t1, ansatz=((0,), (2,)))
     z = math.sqrt(1.0 / (2.0 * math.pi * math.sinh(1.0)))
-    r = fit_residual(ho_spec, prob, log_z=math.log(z), n_nodes=1025)
+    r = _Evaluator(prob, 1025).detail(ho_spec, math.log(z)).objective
     assert r < 1e-5
 
 
 def test_wrong_stiffness_residual_much_larger(ho_spec, ho_table_t1):
     prob = FitProblem(classical=ho_spec, table=ho_table_t1, ansatz=((0,), (2,)))
     z = math.sqrt(1.0 / (2.0 * math.pi * math.sinh(1.0)))
-    r_true = fit_residual(ho_spec, prob, log_z=math.log(z), n_nodes=1025)
+    r_true = _Evaluator(prob, 1025).detail(ho_spec, math.log(z)).objective
     doubled = ActionSpec(
         mass=1.0, potential=PolynomialPotential(1, {(2,): 1.0}), hbar=1.0
     )
-    r_bad = fit_residual(doubled, prob, n_nodes=1025)
+    r_bad = _Evaluator(prob, 1025).detail(doubled).objective
     assert r_bad > 1e2 * r_true
 
 
@@ -69,15 +68,15 @@ def test_single_pair_residual_vanishes(ho_spec, ho_table_t1):
         table=_subtable(ho_table_t1, [((0.0,), (0.5,))]),
         ansatz=((0,), (2,)),
     )
-    assert fit_residual(ho_spec, prob) < 1e-13
+    assert _Evaluator(prob, 257).detail(ho_spec).objective < 1e-13
 
 
 def test_free_offset_is_optimal(ho_spec, ho_table_t1):
     prob = FitProblem(classical=ho_spec, table=ho_table_t1, ansatz=((0,), (2,)))
-    r_free = fit_residual(ho_spec, prob, n_nodes=513)
+    r_free = _Evaluator(prob, 513).detail(ho_spec).objective
     z0 = math.log(math.sqrt(1.0 / (2.0 * math.pi * math.sinh(1.0))))
     scan = [
-        fit_residual(ho_spec, prob, log_z=z0 + d, n_nodes=513)
+        _Evaluator(prob, 513).detail(ho_spec, z0 + d).objective
         for d in np.linspace(-0.01, 0.01, 11)
     ]
     assert r_free <= min(scan) + 1e-12
@@ -349,6 +348,17 @@ def test_problem_validation(ho_spec, ho_table_t1):
             FitProblem(classical=ho_spec, table=ho_table_t1, ansatz=ansatz)
 
 
+def test_evaluation_cap(ho_spec, ho_tensor_table_t2):
+    """Stopping at the cap is not convergence; the cap is a positive integer."""
+    prob = FitProblem(classical=ho_spec, table=ho_tensor_table_t2, ansatz=((0,), (2,)), fit_mass=True)
+    start = ActionSpec(mass=1.3, potential=PolynomialPotential(1, {(2,): 0.4}), hbar=1.0)
+    res = fit_quantum_action(prob, initial=start, n_nodes=129, max_nfev=1)
+    assert (res.iterations, res.converged) == (1, False)
+    for max_nfev in (0, -1, 2.5, True):
+        with pytest.raises(ValueError, match="max_nfev"):
+            fit_quantum_action(prob, max_nfev=max_nfev)
+
+
 def test_too_few_pairs_rejected(ho_spec, ho_table_t1):
     prob = FitProblem(
         classical=ho_spec,
@@ -363,12 +373,12 @@ def test_too_few_pairs_rejected(ho_spec, ho_table_t1):
 def test_n_nodes_pair_validation(ho_spec, ho_table_t1):
     prob = FitProblem(classical=ho_spec, table=ho_table_t1, ansatz=((0,), (2,)))
     with pytest.raises(ValueError):
-        fit_residual(ho_spec, prob, n_nodes=(257, 511))
+        _Evaluator(prob, (257, 511))
     with pytest.raises(ValueError):
-        fit_residual(ho_spec, prob, n_nodes=(257, 513, 1025))
+        _Evaluator(prob, (257, 513, 1025))
     for n_nodes in (257.0, True, (129.0, 257)):
         with pytest.raises(ValueError):
-            fit_residual(ho_spec, prob, n_nodes=n_nodes)
+            _Evaluator(prob, n_nodes)
 
 
 def test_dimension_mismatch_rejected(ho_table_t1, coupled_2d):

@@ -26,7 +26,7 @@ from qaction import (
 )
 from qaction.chaos import _henon_refine, _orbit_crossings
 from qaction import trajectory
-from qaction.trajectory import MAX_STEPS, _c_loop, _python_loop, _step_loop, _step_statements
+from qaction.trajectory import MAX_NODES, MAX_STEPS, _c_loop, _python_loop, _step_loop, _step_statements
 
 COMPILER = shutil.which("cc") or shutil.which("gcc")
 
@@ -155,6 +155,11 @@ def test_bvp_validation(ho):
         solve_euclidean_bvp(ho, (0.0,), (1.0,), 1.0, n_nodes=16)
     with pytest.raises(ValueError):
         solve_euclidean_bvp(ho, (0.0, 0.0), (1.0, 1.0), 1.0)
+    # refused before a mesh is built: 2^40 nodes once failed with _ArrayMemoryError (8 TiB)
+    with mock.patch.object(np, "linspace", side_effect=AssertionError("mesh allocated")):
+        for n_nodes in (MAX_NODES + 1, 2**40):
+            with pytest.raises(ValueError, match="mesh node count"):
+                solve_euclidean_bvp(ho, (0.0,), (1.0,), 1.0, n_nodes=n_nodes)
 
 
 @pytest.mark.parametrize("fixture", ["quartic", "coupled_2d"])
@@ -236,6 +241,10 @@ def test_integrate_realtime_validation(ho):
         integrate_realtime(ho, s0, -1.0, 1e-3)
     with pytest.raises(ValueError):
         integrate_realtime(ho, s0, 1.0, 1e-3, store_every=0)
+    # store_every is an integer: 2.5 once raised TypeError from range, True was read as 1
+    for store_every in (2.5, True):
+        with pytest.raises(ValueError, match="store_every"):
+            integrate_realtime(ho, s0, 1.0, 1e-3, store_every=store_every)
     with pytest.raises(ValueError):
         integrate_realtime(ho, PhaseState((1.0, 0.0), (0.0, 0.0)), 1.0, 1e-3)
 
