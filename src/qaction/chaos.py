@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import NumericalError
 from .model import ActionSpec, _as_integer, _as_number, _bisect_root, _json_floats
-from .trajectory import MAX_STEPS, PhaseState, _step_loop, hamiltonian_energy
+from .trajectory import MAX_STEPS, PhaseState, _step_loops, hamiltonian_energy
 
 _CONVENTIONS = ("above-minimum", "absolute")
 # R2 additive recurrence (plastic-number based): deterministic low-discrepancy
@@ -199,12 +199,17 @@ def _henon_refine(x, y_from, px, py, m, grad, plane_axis, c):
     return x_c, px_c, py_c
 
 
+def _section_loops(spec: SectionSpec, *actions: ActionSpec) -> tuple:
+    """The step loops that sections of these actions run, built together."""
+    return _step_loops(*((a.dimension, a.potential.terms, a.mass, spec.dt, spec.plane_axis) for a in actions))
+
+
 def _orbit_crossings(action: ActionSpec, spec: SectionSpec, e_abs: float, start: PhaseState) -> np.ndarray:
     """Refined oriented crossings (x, p_x) of one orbit, stepped on its own."""
     pot = action.potential
     m = action.mass
     grad = pot.kernel().gradient
-    loop = _step_loop(pot.dimension, pot.terms, m, spec.dt, spec.plane_axis)
+    (loop,) = _section_loops(spec, action)
     axis = 1 - spec.plane_axis
     pax = spec.plane_axis
     c = spec.plane_value

@@ -21,6 +21,12 @@ couples neighbours negatively: Perron-Frobenius), hence even, so E_0 is the
 lowest state of the all-even block, solved once per grid. Before any other
 solve, each block's states within the Boltzmann window above E_0 are
 counted by Sylvester's law of inertia.
+
+A 1-D block is kept as its two diagonals, counted by the Sturm recurrence
+and solved by LAPACK's bisection and inverse iteration (?stebz, ?stein)
+through the LAPACK numpy already loads (``_lapack``), so 1-D work imports
+no scipy. A 2-D block is a sparse matrix: counted by an unpivoted SuperLU
+factorization, and solved densely or by shift-invert.
 """
 from __future__ import annotations
 
@@ -28,6 +34,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -227,16 +234,36 @@ def _axis_sector(n: int, parity: int) -> tuple:
     return n // 2 + (n % 2 if parity > 0 else 0), take, coef
 
 
-def discretize_hamiltonian(action: ActionSpec, grid: Grid, sector: tuple = None):
-    """Sparse Hermitian H = -(hbar^2/2m) Laplacian + V with Dirichlet walls (CSR).
+def _kinetic_stencil(hb2m: float, h: float, n: int, parity: int) -> tuple:
+    """(main, off): the diagonal and off-diagonal of one axis's kinetic block
+    -(hbar^2/2m) d^2/dx^2 in a sector of that axis (``_axis_sector``)."""
+    m = _axis_sector(n, parity)[0]
+    main = np.full(m, 2.0 * hb2m / h**2)
+    off = np.full(m - 1, -hb2m / h**2)
+    if parity and n % 2 == 0:
+        main[-1] += parity * off[-1]  # the last node's mirror is its neighbour
+    elif parity > 0:
+        off[-1] *= math.sqrt(2.0)  # the centre node couples to both halves
+    return main, off
 
-    Given one of the action's mirror sectors (one parity per axis, as from
-    ``_sectors``), it is the block of H on that sector instead: the Kronecker
-    sum of each axis's kinetic block plus V on the sector's nodes, the whole
-    axis for parity 0 and its x <= 0 half otherwise.
-    """
-    import scipy.sparse as sp
 
+class _Tridiagonal(NamedTuple):
+    """A symmetric tridiagonal block of H: diagonal d and off-diagonal e."""
+
+    d: np.ndarray
+    e: np.ndarray
+
+    @property
+    def shape(self) -> tuple:
+        return (len(self.d), len(self.d))
+
+    def diagonal(self, k: int = 0) -> np.ndarray:
+        return self.e if k else self.d
+
+
+def _block(action: ActionSpec, grid: Grid, sector: tuple = None):
+    """H, or with a sector its block (as ``discretize_hamiltonian`` takes them):
+    in 1-D a ``_Tridiagonal``, built without scipy, and in 2-D CSR."""
     if action.dimension != grid.dim:
         raise ValueError(
             f"action dimension {action.dimension} != grid dimension {grid.dim}"
@@ -246,27 +273,33 @@ def discretize_hamiltonian(action: ActionSpec, grid: Grid, sector: tuple = None)
     elif tuple(sector) not in _sectors(action):
         raise ValueError(f"{sector} is not a mirror sector of this potential")
     hb2m = action.hbar**2 / (2.0 * action.mass)
-    mats, nodes = [], []
-    for axis, h, n, parity in zip(grid.axes(), grid.spacing, grid.npoints, sector):
-        m = _axis_sector(n, parity)[0]
-        main = np.full(m, 2.0 * hb2m / h**2)
-        off = np.full(m - 1, -hb2m / h**2)
-        if parity and n % 2 == 0:
-            main[-1] += parity * off[-1]  # the last node's mirror is its neighbour
-        elif parity > 0:
-            off[-1] *= math.sqrt(2.0)  # the centre node couples to both halves
-        mats.append(sp.diags([off, main, off], [-1, 0, 1], format="csr"))
-        nodes.append(axis[:m])
+    stencils = [_kinetic_stencil(hb2m, h, n, parity) for h, n, parity in zip(grid.spacing, grid.npoints, sector)]
+    nodes = [axis[: _axis_sector(n, p)[0]] for axis, n, p in zip(grid.axes(), grid.npoints, sector)]
+    V = action.potential.evaluate_points(np.stack(np.meshgrid(*nodes, indexing="ij"), axis=-1)).ravel()
     if grid.dim == 1:
-        H = mats[0]
-    else:
-        mx, my = (len(x) for x in nodes)
-        H = sp.kron(mats[0], sp.identity(my, format="csr")) + sp.kron(
-            sp.identity(mx, format="csr"), mats[1]
-        )
-    mesh = np.stack(np.meshgrid(*nodes, indexing="ij"), axis=-1)
-    H = H + sp.diags(action.potential.evaluate_points(mesh).ravel())
-    return sp.csr_matrix(H)
+        ((main, off),) = stencils
+        return _Tridiagonal(main + V, off)
+    import scipy.sparse as sp
+
+    mx, my = (sp.diags([off, main, off], [-1, 0, 1], format="csr") for main, off in stencils)
+    H = sp.kron(mx, sp.identity(my.shape[0], format="csr")) + sp.kron(sp.identity(mx.shape[0], format="csr"), my)
+    return sp.csr_matrix(H + sp.diags(V))
+
+
+def discretize_hamiltonian(action: ActionSpec, grid: Grid, sector: tuple = None):
+    """Sparse Hermitian H = -(hbar^2/2m) Laplacian + V with Dirichlet walls (CSR).
+
+    Given one of the action's mirror sectors (one parity per axis, as from
+    ``_sectors``), it is the block of H on that sector instead: the Kronecker
+    sum of each axis's kinetic block plus V on the sector's nodes, the whole
+    axis for parity 0 and its x <= 0 half otherwise.
+    """
+    H = _block(action, grid, sector)
+    if isinstance(H, _Tridiagonal):
+        import scipy.sparse as sp
+
+        return sp.diags([H.e, H.d, H.e], [-1, 0, 1], format="csr")
+    return H
 
 
 def _node_scale(grid: Grid, sector: tuple) -> np.ndarray:
@@ -293,28 +326,62 @@ def _lowest_eigsh(H, k: int, scale: np.ndarray):
         raise NumericalError(f"sparse eigensolver did not converge: {exc}") from exc
 
 
+def _second_highest(H, scale: np.ndarray) -> float:
+    """The (n - 1)th of the n eigenvalues of a block."""
+    if isinstance(H, _Tridiagonal):
+        from . import _lapack
+
+        n = H.shape[0]
+        return float(_lapack.eigh_tridiagonal(H.d, H.e, n - 2, n - 2, vectors=False)[0][0])
+    return -float(_lowest_eigsh(-H, 2, scale)[0].max())
+
+
 @functools.lru_cache(maxsize=16)
 def _sector_hamiltonians(action: ActionSpec, grid: Grid) -> tuple:
-    """(sector, block of H) for each mirror sector, the all-even one first."""
-    return tuple((s, discretize_hamiltonian(action, grid, s)) for s in _sectors(action))
+    """(sector, block of H) for each mirror sector, the all-even one first:
+    in 1-D a ``_Tridiagonal``, so that no 1-D count or solve needs scipy."""
+    return tuple((s, _block(action, grid, s)) for s in _sectors(action))
+
+
+def _negative_pivots(H, sigma: float):
+    """Count of the negative pivots of H - sigma I factored unpivoted, or None
+    when a pivot is exactly zero or the factorization swapped rows.
+
+    A ``_Tridiagonal`` is counted by the Sturm recurrence
+    q_i = (d_i - sigma) - e_{i-1}^2 / q_{i-1}; a CSR block by SuperLU in
+    natural order.
+    """
+    if isinstance(H, _Tridiagonal):
+        count, q = 0, 1.0
+        for shifted, e2 in zip((H.d - sigma).tolist(), [0.0] + (H.e * H.e).tolist()):
+            q = shifted - e2 / q
+            if q == 0.0:
+                return None
+            count += q < 0.0
+        return count
+    import scipy.sparse as sp
+    import scipy.sparse.linalg as spla
+
+    n = H.shape[0]
+    A = (H - sigma * sp.identity(n)).tocsc()
+    try:
+        lu = spla.splu(A, permc_spec="NATURAL", diag_pivot_thresh=0.0, options={"SymmetricMode": True})
+    except RuntimeError:  # "Factor is exactly singular"
+        return None
+    if not np.array_equal(lu.perm_r, np.arange(n)):
+        return None
+    return int(np.count_nonzero(lu.U.diagonal() < 0.0))
 
 
 def _inertia(H, sigma: float) -> int:
     """Count of the eigenvalues of H below sigma, made without solving for them: by Sylvester's
     law of inertia, the negative pivots of H - sigma I factored unpivoted (a Sturm count if tridiagonal)."""
-    import scipy.sparse as sp
-    import scipy.sparse.linalg as spla
-
-    n = H.shape[0]
     for _ in range(2):
-        A = (H - sigma * sp.identity(n)).tocsc()
-        try:
-            lu = spla.splu(A, permc_spec="NATURAL", diag_pivot_thresh=0.0, options={"SymmetricMode": True})
-            if np.array_equal(lu.perm_r, np.arange(n)):
-                return int(np.count_nonzero(lu.U.diagonal() < 0.0))
-        except RuntimeError:  # "Factor is exactly singular"
-            pass
-        sigma += 1e-12 * abs(sigma)  # an exactly zero pivot, row-swapped or singular: move off it
+        count = _negative_pivots(H, sigma)
+        if count is not None:
+            return count
+        # an exactly zero pivot, row-swapped or singular: move off it, at sigma = 0 by H's scale
+        sigma += 1e-12 * (abs(sigma) or max(np.abs(H.diagonal(k)).max(initial=0.0) for k in (0, 1)))
     raise NumericalError(f"no pivot-free factorization of H - sigma I near sigma = {sigma:g}")
 
 
@@ -331,9 +398,8 @@ def spectral_decompose(H, k: int, grid: Grid, sector: tuple = None) -> SpectralD
     With a ``sector``, H is that sector's block (``discretize_hamiltonian``)
     and each eigenvector is returned over the whole grid, mirrored by its
     parity, so that mirrored nodes carry bitwise equal or opposite values.
+    In 1-D, H may also be the block's two diagonals as a ``_Tridiagonal``.
     """
-    import scipy.linalg
-
     n = H.shape[0]
     if not 1 <= k <= n - 2:
         raise ValueError(f"need 1 <= k <= {n - 2}, got {k}")
@@ -342,11 +408,12 @@ def spectral_decompose(H, k: int, grid: Grid, sector: tuple = None) -> SpectralD
     if math.prod(m for m, _, _ in axes) != n:
         raise ValueError("grid does not match Hamiltonian size")
     if grid.dim == 1:
-        d = H.diagonal()
-        e = H.diagonal(1)
-        vals, vecs = scipy.linalg.eigh_tridiagonal(d, e, select="i", select_range=(0, k - 1))
-        vecs = vecs.T
+        from . import _lapack
+
+        vals, vecs = _lapack.eigh_tridiagonal(H.diagonal(), H.diagonal(1), 0, k - 1)
     elif n <= DENSE_MAX_NODES:
+        import scipy.linalg
+
         vals, vecs = scipy.linalg.eigh(H.toarray(), subset_by_index=[0, k - 1])
         vecs = vecs.T
     else:
@@ -396,7 +463,7 @@ def decompose_for_time(action: ActionSpec, grid: Grid, T: float) -> SpectralData
     short = [(sector, H) for (sector, H), count in zip(blocks, counts) if count > H.shape[0] - 2]
     if short:
         # the first state a block drops is its (n - 1)th, the second from the top
-        dropped = min(-float(_lowest_eigsh(-H, 2, _node_scale(grid, s))[0].max()) for s, H in short)
+        dropped = min(_second_highest(H, _node_scale(grid, s)) for s, H in short)
         raise NumericalError(
             f"the grid resolves {sum(H.shape[0] - 2 for _, H in blocks)} states, too few for the "
             f"Boltzmann window at T={T:g}: dropped states carry weight up to "

@@ -343,7 +343,11 @@ def _fit_diagnostics(det: _EvalDetail) -> tuple:
     """(||J^T r||_inf, sqrt diag sigma^2 (J^T J)^+) over the pairs that solved.
 
     sigma^2 = sum r^2 / (N - p - 1): the fitted offset ln Z costs one more
-    degree of freedom than the p search parameters.
+    degree of freedom than the p search parameters. The pseudo-inverse
+    drops the directions along which J^T J is below rounding (1e-15 of its
+    largest eigenvalue), so J below sqrt(1e-15) of its largest singular
+    value: the data do not determine them, and a parameter with weight on
+    one has an infinite uncertainty.
     """
     res = det.residuals
     ok = np.isfinite(res)
@@ -355,6 +359,11 @@ def _fit_diagnostics(det: _EvalDetail) -> tuple:
     dof = len(r) - p - 1
     sigma2 = float(np.dot(r, r)) / dof if dof > 0 else math.nan
     var = sigma2 * np.diag(np.linalg.pinv(jac.T @ jac))
+    # padded to at least p rows, so that vt spans every direction; U is N x p, never N x N
+    padded = np.vstack([jac, np.zeros((max(p - len(jac), 0), p))])
+    _, s, vt = np.linalg.svd(padded, full_matrices=False)
+    null = vt[s <= math.sqrt(1e-15) * s[0]]
+    var[np.any(np.abs(null) > math.sqrt(np.finfo(float).eps), axis=0)] = math.inf
     return gradient_norm, tuple(float(v) for v in np.sqrt(np.maximum(var, 0.0)))
 
 

@@ -8,7 +8,6 @@ for real-time dynamics.
 """
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -94,7 +93,7 @@ def _newton_relax(pot, m, path, dt):
 
     Each iterate evaluates the defect once: the accepted line-search trial's
     defect is the next iterate's."""
-    import scipy.linalg
+    from . import _lapack
 
     n, dim = path.shape
     c = m / dt**2
@@ -112,8 +111,8 @@ def _newton_relax(pot, m, path, dt):
         if dim == 2:
             ab[1, 1::2] = ab[3, 0::2] = -hess[:, 0, 1]
         try:
-            delta = scipy.linalg.solve_banded((dim, dim), ab, -F.ravel())
-        except (scipy.linalg.LinAlgError, ValueError):
+            delta = _lapack.solve_banded(dim, ab, -F.ravel())
+        except (np.linalg.LinAlgError, ValueError):
             return path, res, False
         delta = delta.reshape(nin, dim)
         f0 = float(np.linalg.norm(F))
@@ -260,15 +259,18 @@ def _python_loop(statements: list, q: str):
     return loop
 
 
-def _c_loop(statements: list, q: str, python_loop):
-    """The loop compiled as C ``long long loop(long long n, double c, double *s)``, or None.
+def _c_loops(builds: list) -> list:
+    """Each (statements, q, python_loop) of ``builds`` compiled as the C function
+    ``long long loop<i>(long long n, double c, double *s)``, or None in its place.
 
     ``s`` holds the state in s[0..3] and the state before the last step in
-    s[4..7]. Its domain is 0 <= n <= ``MAX_STEPS``; callers bound n there. The
+    s[4..7]. Its domain is 0 <= n <= ``MAX_STEPS``; callers bound n there.
+    All the loops come from one source file and one compiler call. The
     shared library is built in a fresh temporary directory and loaded, and
     the directory is removed before returning, so nothing is left behind.
-    None when no compiler is found, the build fails or times out, or the
-    compiled loop differs in any bit from ``python_loop`` on a short probe.
+    Every loop is None when no compiler is found or the build fails or times
+    out; a loop is None when it differs in any bit from its ``python_loop``
+    on a short probe.
     """
     import ctypes
     import shutil
@@ -278,25 +280,29 @@ def _c_loop(statements: list, q: str, python_loop):
 
     compiler = shutil.which("cc") or shutil.which("gcc")
     if compiler is None:
-        return None
-    source = "\n".join([
-        "long long loop(long long n, double c, double *s)",
-        "{",
-        "    double x = s[0], y = s[1], px = s[2], py = s[3];",
-        "    double x0 = x, y0 = y, px0 = px, py0 = py;",
-        "    long long k = 0;",
-        "    while (k < n) {",
-        "        k++;",
-        "        x0 = x; y0 = y; px0 = px; py0 = py;",
-        *(f"        {s};" for s in statements),
-        f"        if (({q}0 < c && c <= {q}) || ({q} <= c && c < {q}0)) break;",
-        "    }",
-        "    s[0] = x; s[1] = y; s[2] = px; s[3] = py;",
-        "    s[4] = x0; s[5] = y0; s[6] = px0; s[7] = py0;",
-        "    return k;",
-        "}",
-        "",
-    ])
+        return [None] * len(builds)
+    source = "\n".join(
+        line
+        for i, (statements, q, _) in enumerate(builds)
+        for line in [
+            f"long long loop{i}(long long n, double c, double *s)",
+            "{",
+            "    double x = s[0], y = s[1], px = s[2], py = s[3];",
+            "    double x0 = x, y0 = y, px0 = px, py0 = py;",
+            "    long long k = 0;",
+            "    while (k < n) {",
+            "        k++;",
+            "        x0 = x; y0 = y; px0 = px; py0 = py;",
+            *(f"        {s};" for s in statements),
+            f"        if (({q}0 < c && c <= {q}) || ({q} <= c && c < {q}0)) break;",
+            "    }",
+            "    s[0] = x; s[1] = y; s[2] = px; s[3] = py;",
+            "    s[4] = x0; s[5] = y0; s[6] = px0; s[7] = py0;",
+            "    return k;",
+            "}",
+            "",
+        ]
+    )
     try:
         with tempfile.TemporaryDirectory(prefix="qaction-") as build:
             path = f"{build}/loop.c"
@@ -315,21 +321,29 @@ def _c_loop(statements: list, q: str, python_loop):
                 finally:
                     timer.cancel()
             if failed:
-                return None
-            compiled = ctypes.CDLL(f"{build}/loop.so").loop  # holds its library loaded
+                return [None] * len(builds)
+            library = ctypes.CDLL(f"{build}/loop.so")  # its functions hold it loaded
     except OSError:
-        return None
-    compiled.argtypes = (ctypes.c_longlong, ctypes.c_double, ctypes.POINTER(ctypes.c_double))
-    compiled.restype = ctypes.c_longlong
+        return [None] * len(builds)
     state_type = ctypes.c_double * 8
 
-    def loop(n, c, x, y, px, py):
-        s = state_type(x, y, px, py)
-        k = compiled(n, c, s)
-        return k, tuple(s[4:]), tuple(s[:4])
+    def wrap(compiled):
+        compiled.argtypes = (ctypes.c_longlong, ctypes.c_double, ctypes.POINTER(ctypes.c_double))
+        compiled.restype = ctypes.c_longlong
 
-    loop.backend = "c"
-    return loop if _same_bits(loop, python_loop, "xy".index(q)) else None
+        def loop(n, c, x, y, px, py):
+            s = state_type(x, y, px, py)
+            k = compiled(n, c, s)
+            return k, tuple(s[4:]), tuple(s[:4])
+
+        loop.backend = "c"
+        return loop
+
+    loops = [wrap(getattr(library, f"loop{i}")) for i in range(len(builds))]
+    return [
+        loop if _same_bits(loop, python_loop, "xy".index(q)) else None
+        for loop, (_, q, python_loop) in zip(loops, builds)
+    ]
 
 
 def _same_bits(loop, reference, axis: int) -> bool:
@@ -349,21 +363,45 @@ def _same_bits(loop, reference, axis: int) -> bool:
     return all(pack(loop(*run)) == pack(reference(*run)) for run in runs)
 
 
-@functools.lru_cache(maxsize=64)
-def _step_loop(dimension: int, terms: tuple, mass: float, dt: float, plane_axis: int):
-    """Forest-Ruth loop ``loop(n, c, x, y, px, py) -> (k, before, after)``.
+_STEP_LOOPS = {}  # the step loops built in this process, by key
+_MAX_KEPT_LOOPS = 64  # past this many, the kept loops are dropped before the next build
 
-    Takes at most n steps (0 <= n <= ``MAX_STEPS``) of H = (px^2 + py^2)/2m + V
-    and returns after the first step k at which the plane coordinate (x or y
-    by plane_axis) changes side of c, with the states (x, y, px, py) before
-    and after that step; c = nan is a plane no step crosses. The loop runs as
-    C when a C compiler is on PATH and as generated Python otherwise, with the
-    same bits either way; ``loop.backend`` names the one that runs.
+
+def _step_loops(*keys) -> tuple:
+    """Forest-Ruth loops ``loop(n, c, x, y, px, py) -> (k, before, after)``,
+    one per key (dimension, terms, mass, dt, plane_axis).
+
+    A loop takes at most n steps (0 <= n <= ``MAX_STEPS``) of
+    H = (px^2 + py^2)/2m + V and returns after the first step k at which the
+    plane coordinate (x or y by plane_axis) changes side of c, with the
+    states (x, y, px, py) before and after that step; c = nan is a plane no
+    step crosses. The loop runs as C when a C compiler is on PATH and as
+    generated Python otherwise, with the same bits either way;
+    ``loop.backend`` names the one that runs. Each loop is built once per
+    process, and the C loops of all the keys not built before by one
+    compiler call.
     """
-    statements = _step_statements(dimension, terms, mass, dt)
-    q = "xy"[plane_axis]
-    python_loop = _python_loop(statements, q)
-    return _c_loop(statements, q, python_loop) or python_loop
+    new = [key for key in dict.fromkeys(keys) if key not in _STEP_LOOPS]
+    if new:
+        if len(_STEP_LOOPS) + len(new) > _MAX_KEPT_LOOPS:
+            _STEP_LOOPS.clear()
+            new = list(dict.fromkeys(keys))
+        _STEP_LOOPS.update(zip(new, _build_step_loops(new)))
+    return tuple(_STEP_LOOPS[key] for key in keys)
+
+
+def _step_loop(dimension: int, terms: tuple, mass: float, dt: float, plane_axis: int):
+    """The one loop of ``_step_loops`` for this key."""
+    return _step_loops((dimension, terms, mass, dt, plane_axis))[0]
+
+
+def _build_step_loops(keys: list) -> list:
+    """A new loop per key of ``_step_loops``, the C ones built together."""
+    builds = []
+    for dimension, terms, mass, dt, plane_axis in keys:
+        statements, q = _step_statements(dimension, terms, mass, dt), "xy"[plane_axis]
+        builds.append((statements, q, _python_loop(statements, q)))
+    return [c or python for c, (_, _, python) in zip(_c_loops(builds), builds)]
 
 
 def integrate_realtime(

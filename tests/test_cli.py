@@ -2,6 +2,7 @@ import csv
 import json
 import math
 import os
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -11,13 +12,12 @@ from pathlib import Path
 import pytest
 import scipy.linalg
 
-from qaction import Grid, chaos, propagator
+from qaction import Grid, _lapack, chaos, propagator, trajectory
 from qaction.asymptotics import MAX_L
 from qaction.cli import _parse_pairs, main
 from qaction.model import MAX_DEGREE
 from qaction.propagator import MAX_PAIRS
 from qaction.qfit import FLOW_CSV_HEADER
-from qaction.trajectory import _step_loop
 
 HO = {
     "mass": 1.0,
@@ -465,17 +465,20 @@ def test_off_node_pair_rejected_before_eigensolve(tmp_path, monkeypatch):
 
 def _count_solves(monkeypatch):
     """Per eigensolver, the states each call solved for, and per window-count
-    factorization (splu) the order of the matrix it factored."""
+    factorization (a Sturm count in 1-D, splu in 2-D) the order of the
+    matrix it factored."""
     import scipy.sparse.linalg
 
     calls = {}
 
     def size(name, args, kwargs):
-        if name == "splu":
+        if name == "_negative_pivots":
             return args[0].shape[0]
         if name == "eigsh":
             return kwargs["k"]
-        lo, hi = kwargs.get("subset_by_index") or kwargs.get("select_range") or (0, len(args[0]) - 1)
+        if name == "eigh_tridiagonal":  # the LAPACK binding's (d, e, first, last)
+            return args[3] - args[2] + 1
+        lo, hi = kwargs.get("subset_by_index") or (0, len(args[0]) - 1)
         return hi - lo + 1
 
     def count(module, name):
@@ -488,10 +491,11 @@ def _count_solves(monkeypatch):
         calls[name] = []
         monkeypatch.setattr(module, name, wrapper)
 
-    for name in ("eigh", "eigvalsh", "eigh_tridiagonal"):
+    for name in ("eigh", "eigvalsh"):
         count(scipy.linalg, name)
-    for name in ("eigsh", "splu"):
-        count(scipy.sparse.linalg, name)
+    count(_lapack, "eigh_tridiagonal")
+    count(scipy.sparse.linalg, "eigsh")
+    count(propagator, "_negative_pivots")
     _clear_spectral_caches()
     return calls
 
@@ -520,10 +524,10 @@ def test_dense_propagate_solves_once_per_time(tmp_path, monkeypatch):
         assert main(["propagate", "--config", cfg, "--out", str(out)]) == 0
         rows[T] = len(read_rows(out / "spectrum.csv")[1])
     assert {name: len(sizes) for name, sizes in calls.items()} == {
-        "eigh": 9, "eigvalsh": 0, "eigh_tridiagonal": 0, "eigsh": 0, "splu": 8
+        "eigh": 9, "eigvalsh": 0, "eigh_tridiagonal": 0, "eigsh": 0, "_negative_pivots": 8
     }
     assert calls["eigh"][0] == 1
-    assert calls["splu"] == [529, 506, 506, 484] * 2
+    assert calls["_negative_pivots"] == [529, 506, 506, 484] * 2
     assert rows[3.0] == 78 == sum(calls["eigh"][1:5])
     assert rows[1.5] == sum(calls["eigh"][5:]) > 78
 
@@ -545,7 +549,9 @@ def test_tridiagonal_propagate_solves_once(tmp_path, monkeypatch):
         },
     )
     assert main(["propagate", "--config", cfg, "--out", str(tmp_path / "quartic")]) == 0
-    assert calls == {"eigh": [], "eigvalsh": [], "eigh_tridiagonal": [1, 64, 64], "eigsh": [], "splu": [201, 200]}
+    assert calls == {
+        "eigh": [], "eigvalsh": [], "eigh_tridiagonal": [1, 64, 64], "eigsh": [], "_negative_pivots": [201, 200]
+    }
     assert len(read_rows(tmp_path / "quartic" / "spectrum.csv")[1]) == 108
 
 
@@ -564,26 +570,33 @@ def test_auto_pairs_and_the_window_share_one_ground_state_solve(tmp_path, monkey
     assert main(["propagate", "--config", cfg, "--out", str(tmp_path / "auto")]) == 0
     assert calls["eigsh"] == []
     assert calls[solver][0] == 1 and 1 not in calls[solver][1:]
-    assert len(calls[solver]) == 1 + len(calls["splu"])
+    assert len(calls[solver]) == 1 + len(calls["_negative_pivots"])
 
 
 def test_analytic_without_e_gr_solves_the_ground_state_once(tmp_path, monkeypatch):
     """The e_gr lookup and the WKB reference share one k = 1 eigensolve."""
     calls = []
 
-    def counted(*args, **kwargs):
-        calls.append(kwargs.get("select_range"))
-        return eigh_tridiagonal(*args, **kwargs)
+    def counted(d, e, first, last, *args, **kwargs):
+        calls.append((first, last))
+        return eigh_tridiagonal(d, e, first, last, *args, **kwargs)
 
-    eigh_tridiagonal = scipy.linalg.eigh_tridiagonal
+    eigh_tridiagonal = _lapack.eigh_tridiagonal
     _clear_spectral_caches()
-    monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", counted)
+    monkeypatch.setattr(_lapack, "eigh_tridiagonal", counted)
     cfg = write_cfg(tmp_path, "inv.json", {"action": HO, "grid": {"extents": [3.0], "npoints": [241]}})
     assert main(["analytic", "--config", cfg, "--out", str(tmp_path / "inv")]) == 0
     assert calls == [(0, 0)]
 
 
-def test_truncated_spectrum_exit_3_leaves_no_files(tmp_path):
+def test_truncated_spectrum_exit_3_leaves_no_files(tmp_path, monkeypatch):
+    """The weight quoted for a 1-D block comes from the tridiagonal solver,
+    not from shift-invert."""
+    def no_eigsh(*args, **kwargs):
+        raise AssertionError("shift-invert reached on a 1-D block")
+
+    _clear_spectral_caches()
+    monkeypatch.setattr(propagator, "_lowest_eigsh", no_eigsh)
     cfg = write_cfg(
         tmp_path,
         "short.json",
@@ -592,6 +605,21 @@ def test_truncated_spectrum_exit_3_leaves_no_files(tmp_path):
     out = tmp_path / "short"
     assert main(["propagate", "--config", cfg, "--out", str(out)]) == 3
     assert not out.exists()
+
+
+def test_overflowing_potential_on_the_grid_exit_2_leaves_no_files(tmp_path):
+    """V = x^2 / 2 overflows to inf at the walls of [-1e155, 1e155]: the 1-D
+    eigensolve refuses it, with the binding as with scipy's wrapper."""
+    for routines in (_lapack._routines, lambda: None):
+        _clear_spectral_caches()
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(_lapack, "_routines", routines)
+            cfg = write_cfg(
+                tmp_path, "wide.json", {"action": HO, "grid": {"extents": [1e155], "npoints": [101]}, "T": 1.0, "pairs": "auto"}
+            )
+            out = tmp_path / "wide"
+            assert main(["propagate", "--config", cfg, "--out", str(out)]) == 2
+            assert not out.exists()
 
 
 def test_span_pairs_snap_mirror_symmetrically():
@@ -680,17 +708,31 @@ def test_poincare_loads_no_scipy(tmp_path):
 
 
 def test_propagate_analytic_and_fit_skip_scipy_optimize(tmp_path, prop_cfg):
+    """The 1-D commands solve through numpy's LAPACK and load no scipy; a
+    2-D fit loads the scipy of its eigensolves, but not scipy.optimize."""
     analytic_cfg = write_cfg(
         tmp_path,
         "analytic.json",
         {"action": HO, "grid": {"extents": [6.0], "npoints": [301]}, "quantum": HO_QUANTUM, "e_gr": 0.5},
     )
+    ground_cfg = write_cfg(tmp_path, "ground.json", {"action": HO, "grid": {"extents": [3.0], "npoints": [241]}})
     fit_cfg = write_cfg(tmp_path, "fit.json", dict(FIT_BASE, T=2.0, fit_mass=False, n_nodes=129))
-    for command, cfg in (("propagate", prop_cfg), ("analytic", analytic_cfg), ("fit", fit_cfg)):
-        code, mods = _fresh_run([command, "--config", cfg, "--out", str(tmp_path / command)])
-        assert code == 0
-        assert "scipy.linalg" in mods
-        assert not [m for m in mods if m.startswith("scipy.optimize")]
+    runs = (("propagate", prop_cfg), ("analytic", analytic_cfg), ("analytic", ground_cfg), ("fit", fit_cfg))
+    for i, (command, cfg) in enumerate(runs):
+        assert _fresh_run([command, "--config", cfg, "--out", str(tmp_path / str(i))]) == (0, [])
+    coupled_cfg = write_cfg(tmp_path, "fit2d.json", {
+        "classical": COUPLED,
+        "grid": {"extents": [3.1, 3.1], "npoints": [32, 32]},
+        "T": 2.0,
+        "pairs": {"points": [[0.1, 0.1], [0.9, 0.9], [0.9, 0.1], [1.5, -0.7]]},
+        "ansatz": [[0, 0], [[2, 0], [0, 2]], [2, 2]],
+        "fit_mass": False,
+        "n_nodes": 65,
+    })
+    code, mods = _fresh_run(["fit", "--config", coupled_cfg, "--out", str(tmp_path / "fit2d")])
+    assert code == 0
+    assert "scipy.linalg" in mods
+    assert not [m for m in mods if m.startswith("scipy.optimize")]
 
 
 def _spawn_propagate(cfg: str, out: Path, blas_threads: str) -> int:
@@ -779,8 +821,8 @@ def test_non_finite_or_fractional_input_exit_2_before_eigensolve(tmp_path, monke
         raise AssertionError("eigensolver reached with invalid input")
 
     _clear_spectral_caches()
-    for solver in ("eigh_tridiagonal", "eigh"):
-        monkeypatch.setattr(scipy.linalg, solver, no_solve)
+    monkeypatch.setattr(_lapack, "eigh_tridiagonal", no_solve)
+    monkeypatch.setattr(scipy.linalg, "eigh", no_solve)
     monkeypatch.setattr(propagator, "_window_count", no_solve)
     cfg = write_cfg(tmp_path, "bad.json", payload)
     out = tmp_path / "bad"
@@ -843,8 +885,8 @@ def test_boolean_for_a_number_exits_2_leaving_no_files(tmp_path, monkeypatch, co
         raise AssertionError("eigensolver reached with invalid input")
 
     _clear_spectral_caches()
-    for solver in ("eigh_tridiagonal", "eigh"):
-        monkeypatch.setattr(scipy.linalg, solver, no_solve)
+    monkeypatch.setattr(_lapack, "eigh_tridiagonal", no_solve)
+    monkeypatch.setattr(scipy.linalg, "eigh", no_solve)
     monkeypatch.setattr(propagator, "_window_count", no_solve)
     if "fit_result" in payload:
         payload = dict(payload, fit_result=write_cfg(tmp_path, "fit.json", payload["fit_result"]))
@@ -968,7 +1010,7 @@ def test_a_million_pairs_exit_2_at_once(tmp_path):
 
 def test_poincare_leaves_no_file_in_the_temporary_directory(tmp_path, monkeypatch):
     """The compiled step loop is built in a temporary directory, removed again."""
-    _step_loop.cache_clear()
+    trajectory._STEP_LOOPS.clear()
     scratch = tmp_path / "tmp"
     scratch.mkdir()
     monkeypatch.setattr(tempfile, "tempdir", str(scratch))
@@ -976,6 +1018,28 @@ def test_poincare_leaves_no_file_in_the_temporary_directory(tmp_path, monkeypatc
     assert main(["poincare", "--config", cfg, "--out", str(tmp_path / "p")]) == 0
     assert list(scratch.iterdir()) == []
     assert sorted(p.name for p in (tmp_path / "p").iterdir()) == ["comparison.json", "section_classical.csv"]
+
+
+def test_poincare_with_a_fit_result_calls_the_compiler_once(tmp_path, monkeypatch):
+    """The classical and the quantum step loops come from one source file
+    and one build, and each runs compiled."""
+    compiler = shutil.which("cc") or shutil.which("gcc")
+    builds = []
+    popen = subprocess.Popen
+
+    def counted(argv, **kwargs):
+        builds.append(argv)
+        return popen(argv, **kwargs)
+
+    trajectory._STEP_LOOPS.clear()
+    monkeypatch.setattr(subprocess, "Popen", counted)
+    fit_path = tmp_path / "fitres.json"
+    fit_path.write_text(json.dumps({"quantum": COUPLED_TRIAL}))
+    cfg = write_cfg(tmp_path, "poinc.json", dict(POINCARE_BASE, fit_result=str(fit_path)))
+    assert main(["poincare", "--config", cfg, "--out", str(tmp_path / "p")]) == 0
+    assert len(builds) == (1 if compiler else 0)
+    backends = [loop.backend for loop in trajectory._STEP_LOOPS.values()]
+    assert backends == (["c", "c"] if compiler else ["python", "python"])
 
 
 def test_boolean_still_accepted_where_a_flag_is_expected(tmp_path):

@@ -28,7 +28,10 @@ from qaction.propagator import (
     MAX_GRID_NODES,
     MAX_PAIRS,
     _ground_state,
+    _inertia,
+    _negative_pivots,
     _sector_hamiltonians,
+    _Tridiagonal,
     _sectors,
     _window_count,
     decompose_for_time,
@@ -245,7 +248,7 @@ def test_dense_separable_amplitudes_factorize(ho):
     npt.assert_allclose(amps, product, rtol=1e-10, atol=0)
 
 
-def test_truncated_window_raises(ho):
+def test_truncated_window_raises(ho, monkeypatch):
     """T = 1e-3 needs every state up to E_0 + 3.2e4. A block of n nodes
     resolves n - 2 states, so the 8-node mirror sectors of a 16-node axis
     resolve 12 states in 1-D and 4 x 62 = 248 in 2-D. The weight quoted is
@@ -259,7 +262,10 @@ def test_truncated_window_raises(ho):
     halves = (E[0::2], E[1::2])
     weight = math.exp(-(min(h[6] for h in halves) - E[0]) * T)
     assert weight == math.exp(-(E[12] - E[0]) * T)
-    with pytest.raises(NumericalError, match=rf"resolves 12 states, .* weight up to {re.escape(f'{weight:.3g}')} of"):
+    with monkeypatch.context() as m, pytest.raises(
+        NumericalError, match=rf"resolves 12 states, .* weight up to {re.escape(f'{weight:.3g}')} of"
+    ):
+        m.setattr(propagator, "_lowest_eigsh", None)  # a 1-D block is solved as tridiagonal
         decompose_for_time(ho, axis, T)
     grid = Grid((8.0, 8.0), (16, 16))
     full = scipy.linalg.eigvalsh(discretize_hamiltonian(HO_2D, grid).toarray())
@@ -319,13 +325,28 @@ def test_window_count_equals_the_eigenvalues_below_the_shift(ho, coupled_2d, act
         assert sum(_window_count(action, grid, sigma - E[0])) == np.count_nonzero(E < sigma), sigma
 
 
-def test_window_count_moves_off_a_zero_pivot(ho, monkeypatch):
-    """A row swap in the factorization raises sigma by a relative 1e-12 and
-    factors again; a second swap raises NumericalError."""
+def test_window_count_moves_off_a_zero_pivot(ho):
+    """An exactly zero pivot of the Sturm recurrence raises sigma by a
+    relative 1e-12 and counts again; a second zero raises NumericalError."""
+    (_, even), _ = _sector_hamiltonians(ho, Grid((6.0,), (301,)))
+    sigma = float(even.d[0])  # the first pivot, d_0 - sigma, is exactly zero
+    assert _negative_pivots(even, sigma) is None
+    E = np.linalg.eigvalsh(np.diag(even.d) + np.diag(even.e, 1) + np.diag(even.e, -1))
+    count = _inertia(even, sigma)
+    assert count == _negative_pivots(even, sigma + 1e-12 * sigma) == np.count_nonzero(E < sigma) > 0
+    # after the move the second pivot is exactly zero
+    twice = _Tridiagonal(np.array([1.0, 1.0 + 1e-12]), np.array([0.0]))
+    with pytest.raises(NumericalError, match="pivot-free"):
+        _inertia(twice, 1.0)
+
+
+def test_window_count_moves_off_a_row_swap_in_2d(coupled_2d, monkeypatch):
+    """A row swap in SuperLU's factorization of a 2-D block raises sigma by
+    a relative 1e-12 and factors again; a second swap raises NumericalError."""
     import scipy.sparse.linalg as spla
 
-    grid, gap = Grid((6.0,), (301,)), 10.0
-    expected = _window_count(ho, grid, gap)
+    grid, gap = Grid((6.0, 6.0), (30, 30)), 10.0
+    expected = _window_count(coupled_2d, grid, gap)
     splu, swaps, diagonals = spla.splu, [], []
 
     def swapping(A, **kwargs):
@@ -338,12 +359,13 @@ def test_window_count_moves_off_a_zero_pivot(ho, monkeypatch):
 
     monkeypatch.setattr(spla, "splu", swapping)
     swaps[:] = [True]
-    assert _window_count(ho, grid, gap) == expected
-    sigma = 0.5 + gap  # E_0 of the oscillator to about 1e-3
-    npt.assert_allclose(diagonals[0] - diagonals[1], 1e-12 * sigma, rtol=2e-2)
+    assert _window_count(coupled_2d, grid, gap) == expected
+    (_, even), *_ = _sector_hamiltonians(coupled_2d, grid)
+    sigma = even.diagonal()[0] - diagonals[0][0]
+    npt.assert_allclose(diagonals[0] - diagonals[1], 1e-12 * sigma, rtol=1e-3)
     swaps[:] = [True, True]
     with pytest.raises(NumericalError, match="pivot-free"):
-        _window_count(ho, grid, gap)
+        _window_count(coupled_2d, grid, gap)
 
 
 def _record_solves(monkeypatch) -> list:

@@ -19,7 +19,7 @@ from qaction import (
     solve_euclidean_bvp,
     tensor_pairs,
 )
-from qaction.qfit import FLOW_CSV_HEADER, _Evaluator, _trial_from_theta
+from qaction.qfit import FLOW_CSV_HEADER, _EvalDetail, _Evaluator, _fit_diagnostics, _trial_from_theta
 
 
 @pytest.fixture(scope="module")
@@ -280,6 +280,12 @@ def test_symmetric_pairs_keep_antisymmetric_terms_silent():
     assert abs(res.quantum.potential.coefficient((1, 3))) < bound
     # tied groups stay tied exactly
     assert res.quantum.potential.coefficient((2, 0)) == res.quantum.potential.coefficient((0, 2))
+    # J is rank-deficient: the mass trades against the x^2 + y^2 and x^2 y^2
+    # coefficients at no cost, so these three are undetermined; the two
+    # antisymmetric coefficients stay determined
+    mass, quadratic, quartic, xy, x3y = res.parameter_uncertainties
+    assert mass == quadratic == quartic == math.inf
+    assert 0.0 < xy < 1e-8 and 0.0 < x3y < 1e-8
 
 
 def test_fit_quotes_the_minimum_of_a_tilted_trial():
@@ -384,3 +390,23 @@ def test_n_nodes_pair_validation(ho_spec, ho_table_t1):
 def test_dimension_mismatch_rejected(ho_table_t1, coupled_2d):
     with pytest.raises(ValueError):
         FitProblem(classical=coupled_2d, table=ho_table_t1, ansatz=(((0, 0),),))
+
+
+def test_diagnostics_of_a_tall_jacobian_stay_in_its_own_size():
+    """The rank check on J of the largest pair table allocates of order J,
+    not N x N (32 GiB at N = 2^16), and still finds a zero column."""
+    import tracemalloc
+
+    n = 2**16
+    jac = np.random.default_rng(0).standard_normal((n, 3))
+    jac[:, 2] = 0.0
+    det = _EvalDetail(0.0, (), 1e-3 * np.ones(n), jac)
+    tracemalloc.start()
+    try:
+        _, sigma = _fit_diagnostics(det)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * jac.nbytes
+    assert math.isfinite(sigma[0]) and math.isfinite(sigma[1]) and sigma[2] == math.inf
+

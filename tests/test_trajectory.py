@@ -26,7 +26,15 @@ from qaction import (
 )
 from qaction.chaos import _henon_refine, _orbit_crossings
 from qaction import trajectory
-from qaction.trajectory import MAX_NODES, MAX_STEPS, _c_loop, _python_loop, _step_loop, _step_statements
+from qaction.trajectory import (
+    MAX_NODES,
+    MAX_STEPS,
+    _build_step_loops,
+    _c_loops,
+    _python_loop,
+    _step_loop,
+    _step_statements,
+)
 
 COMPILER = shutil.which("cc") or shutil.which("gcc")
 
@@ -325,7 +333,7 @@ def step_loops(*key):
     loop = _step_loop(*key)
     assert loop.backend == ("c" if COMPILER else "python")
     with mock.patch("shutil.which", return_value=None):
-        python = _step_loop.__wrapped__(*key)
+        python = _build_step_loops([key])[0]
     assert python.backend == "python"
     return loop, python
 
@@ -447,6 +455,24 @@ def test_step_count_beyond_its_bound_is_refused_before_stepping(coupled_2d, monk
     assert calls == [MAX_STEPS]
 
 
+def test_kept_loops_are_dropped_past_their_bound_and_requests_still_served(monkeypatch):
+    """Each key's loop is built once while kept; past the bound the kept ones
+    go, and a request mixing a dropped key with a new one is built whole."""
+    built = []
+
+    def fake_build(keys):
+        built.append(list(keys))
+        return [f"loop {key}" for key in keys]
+
+    monkeypatch.setattr(trajectory, "_STEP_LOOPS", {})
+    monkeypatch.setattr(trajectory, "_build_step_loops", fake_build)
+    bound = trajectory._MAX_KEPT_LOOPS
+    assert trajectory._step_loops(*range(bound)) == tuple(f"loop {k}" for k in range(bound))
+    assert trajectory._step_loops(0, 0, 5) == ("loop 0", "loop 0", "loop 5") and len(built) == 1
+    assert trajectory._step_loops(3, bound) == ("loop 3", f"loop {bound}")
+    assert built[1:] == [[3, bound]] and len(trajectory._STEP_LOOPS) == 2
+
+
 def _coupled_run(loop):
     return loop(5000, math.nan, 1.5, 0.3, 0.0, 2.0)
 
@@ -455,7 +481,7 @@ def test_hidden_compiler_runs_the_python_loop_with_the_same_bits(coupled_2d, mon
     key = (2, coupled_2d.potential.terms, 1.0, 1e-3, 1)
     expected = _coupled_run(_step_loop(*key))
     monkeypatch.setattr(shutil, "which", lambda name: None)
-    loop = _step_loop.__wrapped__(*key)
+    loop = _build_step_loops([key])[0]
     assert loop.backend == "python"
     assert _coupled_run(loop) == expected
 
@@ -466,7 +492,7 @@ def test_failed_build_runs_the_python_loop(coupled_2d, monkeypatch, tmp_path):
     false = shutil.which("false")
     monkeypatch.setattr(shutil, "which", lambda name: false)
     monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
-    loop = _step_loop.__wrapped__(*key)
+    loop = _build_step_loops([key])[0]
     assert loop.backend == "python"
     assert _coupled_run(loop) == expected
     assert list(tmp_path.iterdir()) == []
@@ -478,7 +504,7 @@ def test_build_past_its_timeout_runs_the_python_loop(coupled_2d, monkeypatch, tm
     hanging.chmod(0o755)
     monkeypatch.setattr(shutil, "which", lambda name: str(hanging))
     monkeypatch.setattr(trajectory, "C_BUILD_TIMEOUT_S", 0.2)
-    loop = _step_loop.__wrapped__(2, coupled_2d.potential.terms, 1.0, 1e-3, 1)
+    loop = _build_step_loops([(2, coupled_2d.potential.terms, 1.0, 1e-3, 1)])[0]
     assert loop.backend == "python"
 
 
@@ -486,12 +512,12 @@ def test_compiled_loop_that_differs_from_python_is_refused(coupled_2d):
     """The probe compares bits: a loop built for another dt is not taken."""
     terms = coupled_2d.potential.terms
     other_dt = _python_loop(_step_statements(2, terms, 1.0, 2e-3), "y")
-    assert _c_loop(_step_statements(2, terms, 1.0, 1e-3), "y", other_dt) is None
+    assert _c_loops([(_step_statements(2, terms, 1.0, 1e-3), "y", other_dt)]) == [None]
 
 
 @pytest.mark.skipif(COMPILER is None, reason="no C compiler on PATH")
 def test_c_build_leaves_no_file_behind(coupled_2d, monkeypatch, tmp_path):
     monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
-    loop = _step_loop.__wrapped__(2, coupled_2d.potential.terms, 1.0, 1e-3, 0)
+    loop = _build_step_loops([(2, coupled_2d.potential.terms, 1.0, 1e-3, 0)])[0]
     assert loop.backend == "c"
     assert list(tmp_path.iterdir()) == []
