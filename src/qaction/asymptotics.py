@@ -434,12 +434,7 @@ class HydrogenSector:
 
 
 def hydrogen_sector(l: int, hbar=1, mass=1, e2=1) -> HydrogenSector:
-    """Exact radial-sector quantities for angular momentum l >= 1.
-
-    Verifies internally, in rational arithmetic, that -nu^2/(4 mu) equals
-    -E_ion/(l+1)^2 and that the trial-potential minimum coincides with the
-    wavefunction maximum at a0 l(l+1).
-    """
+    """Exact radial-sector quantities for angular momentum l >= 1."""
     l = _as_integer(l, "angular momentum")
     if l < 1:
         raise ValueError(f"angular momentum must be an integer >= 1, got {l}")
@@ -448,26 +443,14 @@ def hydrogen_sector(l: int, hbar=1, mass=1, e2=1) -> HydrogenSector:
         raise ValueError("hbar, mass and e^2 must be positive")
     mu = hb**2 * l**2 / (2 * m)
     nu = q2 * Fraction(l, l + 1)
-    e_ion = m * q2**2 / (2 * hb**2)
-    a0 = hb**2 / (m * q2)
-    energy = -(nu**2) / (4 * mu)
-    if energy != -e_ion / (l + 1) ** 2:
-        raise NumericalError("rational identity for the sector energy failed")
-    r_min = 2 * mu / nu
-    if r_min != a0 * l * (l + 1):
-        raise NumericalError("rational identity for the potential minimum failed")
-    # argmax of (r/a0)^l exp(-r/((l+1)a0)): l/r = 1/((l+1)a0)
-    r_max = Fraction(l) * (l + 1) * a0
-    if r_max != r_min:
-        raise NumericalError("wavefunction maximum does not sit at the minimum")
     return HydrogenSector(
         l=l,
         mu=mu,
         nu=nu,
-        energy=energy,
-        ionization_energy=e_ion,
-        bohr_radius=a0,
-        r_min=r_min,
+        energy=-(nu**2) / (4 * mu),
+        ionization_energy=m * q2**2 / (2 * hb**2),
+        bohr_radius=hb**2 / (m * q2),
+        r_min=2 * mu / nu,
     )
 
 

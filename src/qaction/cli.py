@@ -264,7 +264,7 @@ def cmd_fit(cfg: dict, args) -> list:
     n_nodes = _normalize_n_nodes(_get(cfg, "n_nodes", None, default=257))
     initial = cfg.get("initial")
     if initial is not None:
-        initial = _parse_action(initial, "initial")
+        initial = _parse_action(initial, "initial", confining=True)
     single = "T" in cfg
     _expect(single != ("T_list" in cfg), "exactly one of 'T' or 'T_list' is required")
     if single:

@@ -193,19 +193,15 @@ class PolynomialPotential:
 
     # -- structure ---------------------------------------------------------
 
+    def leading_powers(self) -> tuple:
+        """Per axis, (degree, coefficient) of the highest pure power of that
+        axis's coordinate (degree >= 1), or (0, 0.0) when V has none."""
+        pure = [(exp, coef) for exp, coef in self.terms if sum(e > 0 for e in exp) == 1]
+        return tuple(max(((exp[a], c) for exp, c in pure if exp[a]), default=(0, 0.0)) for a in range(self.dimension))
+
     def is_confining(self) -> bool:
         """Leading pure power along every axis is even and positive."""
-        for axis in range(self.dimension):
-            best_deg = -1
-            best_coef = 0.0
-            for exp, coef in self.terms:
-                if exp[axis] > 0 and all(e == 0 for i, e in enumerate(exp) if i != axis):
-                    if exp[axis] > best_deg:
-                        best_deg = exp[axis]
-                        best_coef = coef
-            if best_deg < 2 or best_deg % 2 != 0 or best_coef <= 0.0:
-                return False
-        return True
+        return all(deg >= 2 and deg % 2 == 0 and coef > 0.0 for deg, coef in self.leading_powers())
 
     def coefficient(self, exp: Exponents) -> float:
         exp = tuple(int(e) for e in exp)

@@ -22,11 +22,12 @@ lowest state of the all-even block, solved once per grid. Before any other
 solve, each block's states within the Boltzmann window above E_0 are
 counted by Sylvester's law of inertia.
 
-A 1-D block is kept as its two diagonals, counted by the Sturm recurrence
-and solved by LAPACK's bisection and inverse iteration (?stebz, ?stein)
-through the LAPACK numpy already loads (``_lapack``), so 1-D work imports
-no scipy. A 2-D block is a sparse matrix: counted by an unpivoted SuperLU
-factorization, and solved densely or by shift-invert.
+Every block comes from ``discretize_hamiltonian``. A 1-D block is kept as
+its two diagonals, counted by the Sturm recurrence and solved by LAPACK's
+bisection and inverse iteration (?stebz, ?stein) through the LAPACK numpy
+already loads (``_lapack``), so 1-D work imports no scipy. A 2-D block is
+a sparse matrix: counted by an unpivoted SuperLU factorization, and solved
+densely or by shift-invert.
 """
 from __future__ import annotations
 
@@ -57,7 +58,8 @@ MAX_PAIRS = 2**16
 @dataclass(frozen=True)
 class Grid:
     """Symmetric tensor grid [-L, L]^dim with N points per axis (N >= 16),
-    at most ``MAX_GRID_NODES`` in all."""
+    at most ``MAX_GRID_NODES`` in all, and a spacing h = 2L/(N - 1) whose
+    h^2 and 1/h^2 are finite and positive. The axes are built once, read-only."""
 
     extents: tuple
     npoints: tuple
@@ -79,14 +81,18 @@ class Grid:
             raise ValueError(f"a grid holds at most {MAX_GRID_NODES} nodes, per axis and in total")
         object.__setattr__(self, "extents", ext)
         object.__setattr__(self, "npoints", npt)
+        for h in self.spacing:
+            # the stencil divides by h^2
+            if not (0.0 < h * h < math.inf and 1.0 / (h * h) < math.inf):
+                raise ValueError(f"grid spacing {h!r} is out of range: h^2 and 1/h^2 must be finite and positive")
+        axes = tuple(np.linspace(-L, L, n) for L, n in zip(ext, npt))
+        for ax in axes:
+            ax.flags.writeable = False
+        object.__setattr__(self, "_axes", axes)
 
     @property
     def dim(self) -> int:
         return len(self.extents)
-
-    @property
-    def shape(self) -> tuple:
-        return self.npoints
 
     @property
     def size(self) -> int:
@@ -97,7 +103,7 @@ class Grid:
         return tuple(2.0 * L / (n - 1) for L, n in zip(self.extents, self.npoints))
 
     def axes(self) -> list:
-        return [np.linspace(-L, L, n) for L, n in zip(self.extents, self.npoints)]
+        return list(self._axes)
 
     def weights_flat(self) -> np.ndarray:
         """Trapezoidal quadrature weights on the flattened grid."""
@@ -111,7 +117,7 @@ class Grid:
         return np.multiply.outer(ws[0], ws[1]).ravel()
 
     def nodes(self) -> np.ndarray:
-        """Node coordinates, shape (*shape, dim)."""
+        """Node coordinates, shape (*npoints, dim)."""
         return np.stack(np.meshgrid(*self.axes(), indexing="ij"), axis=-1)
 
     def _nearest_node(self, point) -> tuple:
@@ -137,14 +143,14 @@ class Grid:
     def index_of(self, point) -> int:
         """Flat index of a point that must lie within 1e-6 h of a grid node."""
         pt, idx = self._nearest_node(point)
-        if any(abs(x - ax[i]) > 1e-6 * h for x, ax, i, h in zip(pt, self.axes(), idx, self.spacing)):
+        if any(abs(x - ax[i]) > 1e-6 * h for x, ax, i, h in zip(pt, self._axes, idx, self.spacing)):
             raise ValueError(f"point {tuple(pt)} does not lie on a grid node")
         return int(np.ravel_multi_index(idx, self.npoints))
 
     def snap(self, point) -> tuple:
         """Nearest grid node to a point, as coordinates taken from ``axes()``."""
         _, idx = self._nearest_node(point)
-        return tuple(float(ax[i]) for ax, i in zip(self.axes(), idx))
+        return tuple(float(ax[i]) for ax, i in zip(self._axes, idx))
 
     def subdivision_nodes(self, spans, count: int) -> list:
         """Tensor points of the distinct snapped nodes of ``count`` evenly
@@ -260,14 +266,21 @@ class _Tridiagonal(NamedTuple):
     def diagonal(self, k: int = 0) -> np.ndarray:
         return self.e if k else self.d
 
+    def toarray(self) -> np.ndarray:
+        return np.diag(self.d) + np.diag(self.e, 1) + np.diag(self.e, -1)
 
-def _block(action: ActionSpec, grid: Grid, sector: tuple = None):
-    """H, or with a sector its block (as ``discretize_hamiltonian`` takes them):
-    in 1-D a ``_Tridiagonal``, built without scipy, and in 2-D CSR."""
+
+def discretize_hamiltonian(action: ActionSpec, grid: Grid, sector: tuple = None):
+    """H = -(hbar^2/2m) Laplacian + V with Dirichlet walls: in 1-D a
+    ``_Tridiagonal`` (its two diagonals, built without scipy), in 2-D CSR.
+
+    Given one of the action's mirror sectors (one parity per axis, as from
+    ``_sectors``), it is the block of H on that sector instead: the Kronecker
+    sum of each axis's kinetic block plus V on the sector's nodes, the whole
+    axis for parity 0 and its x <= 0 half otherwise.
+    """
     if action.dimension != grid.dim:
-        raise ValueError(
-            f"action dimension {action.dimension} != grid dimension {grid.dim}"
-        )
+        raise ValueError(f"action dimension {action.dimension} != grid dimension {grid.dim}")
     if sector is None:
         sector = (0,) * grid.dim
     elif tuple(sector) not in _sectors(action):
@@ -284,22 +297,6 @@ def _block(action: ActionSpec, grid: Grid, sector: tuple = None):
     mx, my = (sp.diags([off, main, off], [-1, 0, 1], format="csr") for main, off in stencils)
     H = sp.kron(mx, sp.identity(my.shape[0], format="csr")) + sp.kron(sp.identity(mx.shape[0], format="csr"), my)
     return sp.csr_matrix(H + sp.diags(V))
-
-
-def discretize_hamiltonian(action: ActionSpec, grid: Grid, sector: tuple = None):
-    """Sparse Hermitian H = -(hbar^2/2m) Laplacian + V with Dirichlet walls (CSR).
-
-    Given one of the action's mirror sectors (one parity per axis, as from
-    ``_sectors``), it is the block of H on that sector instead: the Kronecker
-    sum of each axis's kinetic block plus V on the sector's nodes, the whole
-    axis for parity 0 and its x <= 0 half otherwise.
-    """
-    H = _block(action, grid, sector)
-    if isinstance(H, _Tridiagonal):
-        import scipy.sparse as sp
-
-        return sp.diags([H.e, H.d, H.e], [-1, 0, 1], format="csr")
-    return H
 
 
 def _node_scale(grid: Grid, sector: tuple) -> np.ndarray:
@@ -338,9 +335,8 @@ def _second_highest(H, scale: np.ndarray) -> float:
 
 @functools.lru_cache(maxsize=16)
 def _sector_hamiltonians(action: ActionSpec, grid: Grid) -> tuple:
-    """(sector, block of H) for each mirror sector, the all-even one first:
-    in 1-D a ``_Tridiagonal``, so that no 1-D count or solve needs scipy."""
-    return tuple((s, _block(action, grid, s)) for s in _sectors(action))
+    """(sector, ``discretize_hamiltonian`` block) for each mirror sector, the all-even one first."""
+    return tuple((s, discretize_hamiltonian(action, grid, s)) for s in _sectors(action))
 
 
 def _negative_pivots(H, sigma: float):
@@ -380,8 +376,10 @@ def _inertia(H, sigma: float) -> int:
         count = _negative_pivots(H, sigma)
         if count is not None:
             return count
-        # an exactly zero pivot, row-swapped or singular: move off it, at sigma = 0 by H's scale
-        sigma += 1e-12 * (abs(sigma) or max(np.abs(H.diagonal(k)).max(initial=0.0) for k in (0, 1)))
+        # an exactly zero pivot, row-swapped or singular: move off it by a relative 1e-12, and by at
+        # least 1e-14 of H's scale, since a smaller move can vanish in the rounding of H - sigma I
+        scale = max(np.abs(H.diagonal(k)).max(initial=0.0) for k in (0, 1))
+        sigma += max(1e-12 * abs(sigma), 1e-14 * scale)
     raise NumericalError(f"no pivot-free factorization of H - sigma I near sigma = {sigma:g}")
 
 
@@ -395,10 +393,10 @@ def spectral_decompose(H, k: int, grid: Grid, sector: tuple = None) -> SpectralD
     """Lowest-k eigenpairs, normalized to unit h^dim-weighted sum of squares,
     each with its largest entry positive.
 
-    With a ``sector``, H is that sector's block (``discretize_hamiltonian``)
-    and each eigenvector is returned over the whole grid, mirrored by its
-    parity, so that mirrored nodes carry bitwise equal or opposite values.
-    In 1-D, H may also be the block's two diagonals as a ``_Tridiagonal``.
+    H is ``discretize_hamiltonian``'s matrix, or with a ``sector`` that
+    sector's block, and each eigenvector is returned over the whole grid,
+    mirrored by its parity, so that mirrored nodes carry bitwise equal or
+    opposite values.
     """
     n = H.shape[0]
     if not 1 <= k <= n - 2:
@@ -537,34 +535,13 @@ def ho_euclidean_action(m: float, omega: float, x_i: float, x_f: float, T: float
     return m * omega / (2.0 * s) * ((x_i**2 + x_f**2) * c - 2.0 * x_i * x_f)
 
 
-def ho_exact_propagator(
-    m: float,
-    omega: float,
-    hbar: float,
-    x_i: float,
-    x_f: float,
-    T: float,
-    time_kind: str = "euclidean",
-):
-    """Closed-form harmonic-oscillator kernel, Euclidean or real time.
-
-    Euclidean: sqrt(m w / 2 pi hbar sinh(wT)) exp(-S_E/hbar), real:
-    sqrt(m w / 2 pi i hbar sin(wT)) exp(i S/hbar). Real time raises at
-    caustics sin(wT) = 0.
-    """
+def ho_exact_propagator(m: float, omega: float, hbar: float, x_i: float, x_f: float, T: float) -> float:
+    """Closed-form Euclidean harmonic-oscillator kernel,
+    sqrt(m w / 2 pi hbar sinh(wT)) exp(-S_E/hbar)."""
     if T <= 0:
         raise ValueError(f"transition time must be positive, got {T}")
     if m <= 0 or omega <= 0 or hbar <= 0:
         raise ValueError("m, omega, hbar must be positive")
-    if time_kind == "euclidean":
-        s_e = ho_euclidean_action(m, omega, x_i, x_f, T)
-        pref = math.sqrt(m * omega / (2.0 * math.pi * hbar * math.sinh(omega * T)))
-        return pref * math.exp(-s_e / hbar)
-    if time_kind == "real":
-        s = math.sin(omega * T)
-        if abs(s) < 1e-12:
-            raise NumericalError(f"caustic: sin(omega T) vanishes at T={T}")
-        action = m * omega / (2.0 * s) * ((x_i**2 + x_f**2) * math.cos(omega * T) - 2.0 * x_i * x_f)
-        pref = np.sqrt(m * omega / (2.0j * math.pi * hbar * s))
-        return complex(pref * np.exp(1j * action / hbar))
-    raise ValueError(f"time_kind must be 'euclidean' or 'real', got {time_kind!r}")
+    s_e = ho_euclidean_action(m, omega, x_i, x_f, T)
+    pref = math.sqrt(m * omega / (2.0 * math.pi * hbar * math.sinh(omega * T)))
+    return pref * math.exp(-s_e / hbar)

@@ -112,20 +112,11 @@ class FitProblem:
 
 
 def _confinement_violation(pot: PolynomialPotential) -> float:
-    """0 when confining; otherwise a positive score for penalty walls."""
+    """0 when confining; otherwise 1 plus the negative part of each axis's
+    leading pure coefficient, a positive score for penalty walls."""
     if pot.is_confining():
         return 0.0
-    score = 1.0
-    for axis in range(pot.dimension):
-        pure = [
-            (exp[axis], coef)
-            for exp, coef in pot.terms
-            if coef != 0.0 and all(p == 0 for i, p in enumerate(exp) if i != axis)
-        ]
-        if pure:
-            _, lead = max(pure)
-            score += max(0.0, -lead)
-    return score
+    return 1.0 + sum(max(0.0, -coef) for _, coef in pot.leading_powers())
 
 
 def _theta_vector(problem: FitProblem, source: ActionSpec) -> np.ndarray:
@@ -373,9 +364,11 @@ def _levenberg_marquardt(evaluate, y, max_nfev):
     Solves (J^T J + mu I) step = -J^T r with Nielsen's damping update
     (Madsen, Nielsen & Tingleff 2004, sec. 3.2), mu starting near zero so
     that steps near the optimum are Gauss-Newton steps. A step below
-    sqrt(eps) of y is taken as it stands, since the cost cannot rank points
-    that close. Returns (y, detail, converged): converged once ||J^T r||_inf
-    falls to 1e-12 or such a step is taken, before ``max_nfev`` evaluations.
+    sqrt(eps) of y ends the loop, since the cost cannot rank points that
+    close: it is taken as it stands unless its trial has a failed pair (a
+    penalty fails every pair), and then the loop stops where it is. Returns
+    (y, detail, converged): converged once ||J^T r||_inf falls to 1e-12 or
+    such a step ends the loop, before ``max_nfev`` evaluations.
     """
     det, jac = evaluate(y)
     nfev, nu = 1, 2.0
@@ -389,12 +382,11 @@ def _levenberg_marquardt(evaluate, y, max_nfev):
         step = np.linalg.solve(jac.T @ jac + mu * np.eye(len(y)), -g)
         trial, trial_jac = evaluate(y + step)
         nfev += 1
-        last = np.max(np.abs(step)) <= 1.5e-8 * (1.0 + np.max(np.abs(y)))
+        if np.max(np.abs(step)) <= 1.5e-8 * (1.0 + np.max(np.abs(y))):
+            return (y, det, True) if trial.failed else (y + step, trial, True)
         gain = (det.vector @ det.vector - trial.vector @ trial.vector) / (step @ (mu * step - g))
-        if gain > 0.0 or last:
+        if gain > 0.0:
             y, det, jac = y + step, trial, trial_jac
-            if last:
-                return y, det, True
             mu, nu = mu * max(1.0 / 3.0, 1.0 - (2.0 * gain - 1.0) ** 3), 2.0
         else:
             mu, nu = mu * nu, 2.0 * nu
@@ -416,8 +408,9 @@ def fit_quantum_action(
     offset ln Z stays analytic. One evaluation is one set of warm-started
     boundary-value solves and yields the residuals and their exact Jacobian
     together. Failed pairs and non-confining trials cost penalty residuals,
-    so the damping rejects such steps. ``converged`` means the gradient or
-    step test was met before the evaluation cap. ``potential_minimum`` is
+    so the damping rejects such steps; a start that is not confining raises
+    ValueError before any solve. ``converged`` means the gradient or step
+    test was met before the evaluation cap. ``potential_minimum`` is
     the fitted potential's minimum, by Newton from the lowest grid node.
     """
     if len(problem.table.pairs) < 2 * problem.n_free:
@@ -428,6 +421,9 @@ def fit_quantum_action(
     if max_nfev is not None and _as_integer(max_nfev, "max_nfev") < 1:
         raise ValueError(f"max_nfev must be at least 1, got {max_nfev}")
     theta0 = _theta_vector(problem, initial if initial is not None else problem.classical)
+    if not _trial_from_theta(problem, theta0).potential.is_confining():
+        # a penalty with a zero Jacobian: the loop could never leave it
+        raise ValueError("the fit's start (initial, or else the classical action, on the ansatz) is not confining")
     scales = np.maximum(np.abs(theta0), 0.25)
     ev = _Evaluator(problem, n_nodes)
 
@@ -535,7 +531,7 @@ def default_pairs(classical: ActionSpec, grid: Grid):
     amplitude-table entries.
     """
     gs = ground_state_spectral(classical, grid)
-    psi = gs.psi.reshape(grid.shape)
+    psi = gs.psi.reshape(grid.npoints)
     mask = psi > 1e-4 * float(psi.max())
     spans = []
     for axis, ax in enumerate(grid.axes()):

@@ -1083,6 +1083,7 @@ def test_bench_tracer_runs_a_command_and_counts_every_method(tmp_path):
     for name, _, _, _, _, attrs in record["spans"]:
         spans.setdefault(name, []).append(attrs)
     assert spans["spectral_decompose"] == [{"k": 1, "dim": 1, "size": 301}]
+    assert len(spans["discretize_hamiltonian"]) == 2  # the even and odd blocks
     assert len(spans["wkb_compare"]) == 1
     assert len(spans["ground_state_from_quantum_action"]) == 1
 
@@ -1103,3 +1104,97 @@ def test_bench_tracer_sees_the_classical_only_summary_under_main(tmp_path):
     spans = json.loads(trace.read_text())["spans"]
     parents = {name: spans[parent][0] for name, _, _, _, parent, _ in spans if parent is not None}
     assert parents["section_occupancy"] == parents["orbit_thickness"] == "main"
+
+
+def test_fit_from_a_start_whose_small_step_meets_a_penalty_exits_0(tmp_path):
+    """Every step from x^2 coefficient 5 drives the x^4 coefficient below 0;
+    the loop stops at its start rather than take the step onto the penalty."""
+    cfg = write_cfg(tmp_path, "fit.json", {
+        "classical": HO,
+        "grid": {"extents": [8.0], "npoints": [801]},
+        "T": 2.0,
+        "pairs": {"points": [-1.0, -0.5, 0.0, 0.5, 1.0]},
+        "ansatz": [[0], [2], [4]],
+        "n_nodes": 129,
+        "initial": _ho_with_terms({"exp": [2], "coef": 5.0}),
+    })
+    out = tmp_path / "fit"
+    assert main(["fit", "--config", cfg, "--out", str(out)]) == 0
+    result = json.loads((out / "fit.json").read_text())
+    assert result["converged"] and result["failed_pairs"] == []
+
+
+def test_non_confining_initial_exits_2_before_eigensolve(tmp_path, monkeypatch):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("eigensolver reached with a non-confining start")
+
+    _clear_spectral_caches()
+    monkeypatch.setattr(propagator, "_window_count", no_solve)
+    initial = _ho_with_terms({"exp": [2], "coef": -0.5}, {"exp": [4], "coef": -1.0})
+    cfg = write_cfg(tmp_path, "fit.json", dict(FIT_BASE, T=2.0, ansatz=[[0], [2], [4]], initial=initial))
+    out = tmp_path / "fit"
+    assert main(["fit", "--config", cfg, "--out", str(out)]) == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("extents", [[1e200], [1e-300], [1e-320], [1.0, 1e200]])
+def test_grid_spacing_out_of_range_exits_2_leaving_no_files(tmp_path, capsys, extents):
+    """1e200 exited 1 (OverflowError), 1e-300 exited 1 (ZeroDivisionError),
+    and 1e-320 exited 2 blaming an off-node point."""
+    dim = len(extents)
+    payload = dict(
+        PROPAGATE_BASE,
+        action=HO if dim == 1 else UNCOUPLED,
+        grid={"extents": extents, "npoints": [101] * dim},
+        pairs=[[[0.0] * dim, [0.0] * dim]],
+    )
+    out = tmp_path / "spacing"
+    assert main(["propagate", "--config", write_cfg(tmp_path, "spacing.json", payload), "--out", str(out)]) == 2
+    assert not out.exists()
+    assert "grid spacing" in capsys.readouterr().err
+
+
+def test_a_121_pair_propagate_builds_the_grid_axes_once(tmp_path, monkeypatch):
+    """``Grid.index_of`` built every axis again for each point: 255 builds
+    of 1601 nodes here. The axes are built once, with the grid."""
+    import numpy as np
+
+    linspace, built = np.linspace, []
+
+    def counted(start, stop, num=50, **kwargs):
+        built.append((start, stop, num))
+        return linspace(start, stop, num, **kwargs)
+
+    _clear_spectral_caches()
+    monkeypatch.setattr(np, "linspace", counted)
+    payload = dict(PROPAGATE_BASE, grid={"extents": [8.0], "npoints": [1601]}, pairs={"points_per_axis": 11, "span": [-2.0, 2.0]})
+    out = tmp_path / "long"
+    assert main(["propagate", "--config", write_cfg(tmp_path, "long.json", payload), "--out", str(out)]) == 0
+    header, rows = read_rows(out / "propagator.csv")
+    assert len(rows) == 121
+    assert built.count((-8.0, 8.0, 1601)) == 1
+
+
+@pytest.mark.parametrize("extents, npoints", [([8.0], [33]), ([8.0, 8.0], [33, 33])])
+def test_max_separation_keeps_exactly_the_pairs_within_it(extents, npoints):
+    grid = Grid(tuple(extents), tuple(npoints))  # nodes every 0.5
+    span = {"points_per_axis": 5, "span": [-1.0, 1.0]}
+    every = _parse_pairs(span, grid)
+    for sep in (0.0, 0.25, 0.5, 1.0, 1.5, 2.0):
+        kept = _parse_pairs(dict(span, max_separation=sep), grid)
+        assert list(kept) == [p for p in every if max(abs(a - b) for a, b in zip(*p)) <= sep]
+    # on the line, 5 points 0.5 apart: 5 pairs at distance 0 and 8 at 0.5
+    if len(extents) == 1:
+        assert len(_parse_pairs(dict(span, max_separation=0.5), grid)) == 13
+
+
+def test_negative_max_separation_exits_2_leaving_no_files(tmp_path, monkeypatch):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("eigensolver reached with a negative max_separation")
+
+    _clear_spectral_caches()
+    monkeypatch.setattr(propagator, "_window_count", no_solve)
+    payload = dict(PROPAGATE_BASE, pairs={"points_per_axis": 5, "span": [-1.0, 1.0], "max_separation": -0.5})
+    out = tmp_path / "sep"
+    assert main(["propagate", "--config", write_cfg(tmp_path, "sep.json", payload), "--out", str(out)]) == 2
+    assert not out.exists()

@@ -1,5 +1,10 @@
+import json
 import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -132,8 +137,6 @@ def test_ho_exact_propagator_examples():
     assert small == pytest.approx(1.0 / math.sqrt(2.0 * math.pi * 1e-6), rel=1e-5)
     with pytest.raises(ValueError):
         ho_exact_propagator(1.0, 1.0, 1.0, 0.0, 0.0, -1.0)
-    with pytest.raises(NumericalError):
-        ho_exact_propagator(1.0, 1.0, 1.0, 0.0, 1.0, math.pi, time_kind="real")
 
 
 def test_exchange_symmetry(quartic):
@@ -338,6 +341,17 @@ def test_window_count_moves_off_a_zero_pivot(ho):
     twice = _Tridiagonal(np.array([1.0, 1.0 + 1e-12]), np.array([0.0]))
     with pytest.raises(NumericalError, match="pivot-free"):
         _inertia(twice, 1.0)
+
+
+@pytest.mark.parametrize("sigma", [6.601987256385616e-187, 1e-300, 0.0])
+def test_zero_pivot_move_survives_a_shift_far_below_the_entries(sigma):
+    """Pivot 6 of this block is (1 - sigma) - 1/(1 - sigma), exactly 0 while
+    sigma is below rounding of 1; a move of 1e-12 sigma left it 0 (found by
+    the Sturm property test), so the move is at least 1e-14 of H's scale."""
+    H = _Tridiagonal(np.array([1.0, 1.0, 0.0, 0.0, 1.0, 1.0, 0.0, 0.0, 0.0]),
+                     np.array([0.0, 0.0, 1.0, 0.0, 1.0, 1.0, 0.0, 1.0]))
+    assert _negative_pivots(H, sigma) is None
+    assert _inertia(H, sigma) == np.count_nonzero(np.linalg.eigvalsh(H.toarray()) < sigma) == 3
 
 
 def test_window_count_moves_off_a_row_swap_in_2d(coupled_2d, monkeypatch):
@@ -609,3 +623,43 @@ def test_subdivision_nodes_are_mirror_symmetric():
     xs = sorted({p[0] for p in points})
     npt.assert_allclose(xs, [-1.5, -0.6, 0.0, 0.6, 1.5], atol=1e-12)
     assert [grid.index_of((x, 0.0)) // 45 for x in xs] == [17, 20, 22, 24, 27]
+
+
+def test_1d_hamiltonian_is_its_two_diagonals_built_without_scipy():
+    """A 1-D ``discretize_hamiltonian`` returns the tridiagonal block the
+    solvers take, and a fresh interpreter that builds it loads no scipy."""
+    probe = (
+        "import json, sys\n"
+        "from qaction import ActionSpec, Grid, PolynomialPotential, discretize_hamiltonian\n"
+        "ho = ActionSpec(mass=1.0, potential=PolynomialPotential(1, {(2,): 0.5}))\n"
+        "H = discretize_hamiltonian(ho, Grid((8.0,), (101,)), (1,))\n"
+        "mods = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+        "print(json.dumps([type(H).__name__, H.shape, H.toarray().shape, mods]))\n"
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) == ["_Tridiagonal", [51, 51], [51, 51], []]
+    H = discretize_hamiltonian(ActionSpec(mass=1.0, potential=PolynomialPotential(1, {(2,): 0.5})), Grid((8.0,), (101,)))
+    assert isinstance(H, _Tridiagonal) and H.diagonal() is H.d and H.diagonal(1) is H.e
+    npt.assert_array_equal(H.toarray(), np.diag(H.d) + np.diag(H.e, 1) + np.diag(H.e, -1))
+
+
+@pytest.mark.parametrize("extents", [(1e200,), (1e-300,), (1e-320,), (1.0, 1e200)])
+def test_grid_refuses_a_spacing_whose_square_leaves_the_float_range(extents):
+    """The stencil divides by h^2: h^2 overflowing (1e200) or underflowing
+    (1e-300, 1e-320) raised OverflowError and ZeroDivisionError, or blamed
+    an off-node point, further on."""
+    with pytest.raises(ValueError, match="grid spacing"):
+        Grid(extents, (101,) * len(extents))
+
+
+def test_grid_axes_are_built_once_and_read_only():
+    grid = Grid((8.0, 3.0), (1601, 31))
+    first, second = grid.axes(), grid.axes()
+    assert all(a is b for a, b in zip(first, second))
+    npt.assert_array_equal(first[0], np.linspace(-8.0, 8.0, 1601))
+    with pytest.raises(ValueError, match="read-only"):
+        first[0][0] = 1.0
+    assert grid == Grid((8.0, 3.0), (1601, 31)) and hash(grid) == hash(Grid((8.0, 3.0), (1601, 31)))

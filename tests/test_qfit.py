@@ -19,7 +19,15 @@ from qaction import (
     solve_euclidean_bvp,
     tensor_pairs,
 )
-from qaction.qfit import FLOW_CSV_HEADER, _EvalDetail, _Evaluator, _fit_diagnostics, _trial_from_theta
+from qaction import qfit
+from qaction.qfit import (
+    FLOW_CSV_HEADER,
+    _confinement_violation,
+    _EvalDetail,
+    _Evaluator,
+    _fit_diagnostics,
+    _trial_from_theta,
+)
 
 
 @pytest.fixture(scope="module")
@@ -410,3 +418,89 @@ def test_diagnostics_of_a_tall_jacobian_stay_in_its_own_size():
     assert peak < 8 * jac.nbytes
     assert math.isfinite(sigma[0]) and math.isfinite(sigma[1]) and sigma[2] == math.inf
 
+
+@pytest.mark.parametrize(
+    "dim, terms, leading, violation",
+    [
+        (1, {(2,): 0.5}, ((2, 0.5),), 0.0),
+        (1, {(2,): 0.5, (4,): -2.0}, ((4, -2.0),), 3.0),
+        (1, {(3,): 1.0}, ((3, 1.0),), 1.0),
+        # no pure power: the constant is no leading power, so it adds nothing
+        (1, {(0,): -3.0}, ((0, 0.0),), 1.0),
+        (2, {(2, 0): 0.5, (0, 4): -1.5, (2, 2): 1.0}, ((2, 0.5), (4, -1.5)), 2.5),
+        (2, {(0, 0): -1.0, (2, 2): 1.0}, ((0, 0.0), (0, 0.0)), 1.0),
+        (2, {(2, 0): 1.0, (4, 0): -1.0, (0, 2): 1.0, (1, 3): -5.0}, ((4, -1.0), (2, 1.0)), 2.0),
+    ],
+)
+def test_confinement_rule_reads_each_axis_leading_pure_power(dim, terms, leading, violation):
+    pot = PolynomialPotential(dim, terms)
+    assert pot.leading_powers() == leading
+    assert pot.is_confining() == (violation == 0.0)
+    assert _confinement_violation(pot) == violation
+
+
+@pytest.fixture(scope="module")
+def ho_table_801_t2(ho_spec):
+    grid = Grid((8.0,), (801,))
+    pts = [(x,) for x in (-1.0, -0.5, 0.0, 0.5, 1.0)]
+    return euclidean_propagate(ho_spec, grid, 2.0, tensor_pairs(pts, pts))
+
+
+def _count_penalties(monkeypatch) -> list:
+    penalties, penalty = [], _Evaluator._penalty
+
+    def counted(self, value, failed):
+        penalties.append(value)
+        return penalty(self, value, failed)
+
+    monkeypatch.setattr(_Evaluator, "_penalty", counted)
+    return penalties
+
+
+def test_a_step_below_resolution_onto_a_penalty_is_not_taken(ho_spec, ho_table_801_t2, monkeypatch):
+    """From x^2 coefficient 5 every step drives the x^4 coefficient below 0
+    and is rejected, until the step falls below resolution; that step lands
+    on a confinement penalty, and taking it made the fit raise "every
+    boundary pair failed" (exit 3). The loop stops at its start instead."""
+    prob = FitProblem(classical=ho_spec, table=ho_table_801_t2, ansatz=((0,), (2,), (4,)))
+    start = ActionSpec(mass=1.0, potential=PolynomialPotential(1, {(2,): 5.0}))
+    penalties = _count_penalties(monkeypatch)
+    res = fit_quantum_action(prob, initial=start, n_nodes=129)
+    assert penalties and all(p > qfit.PENALTY_FAILED for p in penalties)
+    assert res.converged and res.failed_pairs == ()
+    assert res.quantum.mass == 1.0
+    assert res.quantum.potential.coefficient((2,)) == 5.0 and res.quantum.potential.coefficient((4,)) == 0.0
+    assert res.rms_residual == pytest.approx(0.6426, rel=1e-3)
+
+
+def test_fit_through_rejected_steps_and_penalties_reaches_the_optimum(ho_spec, ho_table_801_t2, monkeypatch):
+    prob = FitProblem(classical=ho_spec, table=ho_table_801_t2, ansatz=((0,), (2,), (4,)))
+    start = ActionSpec(mass=0.2, potential=PolynomialPotential(1, {(2,): 0.5, (4,): 2.0}))
+    penalties = _count_penalties(monkeypatch)
+    res = fit_quantum_action(prob, initial=start, n_nodes=129)
+    assert len(penalties) >= 3
+    assert res.converged and res.failed_pairs == ()
+    assert abs(res.quantum.potential.coefficient((2,)) - 0.5) < 1e-4
+    assert res.rms_residual < 1e-5
+
+
+@pytest.mark.parametrize(
+    "ansatz, initial",
+    [
+        (((0,), (2,), (4,)), {(2,): -0.5, (4,): -1.0}),
+        (((0,), (2,), (4,)), {(2,): 0.5, (3,): 1.0, (4,): -1.0}),
+        # the classical start has no x^4 term to carry over
+        (((0,), (4,)), None),
+    ],
+)
+def test_a_start_that_is_not_confining_is_refused_before_any_solve(ho_spec, ho_table_801_t2, monkeypatch, ansatz, initial):
+    """Such a start is a penalty with a zero Jacobian: the loop stopped on it
+    at once and the fit raised "every boundary pair failed" (exit 3)."""
+    def no_solve(*args, **kwargs):
+        raise AssertionError("trajectory solve reached from a non-confining start")
+
+    monkeypatch.setattr(qfit, "solve_euclidean_bvp", no_solve)
+    prob = FitProblem(classical=ho_spec, table=ho_table_801_t2, ansatz=ansatz)
+    start = None if initial is None else ActionSpec(mass=1.0, potential=PolynomialPotential(1, initial))
+    with pytest.raises(ValueError, match="not confining"):
+        fit_quantum_action(prob, initial=start, n_nodes=129)
