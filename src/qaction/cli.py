@@ -251,7 +251,7 @@ def cmd_propagate(cfg: dict, args) -> list:
 def _fit_result_payload(result) -> dict:
     payload = result.to_json_dict()
     if not result.converged:
-        payload["warning"] = "fit stopped at its evaluation limit before meeting its gradient or step test"
+        payload["warning"] = f"fit stopped at {result.stop} before meeting its gradient or step test"
     return payload
 
 

@@ -11,29 +11,29 @@ factor.
 The box is symmetric, so when every term of V has an even exponent along an
 axis, mirroring that axis commutes with H, and H is the direct sum of its
 even and odd blocks there: 2 blocks in 1-D, 4 in 2-D for the potentials of
-the paper (an axis along which some term is odd stays whole, and with no
-even axis H is one block, solved as it stands). Each block lives on the
-x <= 0 half of its split axes, with V taken there and mirrored, so the
-sectors are exact mirrors even though ``linspace`` nodes miss exact mirrors
-by up to 1.8e-15. Blocks are counted and solved one by one, at about a
-quarter of the nodes each in 2-D. The ground state is positive (the stencil
-couples neighbours negatively: Perron-Frobenius), hence even, so E_0 is the
-lowest state of the all-even block, solved once per grid. Before any other
-solve, each block's states within the Boltzmann window above E_0 are
-counted by Sylvester's law of inertia.
+the paper (an axis along which some term is odd stays whole, and with no even
+axis H is one block, solved as it stands). Each block lives on the x <= 0
+half of its split axes, with V taken there and mirrored, so the sectors are
+exact mirrors even though ``linspace`` nodes miss exact mirrors by up to
+1.8e-15. The ground state is positive (the stencil couples neighbours
+negatively: Perron-Frobenius), hence even, so E_0 is the lowest state of the
+all-even block, solved once per grid. Before any other solve, each block's
+states within the Boltzmann window above E_0 are counted by Sylvester's law
+of inertia.
 
-Every block comes from ``discretize_hamiltonian``. A 1-D block is kept as
-its two diagonals, counted by the Sturm recurrence and solved by LAPACK's
-bisection and inverse iteration (?stebz, ?stein) through the LAPACK numpy
-already loads (``_lapack``), so 1-D work imports no scipy. A 2-D block is
-a sparse matrix: counted by an unpivoted SuperLU factorization, and solved
-densely or by shift-invert.
+Every block comes from ``discretize_hamiltonian``. A 1-D block is kept as its
+two diagonals, counted by the Sturm recurrence and solved by LAPACK's ?stebz
+and ?stein (bisection, inverse iteration) through the LAPACK numpy already
+loads (``_lapack``): no scipy, and no GIL held, so two CPUs solve the two
+blocks at once. A 2-D block is a sparse matrix, counted by an unpivoted
+SuperLU factorization and solved densely or by shift-invert.
 """
 from __future__ import annotations
 
 import functools
 import itertools
 import math
+import os
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -172,9 +172,6 @@ class SpectralData:
     grid: Grid
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray  # shape (k, grid.size)
-
-    def overlap_matrix(self) -> np.ndarray:
-        return math.prod(self.grid.spacing) * (self.eigenvectors @ self.eigenvectors.T)
 
 
 @dataclass(frozen=True)
@@ -443,13 +440,13 @@ def _ground_state(action: ActionSpec, grid: Grid) -> SpectralData:
 def decompose_for_time(action: ActionSpec, grid: Grid, T: float) -> SpectralData:
     """The states whose Boltzmann weight exp(-(E - E_0) T / hbar) is at least 1e-14.
 
-    Each block with states in the window is solved once: a 2-D block for
-    exactly its counted states, a 1-D block for the first of 32, 64, 128, ...
-    above its count. The solves are merged by energy (a stable sort) and cut
-    to the window, past which a union of per-block solves need not be the
-    lowest states of H. Raises NumericalError, before any solve, when a block
-    has more states in the window than it resolves (two fewer than its
-    nodes), quoting the weight of the first state dropped.
+    Each block with states in the window is solved once: a 2-D block for exactly
+    its counted states, a 1-D block (one thread per block, up to the usable CPUs)
+    for the first of 32, 64, 128, ... above its count. The solves are merged in
+    block order by energy (a stable sort) and cut to the window, past which a
+    union of per-block solves need not be the lowest states of H. Raises
+    NumericalError, before any solve, when a block has more states in the window
+    than it resolves (n - 2 of n nodes), quoting the first dropped state's weight.
     """
     if not (math.isfinite(T) and T > 0):
         raise ValueError(f"transition time must be positive and finite, got {T}")
@@ -468,13 +465,22 @@ def decompose_for_time(action: ActionSpec, grid: Grid, T: float) -> SpectralData
             f"{math.exp(-(dropped - e0) * T / action.hbar):.3g} of the ground state's "
             f"(cutoff {BOLTZMANN_CUTOFF:g}); use a finer grid or a longer T"
         )
-    parts = []
+    jobs = []
     for (sector, H), count in zip(blocks, counts):
         if count:
             # acceptance criterion 1 depends on the rounded-up 1-D k: the tridiagonal solver's vectors
             # at that k carry an error that offsets the lattice error, and exact counts fail it
             k = count if grid.dim == 2 else min(32 << (count // 32).bit_length(), H.shape[0] - 2)
-            parts.append(spectral_decompose(H, k, grid, sector))
+            jobs.append((H, k, grid, sector))
+    # 2-D blocks stay serial: scipy's eigh and ARPACK hold the GIL, and two threads measured no faster (README)
+    workers = min(len(jobs), len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1)
+    if grid.dim == 1 and workers > 1:
+        from concurrent.futures import ThreadPoolExecutor
+
+        with ThreadPoolExecutor(workers) as pool:
+            parts = list(pool.map(spectral_decompose, *zip(*jobs)))  # block order, whichever finishes first
+    else:
+        parts = [spectral_decompose(*job) for job in jobs]
     E = np.concatenate([p.eigenvalues for p in parts])
     order = np.argsort(E, kind="stable")
     E = E[order]

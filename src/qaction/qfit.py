@@ -302,7 +302,7 @@ class FitResult:
     rms_residual: float
     per_pair_residuals: tuple
     iterations: int
-    converged: bool
+    stop: str  # where the loop stopped short of its gradient or step test; None when it met one
     failed_pairs: tuple
     potential_minimum: float
     gradient_norm: float
@@ -313,6 +313,10 @@ class FitResult:
             raise ValueError("rms residual cannot be negative")
         if not self.quantum.potential.is_confining():
             raise ValueError("fitted potential must be confining")
+
+    @property
+    def converged(self) -> bool:
+        return self.stop is None
 
     def to_json_dict(self) -> dict:
         return {
@@ -366,9 +370,9 @@ def _levenberg_marquardt(evaluate, y, max_nfev):
     that steps near the optimum are Gauss-Newton steps. A step below
     sqrt(eps) of y ends the loop, since the cost cannot rank points that
     close: it is taken as it stands unless its trial has a failed pair (a
-    penalty fails every pair), and then the loop stops where it is. Returns
-    (y, detail, converged): converged once ||J^T r||_inf falls to 1e-12 or
-    such a step ends the loop, before ``max_nfev`` evaluations.
+    penalty fails every pair), and then it stops where it is, on the confinement
+    boundary. Returns (y, detail, stop): stop is None once ||J^T r||_inf falls
+    to 1e-12 or a step taken ends the loop, else it names where the loop stopped.
     """
     det, jac = evaluate(y)
     nfev, nu = 1, 2.0
@@ -376,14 +380,14 @@ def _levenberg_marquardt(evaluate, y, max_nfev):
     while True:
         g = jac.T @ det.vector
         if np.max(np.abs(g), initial=0.0) <= 1e-12:
-            return y, det, True
+            return y, det, None
         if nfev >= max_nfev:
-            return y, det, False
+            return y, det, "its evaluation limit"
         step = np.linalg.solve(jac.T @ jac + mu * np.eye(len(y)), -g)
         trial, trial_jac = evaluate(y + step)
         nfev += 1
         if np.max(np.abs(step)) <= 1.5e-8 * (1.0 + np.max(np.abs(y))):
-            return (y, det, True) if trial.failed else (y + step, trial, True)
+            return (y, det, "the confinement boundary") if trial.failed else (y + step, trial, None)
         gain = (det.vector @ det.vector - trial.vector @ trial.vector) / (step @ (mu * step - g))
         if gain > 0.0:
             y, det, jac = y + step, trial, trial_jac
@@ -410,8 +414,8 @@ def fit_quantum_action(
     together. Failed pairs and non-confining trials cost penalty residuals,
     so the damping rejects such steps; a start that is not confining raises
     ValueError before any solve. ``converged`` means the gradient or step
-    test was met before the evaluation cap. ``potential_minimum`` is
-    the fitted potential's minimum, by Newton from the lowest grid node.
+    test was met before the evaluation cap, else ``stop`` says where it ended.
+    ``potential_minimum`` is the fitted potential's minimum, by Newton from the lowest grid node.
     """
     if len(problem.table.pairs) < 2 * problem.n_free:
         raise ValueError(
@@ -432,7 +436,7 @@ def fit_quantum_action(
         return det, det.jacobian * scales
 
     cap = 100 * len(theta0) if max_nfev is None else max_nfev
-    y, det, converged = _levenberg_marquardt(evaluate, theta0 / scales, cap)
+    y, det, stop = _levenberg_marquardt(evaluate, theta0 / scales, cap)
     theta = y * scales
     shape = _trial_from_theta(problem, theta)
 
@@ -460,7 +464,7 @@ def fit_quantum_action(
         rms_residual=det.objective,
         per_pair_residuals=tuple(float(v) for v in det.residuals),
         iterations=ev.n_evaluations,
-        converged=converged,
+        stop=stop,
         failed_pairs=det.failed,
         potential_minimum=vmin,
         gradient_norm=gradient_norm,

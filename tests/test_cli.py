@@ -6,6 +6,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import threading
 import time
 from pathlib import Path
 
@@ -14,7 +15,8 @@ import scipy.linalg
 
 from qaction import Grid, _lapack, chaos, propagator, trajectory
 from qaction.asymptotics import MAX_L
-from qaction.cli import _parse_pairs, main
+from qaction.cli import _parse_action, _parse_pairs, main
+from qaction.errors import NumericalError
 from qaction.model import MAX_DEGREE
 from qaction.propagator import MAX_PAIRS
 from qaction.qfit import FLOW_CSV_HEADER
@@ -735,12 +737,13 @@ def test_propagate_analytic_and_fit_skip_scipy_optimize(tmp_path, prop_cfg):
     assert not [m for m in mods if m.startswith("scipy.optimize")]
 
 
-def _spawn_propagate(cfg: str, out: Path, blas_threads: str) -> int:
+def _spawn_propagate(cfg: str, out: Path, blas_threads: str, preexec_fn=None) -> int:
     """Exit code of ``propagate`` in a new interpreter started with that BLAS thread count."""
     env = dict(os.environ, PYTHONPATH=SRC + os.pathsep + os.environ.get("PYTHONPATH", ""))
     env["OPENBLAS_NUM_THREADS"] = blas_threads
     argv = [sys.executable, "-m", "qaction.cli", "propagate", "--config", cfg, "--out", str(out)]
-    return subprocess.run(argv, env=env, capture_output=True, text=True, timeout=300).returncode
+    done = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=300, preexec_fn=preexec_fn)
+    return done.returncode
 
 
 @pytest.mark.parametrize(
@@ -761,6 +764,53 @@ def test_propagate_output_does_not_depend_on_the_blas_thread_count(tmp_path, pay
         assert _spawn_propagate(cfg, tmp_path / threads, threads) == 0
     for name in ("propagator.csv", "spectrum.csv"):
         assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes()
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs CPU affinity")
+def test_propagate_output_does_not_depend_on_the_usable_cpu_count(tmp_path):
+    """On one usable CPU the two 1-D blocks are solved one after the other,
+    on more they are solved on two threads; the files are the same bytes."""
+    cfg = write_cfg(tmp_path, "cfg.json", {
+        "action": HO, "grid": {"extents": [8.0], "npoints": [12801]}, "T": 0.5,
+        "pairs": {"points_per_axis": 11, "span": [-2.0, 2.0]},
+    })
+    one_cpu = min(os.sched_getaffinity(0))
+    assert _spawn_propagate(cfg, tmp_path / "one", "1", lambda: os.sched_setaffinity(0, {one_cpu})) == 0
+    assert _spawn_propagate(cfg, tmp_path / "all", "1") == 0
+    for name in ("propagator.csv", "spectrum.csv"):
+        assert (tmp_path / "one" / name).read_bytes() == (tmp_path / "all" / name).read_bytes()
+
+
+def test_a_failing_block_solve_fails_alike_on_one_and_two_cpus(tmp_path, monkeypatch, capsys):
+    """The odd block's solve raises: on two CPUs it raises in a worker thread,
+    and the caller sees the same exception and exit code as on one, with no
+    files written and no thread left running."""
+    solve, raised_on_main = _lapack.eigh_tridiagonal, []
+
+    def failing(d, e, first, last, vectors=True):
+        if len(d) == 150:  # the odd block of 301 nodes; the even one has 151
+            raised_on_main.append(threading.current_thread() is threading.main_thread())
+            raise NumericalError("the odd block failed")
+        return solve(d, e, first, last, vectors)
+
+    monkeypatch.setattr(_lapack, "eigh_tridiagonal", failing)
+    payload = {"action": HO, "grid": {"extents": [8.0], "npoints": [301]}, "T": 0.5, "pairs": {"points": [0.0]}}
+    cfg = write_cfg(tmp_path, "cfg.json", payload)
+    action, grid = _parse_action(HO, "action"), Grid((8.0,), (301,))
+    outcomes = []
+    for cpus in (1, 2):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, n=cpus: set(range(n)), raising=False)
+        threads = threading.active_count()
+        _clear_spectral_caches()
+        with pytest.raises(NumericalError) as exc:
+            propagator.decompose_for_time(action, grid, 0.5)
+        out = tmp_path / str(cpus)
+        code = main(["propagate", "--config", cfg, "--out", str(out)])
+        outcomes.append((type(exc.value), str(exc.value), code, capsys.readouterr().err, out.exists()))
+        assert threading.active_count() == threads
+    assert outcomes[0] == outcomes[1]
+    assert outcomes[0][2:] == (3, "numerical failure: the odd block failed\n", False)
+    assert raised_on_main == [True, True, False, False]
 
 
 @pytest.mark.parametrize("threads", ["1", "2"])
@@ -1108,20 +1158,25 @@ def test_bench_tracer_sees_the_classical_only_summary_under_main(tmp_path):
 
 def test_fit_from_a_start_whose_small_step_meets_a_penalty_exits_0(tmp_path):
     """Every step from x^2 coefficient 5 drives the x^4 coefficient below 0;
-    the loop stops at its start rather than take the step onto the penalty."""
-    cfg = write_cfg(tmp_path, "fit.json", {
-        "classical": HO,
-        "grid": {"extents": [8.0], "npoints": [801]},
-        "T": 2.0,
-        "pairs": {"points": [-1.0, -0.5, 0.0, 0.5, 1.0]},
-        "ansatz": [[0], [2], [4]],
-        "n_nodes": 129,
-        "initial": _ho_with_terms({"exp": [2], "coef": 5.0}),
-    })
-    out = tmp_path / "fit"
-    assert main(["fit", "--config", cfg, "--out", str(out)]) == 0
-    result = json.loads((out / "fit.json").read_text())
-    assert result["converged"] and result["failed_pairs"] == []
+    the loop stops at its start rather than take the step onto the penalty,
+    and reports that stop as not converged, with a warning that names it."""
+    for fit_mass in (True, False):
+        cfg = write_cfg(tmp_path, "fit.json", {
+            "classical": HO,
+            "grid": {"extents": [8.0], "npoints": [801]},
+            "T": 2.0,
+            "pairs": {"points": [-1.0, -0.5, 0.0, 0.5, 1.0]},
+            "ansatz": [[0], [2], [4]],
+            "fit_mass": fit_mass,
+            "n_nodes": 129,
+            "initial": _ho_with_terms({"exp": [2], "coef": 5.0}),
+        })
+        out = tmp_path / f"fit-{fit_mass}"
+        assert main(["fit", "--config", cfg, "--out", str(out)]) == 0
+        result = json.loads((out / "fit.json").read_text())
+        assert not result["converged"] and result["failed_pairs"] == []
+        assert result["gradient_norm"] > 1.0 and result["rms_residual"] == pytest.approx(0.6426, rel=1e-3)
+        assert result["warning"] == "fit stopped at the confinement boundary before meeting its gradient or step test"
 
 
 def test_non_confining_initial_exits_2_before_eigensolve(tmp_path, monkeypatch):

@@ -4,6 +4,8 @@ import os
 import re
 import subprocess
 import sys
+import threading
+import time
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -100,7 +102,7 @@ def test_quartic_ground_energy_self_convergence(quartic):
 def test_eigenvectors_orthonormal(ho):
     grid = Grid((8.0,), (401,))
     sd = spectral_decompose(discretize_hamiltonian(ho, grid), 5, grid)
-    npt.assert_allclose(sd.overlap_matrix(), np.eye(5), atol=1e-10)
+    npt.assert_allclose(grid.spacing[0] * (sd.eigenvectors @ sd.eigenvectors.T), np.eye(5), atol=1e-10)
 
 
 def test_dense_window_states_orthonormal_where_they_reach_the_wall():
@@ -112,7 +114,8 @@ def test_dense_window_states_orthonormal_where_they_reach_the_wall():
     sd = decompose_for_time(coupled, DENSE_GRID, 1.5)
     k = len(sd.eigenvalues)
     assert k > 100
-    assert np.max(np.abs(sd.overlap_matrix() - np.eye(k))) < 1e-12
+    overlap = math.prod(DENSE_GRID.spacing) * (sd.eigenvectors @ sd.eigenvectors.T)
+    assert np.max(np.abs(overlap - np.eye(k))) < 1e-12
 
 
 def test_spectral_decompose_validates_k(ho):
@@ -285,6 +288,39 @@ def test_window_narrower_than_rounding_keeps_the_ground_state():
     grid = Grid((6.0, 6.0), (35, 35))
     assert sum(_window_count(HO_2D, grid, -math.log(BOLTZMANN_CUTOFF) / 1e20)) == 0
     assert len(decompose_for_time(HO_2D, grid, 1e20).eigenvalues) == 1
+
+
+def test_window_blocks_on_two_threads_give_the_serial_bits(ho, monkeypatch):
+    """With two usable CPUs the even and odd blocks of a 1-D grid are solved on
+    two threads. The even one is held back here, so the odd one finishes
+    first; the parts are still merged in block order, bit for bit as on one CPU."""
+    grid = Grid((8.0,), (2001,))
+    solve = propagator.spectral_decompose
+    finished = []
+
+    def traced(H, k, grid, sector=None):
+        on_main = threading.current_thread() is threading.main_thread()
+        if not on_main and sector == (1,):
+            time.sleep(0.2)
+        sd = solve(H, k, grid, sector)
+        finished.append((sector, on_main))
+        return sd
+
+    monkeypatch.setattr(propagator, "spectral_decompose", traced)
+    runs = {}
+    for cpus in (1, 2):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, n=cpus: set(range(n)), raising=False)
+        for cached in (decompose_for_time, _ground_state, _sector_hamiltonians):
+            cached.cache_clear()
+        finished.clear()
+        runs[cpus] = decompose_for_time(ho, grid, 0.5), list(finished)
+    (serial, serial_order), (pooled, pooled_order) = runs[1], runs[2]
+    # the ground state first, on the main thread, then the window's blocks
+    assert serial_order == [((1,), True), ((1,), True), ((-1,), True)]
+    assert pooled_order == [((1,), True), ((-1,), False), ((1,), False)]
+    assert len(serial.eigenvalues) > 40
+    assert serial.eigenvalues.tobytes() == pooled.eigenvalues.tobytes()
+    assert serial.eigenvectors.tobytes() == pooled.eigenvectors.tobytes()
 
 
 # 3600 nodes: four mirror sectors of 900, each decomposed by shift-invert

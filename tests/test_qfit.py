@@ -367,7 +367,7 @@ def test_evaluation_cap(ho_spec, ho_tensor_table_t2):
     prob = FitProblem(classical=ho_spec, table=ho_tensor_table_t2, ansatz=((0,), (2,)), fit_mass=True)
     start = ActionSpec(mass=1.3, potential=PolynomialPotential(1, {(2,): 0.4}), hbar=1.0)
     res = fit_quantum_action(prob, initial=start, n_nodes=129, max_nfev=1)
-    assert (res.iterations, res.converged) == (1, False)
+    assert (res.iterations, res.converged, res.stop) == (1, False, "its evaluation limit")
     for max_nfev in (0, -1, 2.5, True):
         with pytest.raises(ValueError, match="max_nfev"):
             fit_quantum_action(prob, max_nfev=max_nfev)
@@ -461,13 +461,15 @@ def test_a_step_below_resolution_onto_a_penalty_is_not_taken(ho_spec, ho_table_8
     """From x^2 coefficient 5 every step drives the x^4 coefficient below 0
     and is rejected, until the step falls below resolution; that step lands
     on a confinement penalty, and taking it made the fit raise "every
-    boundary pair failed" (exit 3). The loop stops at its start instead."""
+    boundary pair failed" (exit 3). The loop stops at its start instead, on
+    the confinement boundary, and does not count that stop as converged."""
     prob = FitProblem(classical=ho_spec, table=ho_table_801_t2, ansatz=((0,), (2,), (4,)))
     start = ActionSpec(mass=1.0, potential=PolynomialPotential(1, {(2,): 5.0}))
     penalties = _count_penalties(monkeypatch)
     res = fit_quantum_action(prob, initial=start, n_nodes=129)
     assert penalties and all(p > qfit.PENALTY_FAILED for p in penalties)
-    assert res.converged and res.failed_pairs == ()
+    assert (res.converged, res.stop, res.failed_pairs) == (False, "the confinement boundary", ())
+    assert res.gradient_norm > 1.0
     assert res.quantum.mass == 1.0
     assert res.quantum.potential.coefficient((2,)) == 5.0 and res.quantum.potential.coefficient((4,)) == 0.0
     assert res.rms_residual == pytest.approx(0.6426, rel=1e-3)
