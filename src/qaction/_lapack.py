@@ -1,13 +1,12 @@
 """LAPACK routines called through the library numpy has already loaded.
 
 numpy's linear-algebra extension links a LAPACK. In the numpy wheels it is
-scipy-openblas built with 64-bit integers (ILP64), and its routines are
-exported as ``scipy_<routine>_64_``. Calling them through ``ctypes`` costs
-no import, while scipy's wrappers of the same routines cost scipy's
-start-up (about 0.3 s). When numpy's LAPACK exports no ILP64 names (one
-built on MKL or Accelerate, say), scipy's wrappers run instead; they call
-the same routines. Routines: Anderson et al., *LAPACK Users' Guide*, 3rd
-ed. (SIAM, 1999).
+scipy-openblas built with 64-bit integers (ILP64), and its routines are exported
+as ``scipy_<routine>_64_``. Calling them through ``ctypes`` costs no import;
+scipy's wrappers of the same routines cost its start-up (about 0.12 s), and run
+only where numpy's LAPACK exports no ILP64 names (MKL or Accelerate, say): the one
+place qaction imports scipy. Routines: Anderson et al., *LAPACK Users' Guide*,
+3rd ed. (SIAM, 1999).
 """
 from __future__ import annotations
 
@@ -24,6 +23,8 @@ _SIGNATURES = {
     "dstein": (_INT, _ARRAY, _ARRAY, _INT, _ARRAY, _ARRAY, _ARRAY, _ARRAY, _INT, _ARRAY, _ARRAY, _ARRAY, _INT),
     "dgtsv": (_INT, _INT, _ARRAY, _ARRAY, _ARRAY, _ARRAY, _INT, _INT),
     "dgbsv": (_INT, _INT, _INT, _INT, _ARRAY, _INT, _ARRAY, _ARRAY, _INT, _INT),
+    "dpbtrf": (ctypes.c_char_p, _INT, _INT, _ARRAY, _INT, _INT, ctypes.c_size_t),
+    "dpbtrs": (ctypes.c_char_p, _INT, _INT, _INT, _ARRAY, _INT, _ARRAY, _INT, _INT, ctypes.c_size_t),
 }
 
 
@@ -53,7 +54,10 @@ def _double(v: float):
     return ctypes.byref(ctypes.c_double(v))
 
 
-def _check(info: ctypes.c_int64, routine: str):
+def _call(lapack: dict, routine: str, *args, chars: int = 0):
+    """Call a routine with ``args``, then its info argument and ``chars`` hidden lengths; raise on info != 0."""
+    info = ctypes.c_int64()
+    lapack[routine](*args, ctypes.byref(info), *[1] * chars)
     if info.value < 0:
         raise ValueError(f"illegal value in argument {-info.value} of {routine}")
     if info.value > 0:
@@ -82,23 +86,21 @@ def eigh_tridiagonal(d, e, first: int, last: int, vectors: bool = True) -> tuple
 
         out = scipy.linalg.eigh_tridiagonal(d, e, eigvals_only=not vectors, select="i", select_range=(first, last))
         return (out[0], out[1].T) if vectors else (out, None)
-    m, nsplit, info = ctypes.c_int64(), ctypes.c_int64(), ctypes.c_int64()
+    m, nsplit = ctypes.c_int64(), ctypes.c_int64()
     w, iblock, isplit = np.empty(n), np.empty(n, np.int64), np.empty(n, np.int64)
-    lapack["dstebz"](
-        b"I", b"B" if vectors else b"E", _int(n), _double(0.0), _double(1.0), _int(first + 1), _int(last + 1),
-        _double(0.0), _ptr(d), _ptr(e), ctypes.byref(m), ctypes.byref(nsplit), _ptr(w), _ptr(iblock),
-        _ptr(isplit), _ptr(np.empty(4 * n)), _ptr(np.empty(3 * n, np.int64)), ctypes.byref(info), 1, 1,
+    _call(
+        lapack, "dstebz", b"I", b"B" if vectors else b"E", _int(n), _double(0.0), _double(1.0), _int(first + 1),
+        _int(last + 1), _double(0.0), _ptr(d), _ptr(e), ctypes.byref(m), ctypes.byref(nsplit), _ptr(w),
+        _ptr(iblock), _ptr(isplit), _ptr(np.empty(4 * n)), _ptr(np.empty(3 * n, np.int64)), chars=2,
     )
-    _check(info, "dstebz")
     w = w[: m.value]
     if not vectors:
         return w, None
     z = np.empty((m.value, n))  # Fortran's n x m, column j in row j
-    lapack["dstein"](
-        _int(n), _ptr(d), _ptr(e), _int(m.value), _ptr(w), _ptr(iblock), _ptr(isplit), _ptr(z), _int(n),
-        _ptr(np.empty(5 * n)), _ptr(np.empty(n, np.int64)), _ptr(np.empty(m.value, np.int64)), ctypes.byref(info),
+    _call(
+        lapack, "dstein", _int(n), _ptr(d), _ptr(e), _int(m.value), _ptr(w), _ptr(iblock), _ptr(isplit), _ptr(z),
+        _int(n), _ptr(np.empty(5 * n)), _ptr(np.empty(n, np.int64)), _ptr(np.empty(m.value, np.int64)),
     )
-    _check(info, "dstein")
     order = np.argsort(w, kind="stable")  # block order to ascending
     return w[order], z[order]
 
@@ -122,18 +124,47 @@ def solve_banded(bandwidth: int, ab, b) -> np.ndarray:
         import scipy.linalg
 
         return scipy.linalg.solve_banded((bandwidth, bandwidth), ab, x)
-    info = ctypes.c_int64()
     if bandwidth == 1:
         dl, d, du = ab[2, :-1].copy(), ab[1].copy(), ab[0, 1:].copy()
-        lapack["dgtsv"](_int(n), _int(1), _ptr(dl), _ptr(d), _ptr(du), _ptr(x), _int(n), ctypes.byref(info))
-        _check(info, "dgtsv")
+        _call(lapack, "dgtsv", _int(n), _int(1), _ptr(dl), _ptr(d), _ptr(du), _ptr(x), _int(n))
     else:
         rows = 3 * bandwidth + 1  # ?gbtrf's fill-in takes another ``bandwidth`` rows on top
         lu = np.zeros((n, rows))  # Fortran's rows x n
         lu[:, bandwidth:] = ab.T
-        lapack["dgbsv"](
-            _int(n), _int(bandwidth), _int(bandwidth), _int(1), _ptr(lu), _int(rows),
-            _ptr(np.empty(n, np.int64)), _ptr(x), _int(n), ctypes.byref(info),
+        _call(
+            lapack, "dgbsv", _int(n), _int(bandwidth), _int(bandwidth), _int(1), _ptr(lu), _int(rows),
+            _ptr(np.empty(n, np.int64)), _ptr(x), _int(n),
         )
-        _check(info, "dgbsv")
+    return x
+
+
+def cholesky_banded(ab) -> np.ndarray:
+    """?pbtrf as ``scipy.linalg.cholesky_banded(ab, lower=True)``: the lower factor of a positive definite
+    band matrix A, both in lower band storage ab[i - j, j] = A[i, j]. Raises ValueError on non-finite
+    input and LinAlgError when A is not positive definite."""
+    c = np.array(ab, dtype=float, order="F")  # Fortran's ldab x n
+    if not np.isfinite(c).all():
+        raise ValueError("band matrix holds non-finite values")
+    lapack = _routines()
+    if lapack is None:
+        import scipy.linalg
+
+        return scipy.linalg.cholesky_banded(c, lower=True)
+    _call(lapack, "dpbtrf", b"L", _int(c.shape[1]), _int(c.shape[0] - 1), _ptr(c), _int(c.shape[0]), chars=1)
+    return c
+
+
+def cho_solve_banded(c: np.ndarray, b) -> np.ndarray:
+    """?pbtrs: x with A x = b from ``cholesky_banded``'s factor c of A, as
+    ``scipy.linalg.cho_solve_banded((c, True), b)``."""
+    c, x = np.asfortranarray(c, dtype=float), np.array(b, dtype=float)
+    if c.ndim != 2 or x.shape != (c.shape[1],):
+        raise ValueError(f"banded factor of shape {c.shape} and right-hand side of shape {x.shape}")
+    lapack = _routines()
+    if lapack is None:
+        import scipy.linalg
+
+        return scipy.linalg.cho_solve_banded((c, True), x, check_finite=False)
+    n, ldab = len(x), c.shape[0]
+    _call(lapack, "dpbtrs", b"L", _int(n), _int(ldab - 1), _int(1), _ptr(c), _int(ldab), _ptr(x), _int(n), chars=1)
     return x

@@ -21,12 +21,13 @@ all-even block, solved once per grid. Before any other solve, each block's
 states within the Boltzmann window above E_0 are counted by Sylvester's law
 of inertia.
 
-Every block comes from ``discretize_hamiltonian``. A 1-D block is kept as its
-two diagonals, counted by the Sturm recurrence and solved by LAPACK's ?stebz
-and ?stein (bisection, inverse iteration) through the LAPACK numpy already
-loads (``_lapack``): no scipy, and no GIL held, so two CPUs solve the two
-blocks at once. A 2-D block is a sparse matrix, counted by an unpivoted
-SuperLU factorization and solved densely or by shift-invert.
+Every block comes from ``discretize_hamiltonian`` and is counted and solved
+with no scipy, through the LAPACK numpy already loads (``_lapack``). A 1-D
+block is its two diagonals, counted by the Sturm recurrence and solved by
+?stebz and ?stein; they hold no GIL, so two CPUs solve the two blocks at once.
+A 2-D block is its diagonal and two off-diagonals, counted by the block Sturm
+recurrence and solved by shift-invert Lanczos on a banded Cholesky factor, or
+densely by numpy's eigh when the window holds over a tenth of the block.
 """
 from __future__ import annotations
 
@@ -44,11 +45,6 @@ from .model import ActionSpec, _as_integer, _as_number
 
 # spectral terms lighter than this fraction of the leading one are dropped
 BOLTZMANN_CUTOFF = 1e-14
-# 2-D blocks of H up to this many nodes are diagonalized densely, larger ones by shift-invert. On the
-# coupled oscillator at T = 3 and 10, with 13 to 20 states per block in the window, dense solves and
-# shift-invert solves of 32 states broke even near 800 nodes (2-core Xeon, scipy 1.17);
-# for larger windows dense stays ahead beyond 1024 nodes.
-DENSE_MAX_NODES = 800
 # the most nodes a grid may hold, per axis and in total
 MAX_GRID_NODES = 2**16
 # the most boundary pairs of one table; the largest in use, the 2-D "auto" pairs, number 11^4 = 14641
@@ -260,16 +256,39 @@ class _Tridiagonal(NamedTuple):
     def shape(self) -> tuple:
         return (len(self.d), len(self.d))
 
-    def diagonal(self, k: int = 0) -> np.ndarray:
-        return self.e if k else self.d
-
     def toarray(self) -> np.ndarray:
         return np.diag(self.d) + np.diag(self.e, 1) + np.diag(self.e, -1)
 
 
+class _Block2D(NamedTuple):
+    """A 2-D block of H over mx x my nodes, x major: diagonal d (V plus both
+    kinetic mains), and the off-diagonals ex and ey of each axis's kinetic block."""
+
+    d: np.ndarray
+    ex: np.ndarray
+    ey: np.ndarray
+
+    shape = _Tridiagonal.shape  # (n, n) with n = len(d)
+
+    def lower_band(self) -> np.ndarray:
+        """H in LAPACK's lower band storage, ab[i - j, j] = H[i, j], with my sub-diagonals."""
+        my = len(self.ey) + 1
+        ab = np.zeros((my + 1, len(self.d)))
+        ab[0], ab[my, :-my] = self.d, np.repeat(self.ex, my)
+        ab[1].reshape(-1, my)[:, :-1] = self.ey
+        return ab
+
+    def toarray(self) -> np.ndarray:
+        ab, i = self.lower_band(), np.arange(len(self.d))
+        A = np.diag(self.d)
+        for k in (1, len(ab) - 1):
+            A[i[k:], i[:-k]] = A[i[:-k], i[k:]] = ab[k, :-k]
+        return A
+
+
 def discretize_hamiltonian(action: ActionSpec, grid: Grid, sector: tuple = None):
-    """H = -(hbar^2/2m) Laplacian + V with Dirichlet walls: in 1-D a
-    ``_Tridiagonal`` (its two diagonals, built without scipy), in 2-D CSR.
+    """H = -(hbar^2/2m) Laplacian + V with Dirichlet walls, built without
+    scipy: in 1-D a ``_Tridiagonal``, in 2-D a ``_Block2D``.
 
     Given one of the action's mirror sectors (one parity per axis, as from
     ``_sectors``), it is the block of H on that sector instead: the Kronecker
@@ -289,45 +308,61 @@ def discretize_hamiltonian(action: ActionSpec, grid: Grid, sector: tuple = None)
     if grid.dim == 1:
         ((main, off),) = stencils
         return _Tridiagonal(main + V, off)
-    import scipy.sparse as sp
-
-    mx, my = (sp.diags([off, main, off], [-1, 0, 1], format="csr") for main, off in stencils)
-    H = sp.kron(mx, sp.identity(my.shape[0], format="csr")) + sp.kron(sp.identity(mx.shape[0], format="csr"), my)
-    return sp.csr_matrix(H + sp.diags(V))
+    (mainx, offx), (mainy, offy) = stencils
+    return _Block2D(np.add.outer(mainx, mainy).ravel() + V, offx, offy)
 
 
-def _node_scale(grid: Grid, sector: tuple) -> np.ndarray:
-    """Per node of a sector's block, the ratio of a node value to the
-    coefficient of that node's basis vector (sqrt 2 at an even centre, else 1)."""
-    scales = []
-    for n, parity in zip(grid.npoints, sector):
-        m, _, coef = _axis_sector(n, parity)
-        scales.append(np.ones(n) if coef is None else coef[:m])
-    return functools.reduce(np.multiply.outer, scales).ravel()
+def _block_eigh(H: _Block2D, k: int) -> tuple:
+    """(values, vectors as rows) of the lowest k states of a 2-D block: by numpy's
+    dense eigh when k is over a tenth of its n nodes, else by shift-invert Lanczos
+    with full reorthogonalization and thick restart (Wu & Simon, SIAM J. Matrix
+    Anal. Appl. 22 (2000) 602) on a ?pbtrf factor of H - sigma I, sigma below
+    the Gershgorin bound. ``decompose_for_time`` holds the values to the window's
+    count: an exactly degenerate state enters the Krylov space only through rounding.
+    """
+    # on the coupled oscillator's blocks (2-core Xeon, numpy 2.4.6) the two met near k = n/14 at 256 nodes (3.8 ms),
+    # n/9 at 529 (16 ms) and n/7 at 1024 (89 ms); at k = n/10 Lanczos took 4.4, 13.0 and 49.7 ms
+    from . import _lapack
+
+    n = H.shape[0]
+    if 10 * k > n:
+        vals, vecs = np.linalg.eigh(H.toarray())
+        return vals[:k], vecs[:, :k].T
+    ab = H.lower_band()
+    low = np.abs(ab[1:])  # |H[j + i, j]|, which row j holds as |H[j, j - i]| too
+    sigma = float((H.d - low.sum(0) - sum(np.roll(b, i) for i, b in enumerate(low, 1))).min()) - 1.0
+    ab[0] -= sigma
+    factor = _lapack.cholesky_banded(ab)
+    m = min(n // 2, 2 * k + 20)  # the basis, of which k + (m - k) // 2 Ritz vectors survive a restart
+    V, T, kept = np.zeros((m + 1, n)), np.zeros((m + 1, m + 1)), 0
+    V[0] = (start := np.sin(0.618 * np.arange(n))) / np.linalg.norm(start)
+    for _ in range(200):
+        for j in range(kept, m):
+            w, c = _lapack.cho_solve_banded(factor, V[j]), 0.0
+            for _ in range(2):  # Gram-Schmidt twice keeps the basis orthonormal to rounding
+                dc = V[: j + 1] @ w
+                w -= dc @ V[: j + 1]
+                c += dc
+            T[j, : j + 1] = T[: j + 1, j] = c
+            T[j + 1, j] = T[j, j + 1] = beta = np.linalg.norm(w)
+            V[j + 1] = w / beta
+        theta, S = np.linalg.eigh(T[:m, :m])  # ascending theta = 1 / (E - sigma): the wanted states last
+        if np.all(np.abs(beta * S[-1, m - k :]) <= 1e-15 * theta[m - k :]):
+            return sigma + 1.0 / theta[::-1][:k], S[:, ::-1][:, :k].T @ V[:m]
+        # thick restart: the kept Ritz vectors and the residual; the next steps fill in T's couplings
+        kept = k + (m - k) // 2
+        V[:kept], V[kept] = S[:, m - kept :].T @ V[:m], V[m]
+        T[:kept, :kept] = np.diag(theta[m - kept :])
+    raise NumericalError(f"shift-invert Lanczos found no {k} converged states of a {n}-node block")
 
 
-def _lowest_eigsh(H, k: int, scale: np.ndarray):
-    import scipy.sparse.linalg as spla
-
-    # Gershgorin bound of S H S^-1 with S = diag(scale), the stencil on node values (bound = min V),
-    # less one: below the spectrum, so LM finds the lowest
-    offdiag = scale * (abs(H) @ (1.0 / scale)) - np.abs(H.diagonal())
-    sigma = float((H.diagonal() - offdiag).min()) - 1.0
-    v0 = np.full(H.shape[0], 1.0 / math.sqrt(H.shape[0]))  # fixed start vector for determinism
-    try:
-        return spla.eigsh(H, k=k, sigma=sigma, which="LM", v0=v0, maxiter=5000)
-    except spla.ArpackNoConvergence as exc:
-        raise NumericalError(f"sparse eigensolver did not converge: {exc}") from exc
-
-
-def _second_highest(H, scale: np.ndarray) -> float:
+def _second_highest(H) -> float:
     """The (n - 1)th of the n eigenvalues of a block."""
     if isinstance(H, _Tridiagonal):
         from . import _lapack
 
-        n = H.shape[0]
-        return float(_lapack.eigh_tridiagonal(H.d, H.e, n - 2, n - 2, vectors=False)[0][0])
-    return -float(_lowest_eigsh(-H, 2, scale)[0].max())
+        return float(_lapack.eigh_tridiagonal(H.d, H.e, len(H.e) - 1, len(H.e) - 1, vectors=False)[0][0])
+    return -float(_block_eigh(_Block2D(-H.d, -H.ex, -H.ey), 2)[0][1])
 
 
 @functools.lru_cache(maxsize=16)
@@ -338,11 +373,12 @@ def _sector_hamiltonians(action: ActionSpec, grid: Grid) -> tuple:
 
 def _negative_pivots(H, sigma: float):
     """Count of the negative pivots of H - sigma I factored unpivoted, or None
-    when a pivot is exactly zero or the factorization swapped rows.
+    when a pivot is exactly zero.
 
     A ``_Tridiagonal`` is counted by the Sturm recurrence
-    q_i = (d_i - sigma) - e_{i-1}^2 / q_{i-1}; a CSR block by SuperLU in
-    natural order.
+    q_i = (d_i - sigma) - e_{i-1}^2 / q_{i-1}; a ``_Block2D`` by its block form over
+    lines of constant x, S_i = A_i - sigma I - ex_{i-1}^2 S_{i-1}^-1, whose negative
+    eigenvalues add up to the count (Haynsworth's inertia additivity).
     """
     if isinstance(H, _Tridiagonal):
         count, q = 0, 1.0
@@ -352,30 +388,27 @@ def _negative_pivots(H, sigma: float):
                 return None
             count += q < 0.0
         return count
-    import scipy.sparse as sp
-    import scipy.sparse.linalg as spla
-
-    n = H.shape[0]
-    A = (H - sigma * sp.identity(n)).tocsc()
-    try:
-        lu = spla.splu(A, permc_spec="NATURAL", diag_pivot_thresh=0.0, options={"SymmetricMode": True})
-    except RuntimeError:  # "Factor is exactly singular"
-        return None
-    if not np.array_equal(lu.perm_r, np.arange(n)):
-        return None
-    return int(np.count_nonzero(lu.U.diagonal() < 0.0))
+    my = len(H.ey) + 1
+    line, count, inverse = np.diag(H.ey, 1) + np.diag(H.ey, -1), 0, np.zeros((my, my))
+    for shifted, e in zip((H.d - sigma).reshape(-1, my), [0.0, *H.ex]):
+        w, Q = np.linalg.eigh(line + np.diag(shifted) - e * e * inverse)
+        if not w.all():
+            return None
+        count += np.count_nonzero(w < 0.0)
+        inverse = (Q / w) @ Q.T
+    return count
 
 
 def _inertia(H, sigma: float) -> int:
     """Count of the eigenvalues of H below sigma, made without solving for them: by Sylvester's
-    law of inertia, the negative pivots of H - sigma I factored unpivoted (a Sturm count if tridiagonal)."""
+    law of inertia, the negative pivots of H - sigma I factored unpivoted (a Sturm count)."""
     for _ in range(2):
         count = _negative_pivots(H, sigma)
         if count is not None:
             return count
-        # an exactly zero pivot, row-swapped or singular: move off it by a relative 1e-12, and by at
-        # least 1e-14 of H's scale, since a smaller move can vanish in the rounding of H - sigma I
-        scale = max(np.abs(H.diagonal(k)).max(initial=0.0) for k in (0, 1))
+        # an exactly zero pivot: move off it by a relative 1e-12, and by at least 1e-14 of
+        # H's largest entry, since a smaller move can vanish in the rounding of H - sigma I
+        scale = max(np.abs(a).max(initial=0.0) for a in H)
         sigma += max(1e-12 * abs(sigma), 1e-14 * scale)
     raise NumericalError(f"no pivot-free factorization of H - sigma I near sigma = {sigma:g}")
 
@@ -402,19 +435,9 @@ def spectral_decompose(H, k: int, grid: Grid, sector: tuple = None) -> SpectralD
     axes = [_axis_sector(npt, p) for npt, p in zip(grid.npoints, sector)]
     if math.prod(m for m, _, _ in axes) != n:
         raise ValueError("grid does not match Hamiltonian size")
-    if grid.dim == 1:
-        from . import _lapack
+    from . import _lapack
 
-        vals, vecs = _lapack.eigh_tridiagonal(H.diagonal(), H.diagonal(1), 0, k - 1)
-    elif n <= DENSE_MAX_NODES:
-        import scipy.linalg
-
-        vals, vecs = scipy.linalg.eigh(H.toarray(), subset_by_index=[0, k - 1])
-        vecs = vecs.T
-    else:
-        vals, vecs = _lowest_eigsh(H, k, _node_scale(grid, sector))
-        order = np.argsort(vals)
-        vals, vecs = vals[order], vecs[:, order].T
+    vals, vecs = _lapack.eigh_tridiagonal(H.d, H.e, 0, k - 1) if grid.dim == 1 else _block_eigh(H, k)
     shape = [m for m, _, _ in axes]
     for a, (_, take, coef) in enumerate(axes):
         if take is not None:
@@ -446,7 +469,8 @@ def decompose_for_time(action: ActionSpec, grid: Grid, T: float) -> SpectralData
     block order by energy (a stable sort) and cut to the window, past which a
     union of per-block solves need not be the lowest states of H. Raises
     NumericalError, before any solve, when a block has more states in the window
-    than it resolves (n - 2 of n nodes), quoting the first dropped state's weight.
+    than it resolves (n - 2 of n nodes), quoting the first dropped state's weight,
+    and after the solves when a 2-D block's solve lies above the window it counted.
     """
     if not (math.isfinite(T) and T > 0):
         raise ValueError(f"transition time must be positive and finite, got {T}")
@@ -458,7 +482,7 @@ def decompose_for_time(action: ActionSpec, grid: Grid, T: float) -> SpectralData
     short = [(sector, H) for (sector, H), count in zip(blocks, counts) if count > H.shape[0] - 2]
     if short:
         # the first state a block drops is its (n - 1)th, the second from the top
-        dropped = min(_second_highest(H, _node_scale(grid, s)) for s, H in short)
+        dropped = min(_second_highest(H) for _, H in short)
         raise NumericalError(
             f"the grid resolves {sum(H.shape[0] - 2 for _, H in blocks)} states, too few for the "
             f"Boltzmann window at T={T:g}: dropped states carry weight up to "
@@ -472,7 +496,7 @@ def decompose_for_time(action: ActionSpec, grid: Grid, T: float) -> SpectralData
             # at that k carry an error that offsets the lattice error, and exact counts fail it
             k = count if grid.dim == 2 else min(32 << (count // 32).bit_length(), H.shape[0] - 2)
             jobs.append((H, k, grid, sector))
-    # 2-D blocks stay serial: scipy's eigh and ARPACK hold the GIL, and two threads measured no faster (README)
+    # 2-D blocks stay serial (README, "Block threads")
     workers = min(len(jobs), len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1)
     if grid.dim == 1 and workers > 1:
         from concurrent.futures import ThreadPoolExecutor
@@ -481,6 +505,9 @@ def decompose_for_time(action: ActionSpec, grid: Grid, T: float) -> SpectralData
             parts = list(pool.map(spectral_decompose, *zip(*jobs)))  # block order, whichever finishes first
     else:
         parts = [spectral_decompose(*job) for job in jobs]
+    lost = [job[3] for job, p in zip(jobs, parts) if p.eigenvalues[-1] > e0 + gap + 1e-12 * abs(e0 + gap)]
+    if grid.dim == 2 and lost:
+        raise NumericalError(f"the solve of mirror block {lost[0]} at T={T:g} lost a state: it reached above its count")
     E = np.concatenate([p.eigenvalues for p in parts])
     order = np.argsort(E, kind="stable")
     E = E[order]

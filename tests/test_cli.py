@@ -10,8 +10,8 @@ import threading
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
-import scipy.linalg
 
 from qaction import Grid, _lapack, chaos, propagator, trajectory
 from qaction.asymptotics import MAX_L
@@ -466,22 +466,20 @@ def test_off_node_pair_rejected_before_eigensolve(tmp_path, monkeypatch):
 
 
 def _count_solves(monkeypatch):
-    """Per eigensolver, the states each call solved for, and per window-count
-    factorization (a Sturm count in 1-D, splu in 2-D) the order of the
-    matrix it factored."""
-    import scipy.sparse.linalg
-
+    """Per eigensolver (the 1-D tridiagonal one, the 2-D block one, and any
+    values-only solve), the states each call solved for, and per window count
+    (a Sturm count in 1-D, a block Sturm count in 2-D) the order of the
+    matrix it counted."""
     calls = {}
 
     def size(name, args, kwargs):
         if name == "_negative_pivots":
             return args[0].shape[0]
-        if name == "eigsh":
-            return kwargs["k"]
         if name == "eigh_tridiagonal":  # the LAPACK binding's (d, e, first, last)
             return args[3] - args[2] + 1
-        lo, hi = kwargs.get("subset_by_index") or (0, len(args[0]) - 1)
-        return hi - lo + 1
+        if name == "_block_eigh":  # (H, k)
+            return args[1]
+        return len(args[0])
 
     def count(module, name):
         func = getattr(module, name)
@@ -493,10 +491,9 @@ def _count_solves(monkeypatch):
         calls[name] = []
         monkeypatch.setattr(module, name, wrapper)
 
-    for name in ("eigh", "eigvalsh"):
-        count(scipy.linalg, name)
+    count(np.linalg, "eigvalsh")
     count(_lapack, "eigh_tridiagonal")
-    count(scipy.sparse.linalg, "eigsh")
+    count(propagator, "_block_eigh")
     count(propagator, "_negative_pivots")
     _clear_spectral_caches()
     return calls
@@ -506,7 +503,7 @@ def test_dense_propagate_solves_once_per_time(tmp_path, monkeypatch):
     """V is even in x and y, so H splits into four mirror sectors of 23x23,
     23x22, 22x23 and 22x22 nodes. E_0 comes from one k = 1 solve of the
     all-even block, the ground state, for every T. Per new T each sector is
-    counted (one factorization) and solved once, for exactly its counted
+    counted (one block Sturm count) and solved once, for exactly its counted
     states; no values-only solve, and neither the repeated T nor the
     spectrum.csv lookup solves anything again."""
     calls = _count_solves(monkeypatch)
@@ -526,12 +523,12 @@ def test_dense_propagate_solves_once_per_time(tmp_path, monkeypatch):
         assert main(["propagate", "--config", cfg, "--out", str(out)]) == 0
         rows[T] = len(read_rows(out / "spectrum.csv")[1])
     assert {name: len(sizes) for name, sizes in calls.items()} == {
-        "eigh": 9, "eigvalsh": 0, "eigh_tridiagonal": 0, "eigsh": 0, "_negative_pivots": 8
+        "eigvalsh": 0, "eigh_tridiagonal": 0, "_block_eigh": 9, "_negative_pivots": 8
     }
-    assert calls["eigh"][0] == 1
+    assert calls["_block_eigh"][0] == 1
     assert calls["_negative_pivots"] == [529, 506, 506, 484] * 2
-    assert rows[3.0] == 78 == sum(calls["eigh"][1:5])
-    assert rows[1.5] == sum(calls["eigh"][5:]) > 78
+    assert rows[3.0] == 78 == sum(calls["_block_eigh"][1:5])
+    assert rows[1.5] == sum(calls["_block_eigh"][5:]) > 78
 
 
 def test_tridiagonal_propagate_solves_once(tmp_path, monkeypatch):
@@ -551,16 +548,14 @@ def test_tridiagonal_propagate_solves_once(tmp_path, monkeypatch):
         },
     )
     assert main(["propagate", "--config", cfg, "--out", str(tmp_path / "quartic")]) == 0
-    assert calls == {
-        "eigh": [], "eigvalsh": [], "eigh_tridiagonal": [1, 64, 64], "eigsh": [], "_negative_pivots": [201, 200]
-    }
+    assert calls == {"eigvalsh": [], "eigh_tridiagonal": [1, 64, 64], "_block_eigh": [], "_negative_pivots": [201, 200]}
     assert len(read_rows(tmp_path / "quartic" / "spectrum.csv")[1]) == 108
 
 
 @pytest.mark.parametrize(
     "action, grid, solver",
     [(HO, {"extents": [8.0], "npoints": [401]}, "eigh_tridiagonal"),
-     (UNCOUPLED, {"extents": [6.6, 6.6], "npoints": [45, 45]}, "eigh")],
+     (UNCOUPLED, {"extents": [6.6, 6.6], "npoints": [45, 45]}, "_block_eigh")],
     ids=["1d", "2d-dense"],
 )
 def test_auto_pairs_and_the_window_share_one_ground_state_solve(tmp_path, monkeypatch, action, grid, solver):
@@ -570,7 +565,7 @@ def test_auto_pairs_and_the_window_share_one_ground_state_solve(tmp_path, monkey
     calls = _count_solves(monkeypatch)
     cfg = write_cfg(tmp_path, "auto.json", {"action": action, "grid": grid, "T": 3.0, "pairs": "auto"})
     assert main(["propagate", "--config", cfg, "--out", str(tmp_path / "auto")]) == 0
-    assert calls["eigsh"] == []
+    assert calls["eigh_tridiagonal" if solver == "_block_eigh" else "_block_eigh"] == []
     assert calls[solver][0] == 1 and 1 not in calls[solver][1:]
     assert len(calls[solver]) == 1 + len(calls["_negative_pivots"])
 
@@ -593,18 +588,39 @@ def test_analytic_without_e_gr_solves_the_ground_state_once(tmp_path, monkeypatc
 
 def test_truncated_spectrum_exit_3_leaves_no_files(tmp_path, monkeypatch):
     """The weight quoted for a 1-D block comes from the tridiagonal solver,
-    not from shift-invert."""
-    def no_eigsh(*args, **kwargs):
-        raise AssertionError("shift-invert reached on a 1-D block")
+    not from the 2-D block solver."""
+    def no_block_solve(*args, **kwargs):
+        raise AssertionError("the 2-D block solver reached on a 1-D block")
 
     _clear_spectral_caches()
-    monkeypatch.setattr(propagator, "_lowest_eigsh", no_eigsh)
+    monkeypatch.setattr(propagator, "_block_eigh", no_block_solve)
     cfg = write_cfg(
         tmp_path,
         "short.json",
         {"action": HO, "grid": {"extents": [8.0], "npoints": [17]}, "T": 1e-3, "pairs": [[0.0, 1.0]]},
     )
     out = tmp_path / "short"
+    assert main(["propagate", "--config", cfg, "--out", str(out)]) == 3
+    assert not out.exists()
+
+
+def test_a_block_solve_that_loses_a_state_exits_3_leaving_no_files(tmp_path, monkeypatch):
+    """A 2-D block solve whose values reach above the window its count was
+    made for has lost a state (the isotropic oscillator's degenerate pairs
+    are the ones at risk): propagate refuses it rather than write a table
+    short of that state."""
+    solve = propagator._block_eigh
+
+    def dropping(H, k):
+        vals, vecs = solve(H, k + 1)
+        return np.delete(vals, 1), np.delete(vecs, 1, axis=0)
+
+    _clear_spectral_caches()
+    monkeypatch.setattr(propagator, "_block_eigh", dropping)
+    cfg = write_cfg(tmp_path, "iso.json", {
+        "action": UNCOUPLED, "grid": {"extents": [6.3, 6.3], "npoints": [64, 64]}, "T": 3.0, "pairs": "auto"
+    })
+    out = tmp_path / "iso"
     assert main(["propagate", "--config", cfg, "--out", str(out)]) == 3
     assert not out.exists()
 
@@ -620,6 +636,22 @@ def test_overflowing_potential_on_the_grid_exit_2_leaves_no_files(tmp_path):
                 tmp_path, "wide.json", {"action": HO, "grid": {"extents": [1e155], "npoints": [101]}, "T": 1.0, "pairs": "auto"}
             )
             out = tmp_path / "wide"
+            assert main(["propagate", "--config", cfg, "--out", str(out)]) == 2
+            assert not out.exists()
+
+
+def test_overflowing_potential_on_a_2d_grid_exit_2_leaves_no_files(tmp_path):
+    """V overflows to inf at the walls of [-1e155, 1e155]^2: the banded
+    Cholesky factor of the 2-D Lanczos solver refuses it, with the binding as
+    with scipy's wrapper, before any state is solved."""
+    for routines in (_lapack._routines, lambda: None):
+        _clear_spectral_caches()
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(_lapack, "_routines", routines)
+            cfg = write_cfg(tmp_path, "wide2d.json", {
+                "action": UNCOUPLED, "grid": {"extents": [1e155, 1e155], "npoints": [33, 33]}, "T": 1.0, "pairs": "auto"
+            })
+            out = tmp_path / "wide2d"
             assert main(["propagate", "--config", cfg, "--out", str(out)]) == 2
             assert not out.exists()
 
@@ -668,7 +700,7 @@ def test_overflowing_derivative_coefficient_exit_2_leaves_no_files(tmp_path):
     assert not out.exists()
 
 
-# -- cold start: a command loads only the scipy it calls ---------------------
+# -- cold start: no command loads scipy ---------------------------------------
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -710,8 +742,8 @@ def test_poincare_loads_no_scipy(tmp_path):
 
 
 def test_propagate_analytic_and_fit_skip_scipy_optimize(tmp_path, prop_cfg):
-    """The 1-D commands solve through numpy's LAPACK and load no scipy; a
-    2-D fit loads the scipy of its eigensolves, but not scipy.optimize."""
+    """Every command solves through numpy's LAPACK and loads no scipy at all:
+    the 1-D ones, and a 2-D propagate and fit."""
     analytic_cfg = write_cfg(
         tmp_path,
         "analytic.json",
@@ -731,10 +763,14 @@ def test_propagate_analytic_and_fit_skip_scipy_optimize(tmp_path, prop_cfg):
         "fit_mass": False,
         "n_nodes": 65,
     })
-    code, mods = _fresh_run(["fit", "--config", coupled_cfg, "--out", str(tmp_path / "fit2d")])
-    assert code == 0
-    assert "scipy.linalg" in mods
-    assert not [m for m in mods if m.startswith("scipy.optimize")]
+    propagate_cfg = write_cfg(tmp_path, "prop2d.json", {
+        "action": COUPLED,
+        "grid": {"extents": [6.3, 6.3], "npoints": [64, 64]},
+        "T": 3.0,
+        "pairs": {"points_per_axis": 3, "span": [-1.0, 1.0]},
+    })
+    assert _fresh_run(["fit", "--config", coupled_cfg, "--out", str(tmp_path / "fit2d")]) == (0, [])
+    assert _fresh_run(["propagate", "--config", propagate_cfg, "--out", str(tmp_path / "prop2d")]) == (0, [])
 
 
 def _spawn_propagate(cfg: str, out: Path, blas_threads: str, preexec_fn=None) -> int:
@@ -815,9 +851,10 @@ def test_a_failing_block_solve_fails_alike_on_one_and_two_cpus(tmp_path, monkeyp
 
 @pytest.mark.parametrize("threads", ["1", "2"])
 def test_exactly_singular_inertia_factor_exits_3_leaving_no_files(tmp_path, threads):
-    """At T = 1e20 the window edge sits on E_0 to rounding, and on this grid
-    the unpivoted factor of H - sigma I is exactly singular; sigma moves off
-    it as for a row swap, and the run fails on its amplitudes instead."""
+    """At T = 1e20 the window edge sits on E_0 to rounding. On this grid the
+    block Sturm count meets no exact zero there (the sparse LU it replaced
+    did, and moved sigma off it; test_propagator pins that move); either way
+    the run fails on its amplitudes, which underflow, and writes nothing."""
     cfg = write_cfg(
         tmp_path,
         "ho2d.json",
@@ -872,7 +909,7 @@ def test_non_finite_or_fractional_input_exit_2_before_eigensolve(tmp_path, monke
 
     _clear_spectral_caches()
     monkeypatch.setattr(_lapack, "eigh_tridiagonal", no_solve)
-    monkeypatch.setattr(scipy.linalg, "eigh", no_solve)
+    monkeypatch.setattr(propagator, "_block_eigh", no_solve)
     monkeypatch.setattr(propagator, "_window_count", no_solve)
     cfg = write_cfg(tmp_path, "bad.json", payload)
     out = tmp_path / "bad"
@@ -936,7 +973,7 @@ def test_boolean_for_a_number_exits_2_leaving_no_files(tmp_path, monkeypatch, co
 
     _clear_spectral_caches()
     monkeypatch.setattr(_lapack, "eigh_tridiagonal", no_solve)
-    monkeypatch.setattr(scipy.linalg, "eigh", no_solve)
+    monkeypatch.setattr(propagator, "_block_eigh", no_solve)
     monkeypatch.setattr(propagator, "_window_count", no_solve)
     if "fit_result" in payload:
         payload = dict(payload, fit_result=write_cfg(tmp_path, "fit.json", payload["fit_result"]))

@@ -1,5 +1,8 @@
-"""The LAPACK binding: the Sturm window count, and numpy's LAPACK against scipy's wrappers."""
+"""The LAPACK binding: the Sturm window count, numpy's LAPACK against scipy's
+wrappers, and scipy imported nowhere else."""
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -68,7 +71,7 @@ def test_tridiagonal_decomposition_matches_scipy_bitwise(n, a, c, parity, data):
     k = data.draw(st.integers(1, m - 2))
     ours, theirs = _on_both(lambda: spectral_decompose(H, k, grid, sector))
     assert _bits(ours.eigenvalues, ours.eigenvectors) == _bits(theirs.eigenvalues, theirs.eigenvectors)
-    ours, theirs = _on_both(lambda: _lapack.eigh_tridiagonal(H.diagonal(), H.diagonal(1), m - 2, m - 2, False))
+    ours, theirs = _on_both(lambda: _lapack.eigh_tridiagonal(H.d, H.e, m - 2, m - 2, False))
     assert ours[1] is theirs[1] is None and _bits(ours[0]) == _bits(theirs[0])
 
 
@@ -110,3 +113,63 @@ def test_non_finite_tridiagonal_raises_before_any_solve():
                     (d, e)[axis][3] = bad
                     with pytest.raises(ValueError, match="non-finite|infs or NaNs"):
                         _lapack.eigh_tridiagonal(d, e, 0, 1)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(16, 40), st.integers(16, 40), st.floats(0.0, 0.3), st.data())
+def test_banded_cholesky_and_block_solve_match_scipy_bitwise(nx, ny, c, data):
+    """?pbtrf and ?pbtrs on a 2-D block shifted positive definite, as the
+    Lanczos solver factors one, and a whole Lanczos block solve, on numpy's
+    LAPACK and on scipy's wrappers."""
+    action = ActionSpec(mass=1.0, potential=PolynomialPotential(2, {(2, 0): 0.5, (0, 2): 1.0, (2, 2): c}))
+    grid = Grid((5.0, 6.0), (nx, ny))
+    sector = data.draw(st.sampled_from([None, (1, 1), (1, -1), (-1, -1)]))
+    H = discretize_hamiltonian(action, grid, sector)
+    ab = H.lower_band()
+    ab[0] -= ab[0].min() - 1.0 - 4.0 * np.abs(ab[1:]).max()  # diagonally dominant: positive definite
+    b = np.sin(np.arange(H.shape[0]))
+
+    def factor_and_solve():
+        factor = _lapack.cholesky_banded(ab)
+        return factor, _lapack.cho_solve_banded(factor, b)
+
+    ours, theirs = _on_both(factor_and_solve)
+    assert _bits(*ours) == _bits(*theirs)
+    k = data.draw(st.integers(1, max(1, H.shape[0] // 10)))
+    ours, theirs = _on_both(lambda: spectral_decompose(H, k, grid, sector))
+    assert _bits(ours.eigenvalues, ours.eigenvectors) == _bits(theirs.eigenvalues, theirs.eigenvectors)
+
+
+def test_banded_cholesky_refuses_what_is_not_positive_definite_or_finite():
+    """And ?pbtrs refuses a right-hand side that does not fit the factor."""
+    ab = np.array([[1.0, -1.0, 1.0], [2.0, 0.0, 0.0]])  # A = [[1, 2, 0], [2, -1, 0], [0, 0, 1]]
+    for routines in (_lapack._routines, lambda: None):
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(_lapack, "_routines", routines)
+            with pytest.raises(np.linalg.LinAlgError):
+                _lapack.cholesky_banded(ab)
+            with pytest.raises(ValueError):
+                _lapack.cholesky_banded(np.array([[1.0, math.inf], [0.0, 0.0]]))
+            factor = _lapack.cholesky_banded(np.array([[4.0, 4.0, 4.0], [1.0, 1.0, 0.0]]))
+            with pytest.raises(ValueError, match="right-hand side"):
+                _lapack.cho_solve_banded(factor, np.ones(4))
+
+
+def test_scipy_is_imported_only_in_the_bindings_fallbacks():
+    """Every ``import scipy...`` under src/ sits in ``_lapack``, in a branch
+    taken only when numpy's LAPACK has no ILP64 names (``lapack is None``)."""
+    src = Path(__file__).resolve().parent.parent / "src" / "qaction"
+    found = []
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        fallbacks = [
+            node for node in ast.walk(tree)
+            if isinstance(node, ast.If) and ast.unparse(node.test) == "lapack is None"
+        ]
+        inside = {id(n) for branch in fallbacks for stmt in branch.body for n in ast.walk(stmt)}
+        for node in ast.walk(tree):
+            names = [a.name for a in node.names] if isinstance(node, ast.Import) else (
+                [node.module or ""] if isinstance(node, ast.ImportFrom) else [])
+            if any(name.split(".")[0] == "scipy" for name in names):
+                found.append((path.name, node.lineno, id(node) in inside))
+    assert found and all(name == "_lapack.py" and ok for name, _, ok in found), found

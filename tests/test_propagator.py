@@ -7,7 +7,6 @@ import sys
 import threading
 import time
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import numpy.testing as npt
@@ -29,7 +28,7 @@ from qaction import (
     spectral_decompose,
     tensor_pairs,
 )
-from qaction import propagator
+from qaction import _lapack, propagator
 from qaction.propagator import (
     BOLTZMANN_CUTOFF,
     MAX_GRID_NODES,
@@ -38,13 +37,14 @@ from qaction.propagator import (
     _inertia,
     _negative_pivots,
     _sector_hamiltonians,
+    _Block2D,
     _Tridiagonal,
     _sectors,
     _window_count,
     decompose_for_time,
 )
 
-# 1681 nodes: decomposed by the dense 2-D branch
+# 1681 nodes: four mirror blocks of 400 to 441 nodes
 DENSE_GRID = Grid((5.0, 5.0), (41, 41))
 HO_2D = ActionSpec(mass=1.0, potential=PolynomialPotential(2, {(2, 0): 0.5, (0, 2): 0.5}), hbar=1.0)
 
@@ -78,9 +78,26 @@ def test_ho_lowest_four_levels(ho):
 
 
 def test_2d_hamiltonian_hermitian(coupled_2d):
-    grid = Grid((6.0, 6.0), (48, 48))
-    H = discretize_hamiltonian(coupled_2d, grid)
-    assert (H - H.T).nnz == 0
+    """H is symmetric bit for bit, and is the Kronecker sum of the two axes'
+    kinetic blocks plus V, whole or on a mirror sector."""
+    grid = Grid((6.0, 6.0), (48, 47))
+    for sector in (None, (1, -1), (-1, 1)):
+        H = discretize_hamiltonian(coupled_2d, grid, sector)
+        A = H.toarray()
+        assert np.array_equal(A, A.T)
+        sx, sy = (Grid((6.0,), (n,)) for n in grid.npoints)
+        px, py = sector or (0, 0)
+        free = ActionSpec(mass=1.0, potential=PolynomialPotential(1, {}))
+        kx = discretize_hamiltonian(free, sx, (px,) if px else None).toarray()
+        ky = discretize_hamiltonian(free, sy, (py,) if py else None).toarray()
+        V = A.diagonal() - np.add.outer(kx.diagonal(), ky.diagonal()).ravel()
+        kron = np.kron(kx, np.eye(len(ky))) + np.kron(np.eye(len(kx)), ky)
+        npt.assert_allclose(A, kron + np.diag(V), rtol=0, atol=0)
+        nodes = grid.nodes()[: len(kx), : len(ky)]
+        npt.assert_allclose(V, coupled_2d.potential.evaluate_points(nodes).ravel(), rtol=1e-12, atol=1e-12)
+        ab = H.lower_band()
+        assert ab.shape == (len(ky) + 1, H.shape[0])
+        assert all(np.array_equal(ab[k, : H.shape[0] - k], A.diagonal(-k)) for k in range(len(ky) + 1))
 
 
 def test_2d_uncoupled_ho_levels():
@@ -271,7 +288,7 @@ def test_truncated_window_raises(ho, monkeypatch):
     with monkeypatch.context() as m, pytest.raises(
         NumericalError, match=rf"resolves 12 states, .* weight up to {re.escape(f'{weight:.3g}')} of"
     ):
-        m.setattr(propagator, "_lowest_eigsh", None)  # a 1-D block is solved as tridiagonal
+        m.setattr(propagator, "_block_eigh", None)  # a 1-D block is solved as tridiagonal
         decompose_for_time(ho, axis, T)
     grid = Grid((8.0, 8.0), (16, 16))
     full = scipy.linalg.eigvalsh(discretize_hamiltonian(HO_2D, grid).toarray())
@@ -285,7 +302,7 @@ def test_truncated_window_raises(ho, monkeypatch):
 def test_window_narrower_than_rounding_keeps_the_ground_state():
     """At T = 1e20 the window is far below the rounding of E_0, and the
     inertia count reads 0 on this grid; the ground state is solved anyway."""
-    grid = Grid((6.0, 6.0), (35, 35))
+    grid = Grid((6.0, 6.0), (36, 36))
     assert sum(_window_count(HO_2D, grid, -math.log(BOLTZMANN_CUTOFF) / 1e20)) == 0
     assert len(decompose_for_time(HO_2D, grid, 1e20).eigenvalues) == 1
 
@@ -323,7 +340,7 @@ def test_window_blocks_on_two_threads_give_the_serial_bits(ho, monkeypatch):
     assert serial.eigenvectors.tobytes() == pooled.eigenvectors.tobytes()
 
 
-# 3600 nodes: four mirror sectors of 900, each decomposed by shift-invert
+# 3600 nodes: four mirror sectors of 900, each solved by shift-invert Lanczos
 SPARSE_GRID = Grid((6.3, 6.3), (60, 60))
 QUARTIC = ActionSpec(mass=1.0, potential=PolynomialPotential(1, {(4,): 1.0}), hbar=1.0)
 # odd in x, even in y: two sectors of 41 x 21 and 41 x 20 nodes on a 41 x 41 grid
@@ -354,7 +371,7 @@ def test_window_count_equals_the_eigenvalues_below_the_shift(ho, coupled_2d, act
     """The per-sector inertia counts add up to a full spectrum's count, also
     for shifts within 1e-9 of an eigenvalue, on either side of it. Midpoints
     are taken only between distinct levels: the x <-> y pairs are degenerate
-    to 1e-13. The last grid's sectors are solved by shift-invert."""
+    to 1e-13. The last grid's sectors are counted by the block Sturm recurrence."""
     action = action or (ho if grid.dim == 1 else coupled_2d)
     E = scipy.linalg.eigvalsh(discretize_hamiltonian(action, grid).toarray())
     levels = E[:n_levels]
@@ -390,30 +407,38 @@ def test_zero_pivot_move_survives_a_shift_far_below_the_entries(sigma):
     assert _inertia(H, sigma) == np.count_nonzero(np.linalg.eigvalsh(H.toarray()) < sigma) == 3
 
 
-def test_window_count_moves_off_a_row_swap_in_2d(coupled_2d, monkeypatch):
-    """A row swap in SuperLU's factorization of a 2-D block raises sigma by
-    a relative 1e-12 and factors again; a second swap raises NumericalError."""
-    import scipy.sparse.linalg as spla
+def test_window_count_moves_off_a_zero_in_a_schur_block(coupled_2d, monkeypatch):
+    """An exactly zero eigenvalue of a Schur block S_i of the block Sturm
+    count raises sigma by a relative 1e-12 and counts again; a second zero
+    raises NumericalError. First on a block whose lines are diagonal, where
+    the zeros are exact; then on the coupled oscillator, with numpy's eigh
+    made to return a zero."""
+    block = _Block2D(np.array([1.0, 5.0, 1.0 + 1e-12, 5.0]), np.zeros(1), np.zeros(1))
+    assert _negative_pivots(block, 1.0) is None
+    with pytest.raises(NumericalError, match="pivot-free"):
+        _inertia(block, 1.0)  # S_0 = diag(0, 4), then S_1 = diag(0, 4 - 1e-12)
+    block = _Block2D(np.array([1.0, 5.0, 3.0, 5.0]), np.zeros(1), np.zeros(1))
+    assert _inertia(block, 1.0) == 1
 
     grid, gap = Grid((6.0, 6.0), (30, 30)), 10.0
     expected = _window_count(coupled_2d, grid, gap)
-    splu, swaps, diagonals = spla.splu, [], []
+    eigh, zeros, diagonals = np.linalg.eigh, [], []
 
-    def swapping(A, **kwargs):
-        lu = splu(A, **kwargs)
-        diagonals.append(A.diagonal())
-        if swaps:
-            swaps.pop()
-            return SimpleNamespace(U=lu.U, perm_r=lu.perm_r[::-1])
-        return lu
+    def zeroing(S):
+        w, Q = eigh(S)
+        diagonals.append(S.diagonal().copy())
+        if zeros:
+            zeros.pop()
+            w[0] = 0.0
+        return w, Q
 
-    monkeypatch.setattr(spla, "splu", swapping)
-    swaps[:] = [True]
+    monkeypatch.setattr(np.linalg, "eigh", zeroing)
+    zeros[:] = [True]  # the first line of the all-even block, then the same line again
     assert _window_count(coupled_2d, grid, gap) == expected
     (_, even), *_ = _sector_hamiltonians(coupled_2d, grid)
-    sigma = even.diagonal()[0] - diagonals[0][0]
+    sigma = even.d[0] - diagonals[0][0]
     npt.assert_allclose(diagonals[0] - diagonals[1], 1e-12 * sigma, rtol=1e-3)
-    swaps[:] = [True, True]
+    zeros[:] = [True, True]
     with pytest.raises(NumericalError, match="pivot-free"):
         _window_count(coupled_2d, grid, gap)
 
@@ -479,7 +504,7 @@ def test_window_sizing_matches_doubling_from_32(action, grid, sizes, monkeypatch
 def test_2d_blocks_solve_exactly_their_counted_states(coupled_2d, action, grid, sizes, monkeypatch):
     """A 2-D block is solved once, for exactly the states its inertia count
     puts in the window, after the one k = 1 solve of the ground state; here
-    every block is shift-invert, and every state solved is kept. The first
+    every block is Lanczos, and every state solved is kept. The first
     grid is separable, so its counts follow from 1-D levels: a sector's
     levels are the sums of even (+1) or odd (-1) levels along each axis."""
     action = action or coupled_2d
@@ -496,6 +521,52 @@ def test_2d_blocks_solve_exactly_their_counted_states(coupled_2d, action, grid, 
         for T, expected in sizes.items():
             top = 2 * E[0] - math.log(BOLTZMANN_CUTOFF) / T
             assert [np.count_nonzero(s < top) for s in sums] == expected
+
+
+def test_lanczos_finds_every_exactly_degenerate_state(monkeypatch):
+    """The isotropic oscillator's x <-> y pairs are degenerate to rounding:
+    9 pairs in the window of the all-even block and 6 in the all-odd one.
+    Lanczos takes each second copy in only through rounding; every block's
+    solve still matches a dense solve of that block, state for state. A
+    solve that drops a state is refused, naming its block."""
+    grid, T = Grid((6.3, 6.3), (64, 64)), 3.0
+    counts = _window_count(HO_2D, grid, -math.log(BOLTZMANN_CUTOFF) / T)
+    assert counts == (21, 17, 17, 15)
+    pairs = []
+    for (sector, H), k in zip(_sector_hamiltonians(HO_2D, grid), counts):
+        E = np.linalg.eigvalsh(H.toarray())[:k]
+        pairs.append(np.count_nonzero(np.diff(E) < 1e-9))
+        npt.assert_allclose(spectral_decompose(H, k, grid, sector).eigenvalues, E, rtol=0, atol=1e-11)
+    assert pairs == [9, 0, 0, 6]
+    solve = propagator._block_eigh
+
+    def dropping(H, k):
+        vals, vecs = solve(H, k + 1)
+        return np.delete(vals, 1), np.delete(vecs, 1, axis=0)
+
+    decompose_for_time.cache_clear()
+    monkeypatch.setattr(propagator, "_block_eigh", dropping)
+    with pytest.raises(NumericalError, match=r"mirror block \(1, 1\) at T=3 lost a state"):
+        decompose_for_time(HO_2D, grid, T)
+
+
+def test_a_wide_window_takes_the_dense_branch(coupled_2d, monkeypatch):
+    """At T = 1 each 1024-node block of the coupled 64 x 64 grid holds 108
+    to 125 window states, over a tenth of the block: numpy's dense eigh
+    solves it, with no banded factorization, and matches eigvalsh."""
+    grid, T = Grid((6.3, 6.3), (64, 64)), 1.0
+    counts = _window_count(coupled_2d, grid, -math.log(BOLTZMANN_CUTOFF) / T)
+    assert counts == (125, 116, 116, 108)
+    decompose_for_time.cache_clear()
+    _ground_state(coupled_2d, grid)  # k = 1: Lanczos
+
+    def no_factor(ab):
+        raise AssertionError("Lanczos reached with a window over a tenth of the block")
+
+    monkeypatch.setattr(_lapack, "cholesky_banded", no_factor)
+    sd = decompose_for_time(coupled_2d, grid, T)
+    E = [np.linalg.eigvalsh(H.toarray())[:k] for (_, H), k in zip(_sector_hamiltonians(coupled_2d, grid), counts)]
+    npt.assert_allclose(sd.eigenvalues, np.sort(np.concatenate(E)), rtol=0, atol=1e-11)
 
 
 def test_sparse_sectors_reproduce_the_separable_spectrum_and_amplitudes(ho):
@@ -678,7 +749,7 @@ def test_1d_hamiltonian_is_its_two_diagonals_built_without_scipy():
     assert done.returncode == 0, done.stderr
     assert json.loads(done.stdout) == ["_Tridiagonal", [51, 51], [51, 51], []]
     H = discretize_hamiltonian(ActionSpec(mass=1.0, potential=PolynomialPotential(1, {(2,): 0.5})), Grid((8.0,), (101,)))
-    assert isinstance(H, _Tridiagonal) and H.diagonal() is H.d and H.diagonal(1) is H.e
+    assert isinstance(H, _Tridiagonal)
     npt.assert_array_equal(H.toarray(), np.diag(H.d) + np.diag(H.e, 1) + np.diag(H.e, -1))
 
 
