@@ -64,10 +64,10 @@ def _call(lapack: dict, routine: str, *args, chars: int = 0):
         raise np.linalg.LinAlgError(f"{routine} failed (info = {info.value})")
 
 
-def eigh_tridiagonal(d, e, first: int, last: int, vectors: bool = True) -> tuple:
+def eigh_tridiagonal(d, e, first: int, last: int) -> tuple:
     """(w, z): eigenvalues ``first`` to ``last`` (0-based, ascending) of the
     symmetric tridiagonal matrix with diagonal d and off-diagonal e, and
-    their unit eigenvectors as the rows of z (None without ``vectors``).
+    their unit eigenvectors as the rows of z.
 
     ?stebz finds the values by bisection and ?stein the vectors by inverse
     iteration, as ``scipy.linalg.eigh_tridiagonal(select="i")`` does.
@@ -84,18 +84,16 @@ def eigh_tridiagonal(d, e, first: int, last: int, vectors: bool = True) -> tuple
     if lapack is None:
         import scipy.linalg
 
-        out = scipy.linalg.eigh_tridiagonal(d, e, eigvals_only=not vectors, select="i", select_range=(first, last))
-        return (out[0], out[1].T) if vectors else (out, None)
+        w, z = scipy.linalg.eigh_tridiagonal(d, e, select="i", select_range=(first, last))
+        return w, z.T
     m, nsplit = ctypes.c_int64(), ctypes.c_int64()
     w, iblock, isplit = np.empty(n), np.empty(n, np.int64), np.empty(n, np.int64)
     _call(
-        lapack, "dstebz", b"I", b"B" if vectors else b"E", _int(n), _double(0.0), _double(1.0), _int(first + 1),
+        lapack, "dstebz", b"I", b"B", _int(n), _double(0.0), _double(1.0), _int(first + 1),
         _int(last + 1), _double(0.0), _ptr(d), _ptr(e), ctypes.byref(m), ctypes.byref(nsplit), _ptr(w),
         _ptr(iblock), _ptr(isplit), _ptr(np.empty(4 * n)), _ptr(np.empty(3 * n, np.int64)), chars=2,
     )
     w = w[: m.value]
-    if not vectors:
-        return w, None
     z = np.empty((m.value, n))  # Fortran's n x m, column j in row j
     _call(
         lapack, "dstein", _int(n), _ptr(d), _ptr(e), _int(m.value), _ptr(w), _ptr(iblock), _ptr(isplit), _ptr(z),

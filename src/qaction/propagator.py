@@ -19,7 +19,7 @@ exact mirrors even though ``linspace`` nodes miss exact mirrors by up to
 negatively: Perron-Frobenius), hence even, so E_0 is the lowest state of the
 all-even block, solved once per grid. Before any other solve, each block's
 states within the Boltzmann window above E_0 are counted by Sylvester's law
-of inertia.
+of inertia, and each block is then solved for exactly that many.
 
 Every block comes from ``discretize_hamiltonian`` and is counted and solved
 with no scipy, through the LAPACK numpy already loads (``_lapack``). A 1-D
@@ -361,7 +361,7 @@ def _second_highest(H) -> float:
     if isinstance(H, _Tridiagonal):
         from . import _lapack
 
-        return float(_lapack.eigh_tridiagonal(H.d, H.e, len(H.e) - 1, len(H.e) - 1, vectors=False)[0][0])
+        return float(_lapack.eigh_tridiagonal(H.d, H.e, len(H.e) - 1, len(H.e) - 1)[0][0])
     return -float(_block_eigh(_Block2D(-H.d, -H.ex, -H.ey), 2)[0][1])
 
 
@@ -463,14 +463,12 @@ def _ground_state(action: ActionSpec, grid: Grid) -> SpectralData:
 def decompose_for_time(action: ActionSpec, grid: Grid, T: float) -> SpectralData:
     """The states whose Boltzmann weight exp(-(E - E_0) T / hbar) is at least 1e-14.
 
-    Each block with states in the window is solved once: a 2-D block for exactly
-    its counted states, a 1-D block (one thread per block, up to the usable CPUs)
-    for the first of 32, 64, 128, ... above its count. The solves are merged in
-    block order by energy (a stable sort) and cut to the window, past which a
-    union of per-block solves need not be the lowest states of H. Raises
-    NumericalError, before any solve, when a block has more states in the window
-    than it resolves (n - 2 of n nodes), quoting the first dropped state's weight,
-    and after the solves when a 2-D block's solve lies above the window it counted.
+    Each block with states in the window is solved once, for exactly its counted
+    states (1-D blocks on one thread each, up to the usable CPUs), and the solves
+    are merged in block order by energy (a stable sort). Raises NumericalError,
+    before any solve, when a block has more states in the window than it resolves
+    (n - 2 of n nodes), quoting the first dropped state's weight, and after the
+    solves when a block's top value lies above the window it was counted for.
     """
     if not (math.isfinite(T) and T > 0):
         raise ValueError(f"transition time must be positive and finite, got {T}")
@@ -489,13 +487,7 @@ def decompose_for_time(action: ActionSpec, grid: Grid, T: float) -> SpectralData
             f"{math.exp(-(dropped - e0) * T / action.hbar):.3g} of the ground state's "
             f"(cutoff {BOLTZMANN_CUTOFF:g}); use a finer grid or a longer T"
         )
-    jobs = []
-    for (sector, H), count in zip(blocks, counts):
-        if count:
-            # acceptance criterion 1 depends on the rounded-up 1-D k: the tridiagonal solver's vectors
-            # at that k carry an error that offsets the lattice error, and exact counts fail it
-            k = count if grid.dim == 2 else min(32 << (count // 32).bit_length(), H.shape[0] - 2)
-            jobs.append((H, k, grid, sector))
+    jobs = [(H, count, grid, sector) for (sector, H), count in zip(blocks, counts) if count]
     # 2-D blocks stay serial (README, "Block threads")
     workers = min(len(jobs), len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1)
     if grid.dim == 1 and workers > 1:
@@ -506,18 +498,19 @@ def decompose_for_time(action: ActionSpec, grid: Grid, T: float) -> SpectralData
     else:
         parts = [spectral_decompose(*job) for job in jobs]
     lost = [job[3] for job, p in zip(jobs, parts) if p.eigenvalues[-1] > e0 + gap + 1e-12 * abs(e0 + gap)]
-    if grid.dim == 2 and lost:
-        raise NumericalError(f"the solve of mirror block {lost[0]} at T={T:g} lost a state: it reached above its count")
+    if lost:
+        raise NumericalError(
+            f"the solve of mirror block {lost[0]} at T={T:g} reached above the window it was counted for: "
+            "its count and its solve disagree, or the solve lost a state"
+        )
     E = np.concatenate([p.eigenvalues for p in parts])
     order = np.argsort(E, kind="stable")
-    E = E[order]
-    inside = np.exp(-(E - E[0]) * T / action.hbar) >= BOLTZMANN_CUTOFF
     # row by row: concatenating the parts first would hold every solved vector twice
     rows = [v for p in parts for v in p.eigenvectors]
-    vecs = np.empty((np.count_nonzero(inside), grid.size))
-    for out, i in zip(vecs, order[inside]):
+    vecs = np.empty((len(E), grid.size))
+    for out, i in zip(vecs, order):
         out[:] = rows[i]
-    return SpectralData(grid=grid, eigenvalues=E[inside], eigenvectors=vecs)
+    return SpectralData(grid=grid, eigenvalues=E[order], eigenvectors=vecs)
 
 
 def euclidean_propagate(action: ActionSpec, grid: Grid, T: float, pairs) -> PropagatorTable:

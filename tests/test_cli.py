@@ -534,8 +534,8 @@ def test_dense_propagate_solves_once_per_time(tmp_path, monkeypatch):
 def test_tridiagonal_propagate_solves_once(tmp_path, monkeypatch):
     """V = x^4 at T = 0.05 has 108 states in the window on this grid, 54 even
     and 54 odd. The ground state (k = 1) gives E_0; then each mirror sector
-    (201 and 200 nodes) is counted and solved once, for the first of 32, 64,
-    ... above its count. spectrum.csv lists exactly the window."""
+    (201 and 200 nodes) is counted and solved once, for exactly its count.
+    spectrum.csv lists exactly the window."""
     calls = _count_solves(monkeypatch)
     cfg = write_cfg(
         tmp_path,
@@ -548,7 +548,7 @@ def test_tridiagonal_propagate_solves_once(tmp_path, monkeypatch):
         },
     )
     assert main(["propagate", "--config", cfg, "--out", str(tmp_path / "quartic")]) == 0
-    assert calls == {"eigvalsh": [], "eigh_tridiagonal": [1, 64, 64], "_block_eigh": [], "_negative_pivots": [201, 200]}
+    assert calls == {"eigvalsh": [], "eigh_tridiagonal": [1, 54, 54], "_block_eigh": [], "_negative_pivots": [201, 200]}
     assert len(read_rows(tmp_path / "quartic" / "spectrum.csv")[1]) == 108
 
 
@@ -621,6 +621,26 @@ def test_a_block_solve_that_loses_a_state_exits_3_leaving_no_files(tmp_path, mon
         "action": UNCOUPLED, "grid": {"extents": [6.3, 6.3], "npoints": [64, 64]}, "T": 3.0, "pairs": "auto"
     })
     out = tmp_path / "iso"
+    assert main(["propagate", "--config", cfg, "--out", str(out)]) == 3
+    assert not out.exists()
+
+
+def test_a_1d_block_whose_count_and_solve_disagree_exits_3_leaving_no_files(tmp_path, monkeypatch):
+    """A Sturm count one over the odd block's true count asks ?stebz for a
+    state above the window, and the solve returns it: the lost-state check
+    that guards 2-D blocks refuses it in 1-D too, naming the block, rather
+    than write a table with a state the window does not hold."""
+    action, grid, T = _parse_action(HO, "action"), Grid((8.0,), (2001,)), 0.5
+    inertia = propagator._inertia
+    _clear_spectral_caches()
+    # the odd block of 2001 nodes has 1000; the even one has 1001
+    monkeypatch.setattr(propagator, "_inertia", lambda H, sigma: inertia(H, sigma) + (H.shape[0] == 1000))
+    with pytest.raises(NumericalError, match=r"mirror block \(-1,\) at T=0.5 reached above the window"):
+        propagator.decompose_for_time(action, grid, T)
+    cfg = write_cfg(tmp_path, "miscount.json", {
+        "action": HO, "grid": {"extents": [8.0], "npoints": [2001]}, "T": T, "pairs": "auto"
+    })
+    out = tmp_path / "miscount"
     assert main(["propagate", "--config", cfg, "--out", str(out)]) == 3
     assert not out.exists()
 
@@ -823,11 +843,11 @@ def test_a_failing_block_solve_fails_alike_on_one_and_two_cpus(tmp_path, monkeyp
     files written and no thread left running."""
     solve, raised_on_main = _lapack.eigh_tridiagonal, []
 
-    def failing(d, e, first, last, vectors=True):
+    def failing(d, e, first, last):
         if len(d) == 150:  # the odd block of 301 nodes; the even one has 151
             raised_on_main.append(threading.current_thread() is threading.main_thread())
             raise NumericalError("the odd block failed")
-        return solve(d, e, first, last, vectors)
+        return solve(d, e, first, last)
 
     monkeypatch.setattr(_lapack, "eigh_tridiagonal", failing)
     payload = {"action": HO, "grid": {"extents": [8.0], "npoints": [301]}, "T": 0.5, "pairs": {"points": [0.0]}}

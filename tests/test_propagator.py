@@ -343,6 +343,7 @@ def test_window_blocks_on_two_threads_give_the_serial_bits(ho, monkeypatch):
 # 3600 nodes: four mirror sectors of 900, each solved by shift-invert Lanczos
 SPARSE_GRID = Grid((6.3, 6.3), (60, 60))
 QUARTIC = ActionSpec(mass=1.0, potential=PolynomialPotential(1, {(4,): 1.0}), hbar=1.0)
+HO_1D = ActionSpec(mass=1.0, potential=PolynomialPotential(1, {(2,): 0.5}), hbar=1.0)
 # odd in x, even in y: two sectors of 41 x 21 and 41 x 20 nodes on a 41 x 41 grid
 TILTED = ActionSpec(
     mass=1.0, potential=PolynomialPotential(2, {(2, 0): 0.5, (0, 2): 0.5, (1, 2): 0.1, (2, 2): 0.05})
@@ -444,11 +445,11 @@ def test_window_count_moves_off_a_zero_in_a_schur_block(coupled_2d, monkeypatch)
 
 
 def _record_solves(monkeypatch) -> list:
-    """The k of every spectral_decompose call from here on, with the window caches cleared."""
+    """(sector, k) of every spectral_decompose call from here on, with the window caches cleared."""
     solved = []
 
     def recorded(H, k, grid, sector=None):
-        solved.append(k)
+        solved.append((sector, k))
         return spectral_decompose(H, k, grid, sector)
 
     decompose_for_time.cache_clear()
@@ -459,65 +460,35 @@ def _record_solves(monkeypatch) -> list:
 
 @pytest.mark.parametrize(
     "action, grid, sizes",
-    [(QUARTIC, Grid((7.0,), (1601,)), {0.05: [64, 64], 0.1: [32, 32], 4.0: [32, 32]})],
-    ids=["1d-quartic"],
-)
-def test_window_sizing_matches_doubling_from_32(action, grid, sizes, monkeypatch):
-    """In 1-D each mirror sector's count picks the k that doubling from 32
-    ends on, when the last state solved is measured against E_0. So each
-    sector's solve is the same call, and the window cut from the stably
-    merged solves the same bits."""
-    solved = _record_solves(monkeypatch)
-    e0 = _ground_state(action, grid).eigenvalues[0]
-    for T, expected in sizes.items():
-        gap_needed = -action.hbar * math.log(BOLTZMANN_CUTOFF) / T
-        ks, parts = [], []
-        for sector, H in _sector_hamiltonians(action, grid):
-            kmax = H.shape[0] - 2
-            k = min(32, kmax)
-            while True:
-                old = spectral_decompose(H, k, grid, sector)
-                if old.eigenvalues[-1] - e0 >= gap_needed or k >= kmax:
-                    break
-                k = min(2 * k, kmax)
-            ks.append(k)
-            parts.append(old)
-        solved.clear()
-        decompose_for_time.cache_clear()
-        new = decompose_for_time(action, grid, T)
-        assert solved == ks == expected
-        E = np.concatenate([p.eigenvalues for p in parts])
-        order = np.argsort(E, kind="stable")
-        inside = np.exp(-(E[order] - E[order[0]]) * T / action.hbar) >= BOLTZMANN_CUTOFF
-        assert np.array_equal(new.eigenvalues, E[order][inside])
-        assert np.array_equal(new.eigenvectors, np.concatenate([p.eigenvectors for p in parts])[order[inside]])
-
-
-@pytest.mark.parametrize(
-    "action, grid, sizes",
     [
+        (QUARTIC, Grid((7.0,), (1601,)), {0.05: [51, 50], 0.1: [30, 30], 4.0: [2, 2]}),
+        (HO_1D, Grid((8.0,), (12801,)), {0.5: [26, 26]}),
         (HO_2D, SPARSE_GRID, {2.2: [36, 36, 36, 28], 8.0: [6, 3, 3, 3]}),
         (None, Grid((6.3, 6.3), (64, 64)), {3.0: [19, 15, 15, 13]}),
     ],
-    ids=["ho-60x60", "coupled-64x64"],
+    ids=["1d-quartic", "1d-ho", "ho-60x60", "coupled-64x64"],
 )
-def test_2d_blocks_solve_exactly_their_counted_states(coupled_2d, action, grid, sizes, monkeypatch):
-    """A 2-D block is solved once, for exactly the states its inertia count
-    puts in the window, after the one k = 1 solve of the ground state; here
-    every block is Lanczos, and every state solved is kept. The first
-    grid is separable, so its counts follow from 1-D levels: a sector's
-    levels are the sums of even (+1) or odd (-1) levels along each axis."""
+def test_blocks_solve_exactly_their_counted_states(coupled_2d, action, grid, sizes, monkeypatch):
+    """Each block, 1-D or 2-D, is solved once, for exactly the states its
+    inertia count puts in the window, after the one k = 1 solve of the
+    ground state, and every state solved is kept. The 1-D blocks may be
+    solved on two threads, so their order is not checked; in 2-D every block
+    here is Lanczos. The 60 x 60 grid is separable, so its counts follow from
+    1-D levels: a sector's levels are the sums of even (+1) or odd (-1)
+    levels along each axis."""
     action = action or coupled_2d
+    sectors = _sectors(action)
     solved = _record_solves(monkeypatch)
     for T, expected in sizes.items():
         sd = decompose_for_time(action, grid, T)
-        assert solved[-4:] == expected and len(sd.eigenvalues) == sum(expected)
-    assert solved[0] == 1 and len(solved) == 1 + 4 * len(sizes)
+        assert sorted(solved[-len(sectors):]) == sorted(zip(sectors, expected))
+        assert len(sd.eigenvalues) == sum(expected)
+    assert solved[0] == (sectors[0], 1) and len(solved) == 1 + len(sectors) * len(sizes)
     if action is HO_2D:
         ho = ActionSpec(mass=1.0, potential=PolynomialPotential(1, {(2,): 0.5}))
         E = scipy.linalg.eigvalsh(discretize_hamiltonian(ho, Grid((6.3,), (60,))).toarray())
         levels = {1: E[0::2], -1: E[1::2]}
-        sums = [np.add.outer(levels[px], levels[py]) for px, py in _sectors(action)]
+        sums = [np.add.outer(levels[px], levels[py]) for px, py in sectors]
         for T, expected in sizes.items():
             top = 2 * E[0] - math.log(BOLTZMANN_CUTOFF) / T
             assert [np.count_nonzero(s < top) for s in sums] == expected
@@ -546,7 +517,7 @@ def test_lanczos_finds_every_exactly_degenerate_state(monkeypatch):
 
     decompose_for_time.cache_clear()
     monkeypatch.setattr(propagator, "_block_eigh", dropping)
-    with pytest.raises(NumericalError, match=r"mirror block \(1, 1\) at T=3 lost a state"):
+    with pytest.raises(NumericalError, match=r"mirror block \(1, 1\) at T=3 reached above the window"):
         decompose_for_time(HO_2D, grid, T)
 
 
@@ -641,8 +612,8 @@ def test_mirrored_pairs_get_bitwise_equal_amplitudes(kind, data):
 @given(st.sampled_from([1, 2]), st.data())
 def test_an_odd_term_keeps_its_axis_whole(dim, data):
     """With a term odd in x only y splits; in 1-D H stays one block, solved
-    and summed as on the whole grid (k from doubling 32, then the states
-    above the cutoff), so the amplitudes keep their bits."""
+    and summed as on the whole grid for exactly its window count, so the
+    amplitudes keep their bits."""
     npoints, L, a, c, T = data.draw(_small_case(dim))
     grid = Grid((L,) * dim, npoints)
     action = _small_action(dim, True, a, c)
@@ -656,15 +627,9 @@ def test_an_odd_term_keeps_its_axis_whole(dim, data):
     npt.assert_allclose(sd.eigenvalues, E[: len(sd.eigenvalues)], rtol=0, atol=1e-10)
     assert (E[len(sd.eigenvalues)] - E[0]) * T > -math.log(BOLTZMANN_CUTOFF)
     if dim == 1:
-        gap_needed = -math.log(BOLTZMANN_CUTOFF) / T
-        kmax, k = grid.size - 2, min(32, grid.size - 2)
-        while True:
-            whole = spectral_decompose(H, k, grid)
-            if whole.eigenvalues[-1] - whole.eigenvalues[0] >= gap_needed or k >= kmax:
-                break
-            k = min(2 * k, kmax)
-        keep = np.exp(-(whole.eigenvalues - whole.eigenvalues[0]) * T) >= BOLTZMANN_CUTOFF
-        psis, boltz = whole.eigenvectors[keep], np.exp(-whole.eigenvalues[keep] * T)
+        (count,) = _window_count(action, grid, -math.log(BOLTZMANN_CUTOFF) / T)
+        whole = spectral_decompose(H, count, grid)
+        psis, boltz = whole.eigenvectors, np.exp(-whole.eigenvalues * T)
         nodes = grid.axes()[0][:: max(1, grid.size // 5)]
         pairs = tensor_pairs([(x,) for x in nodes], [(x,) for x in nodes])
         expected = [
