@@ -97,6 +97,13 @@ def _gauss_cells(fn: Callable[[np.ndarray], np.ndarray], edges: np.ndarray) -> n
     return half * (vals @ _GL_WEIGHTS)
 
 
+def _sorted_distinct(values: np.ndarray) -> np.ndarray:
+    """``np.unique`` of a float array, by the same sort and adjacent compare,
+    without the ``numpy.ma`` import that ``np.unique`` makes on first use."""
+    values = np.sort(values)
+    return values[np.concatenate([[True], values[1:] != values[:-1]])]
+
+
 def _settling_action(action: ActionSpec, grid: Grid) -> tuple:
     """(Phi at every node, V_min): Phi(x) is the zero-energy action
     integral of sqrt(2 m (V - V_min)) from the potential minimum to x.
@@ -375,12 +382,12 @@ def wkb_compare(classical: ActionSpec, state: GroundStateInfo, e_gr: float) -> W
     psi_wkb = np.empty_like(xs)
     inside = absx < b
     # phase integral from |x| to the turning point, vectorized per cell
-    xin = np.unique(np.concatenate([absx[inside], [0.0, b]]))
+    xin = _sorted_distinct(np.concatenate([absx[inside], [0.0, b]]))
     cum_in = np.concatenate([[0.0], np.cumsum(_gauss_cells(mom, xin))])
     theta_of = dict(zip(xin.tolist(), (cum_in[-1] - cum_in).tolist()))
     theta = np.array([theta_of[v] for v in absx[inside].tolist()])
     outside = ~inside
-    xout = np.unique(np.concatenate([[b], absx[outside]]))
+    xout = _sorted_distinct(np.concatenate([[b], absx[outside]]))
     cum_out = np.concatenate([[0.0], np.cumsum(_gauss_cells(kap, xout))])
     decay_of = dict(zip(xout.tolist(), cum_out.tolist()))
     decay = np.array([decay_of[v] for v in absx[outside].tolist()])

@@ -116,37 +116,57 @@ class Grid:
         """Node coordinates, shape (*npoints, dim)."""
         return np.stack(np.meshgrid(*self.axes(), indexing="ij"), axis=-1)
 
-    def _nearest_node(self, point) -> tuple:
-        """(point as floats, per-axis index of the node nearest to it).
+    def _nearest_nodes(self, points) -> tuple:
+        """(points as a (count, dim) float array, per-axis index array of the
+        node nearest to each row).
 
         Points outside the box go to the nearest edge node. A point halfway
         between two nodes goes to the one nearer the grid centre, so a
-        mirrored point gets the mirrored node.
+        mirrored point gets the mirrored node. A NaN coordinate is given the
+        centre's index, a node it does not lie on.
         """
-        pt = np.atleast_1d(np.asarray(point, dtype=float))
-        if pt.shape != (self.dim,):
-            raise ValueError(f"point has shape {pt.shape}, expected ({self.dim},)")
+        pts = np.asarray(points, dtype=float)
+        if pts.ndim != 2 or pts.shape[1] != self.dim:
+            raise ValueError(f"points have shape {pts.shape}, expected (count, {self.dim})")
         idx = []
-        for x, L, n, h in zip(pt.tolist(), self.extents, self.npoints, self.spacing):
-            x = min(max(x, -L), L)
+        for x, L, n, h in zip(pts.T, self.extents, self.npoints, self.spacing):
+            x = np.clip(np.nan_to_num(x), -L, L)
             centre = (n - 1) / 2.0
             half = centre % 1.0  # 0.5 when no node sits at the centre
             # offset from the centre in node spacings, rounded half toward the centre
-            offset = math.ceil(abs(x) / h - half - 0.5) + half
-            idx.append(int(centre + math.copysign(offset, x)))
-        return pt, idx
+            offset = np.ceil(np.abs(x) / h - half - 0.5) + half
+            idx.append((centre + np.copysign(offset, x)).astype(np.intp))
+        return pts, idx
+
+    def _point(self, point) -> np.ndarray:
+        """One point as the single row of a (1, dim) array."""
+        pt = np.atleast_1d(np.asarray(point, dtype=float))
+        if pt.shape != (self.dim,):
+            raise ValueError(f"point has shape {pt.shape}, expected ({self.dim},)")
+        return pt[None]
 
     def index_of(self, point) -> int:
         """Flat index of a point that must lie within 1e-6 h of a grid node."""
-        pt, idx = self._nearest_node(point)
-        if any(abs(x - ax[i]) > 1e-6 * h for x, ax, i, h in zip(pt, self._axes, idx, self.spacing)):
-            raise ValueError(f"point {tuple(pt)} does not lie on a grid node")
-        return int(np.ravel_multi_index(idx, self.npoints))
+        return int(self.indices_of(self._point(point))[0])
+
+    def indices_of(self, points) -> np.ndarray:
+        """Flat index of each row of ``points`` (shape (count, dim)), each of
+        which must lie within 1e-6 h of a grid node; the error names the
+        first row that does not."""
+        pts, idx = self._nearest_nodes(points)
+        off = np.zeros(len(pts), dtype=bool)
+        for x, ax, i, h in zip(pts.T, self._axes, idx, self.spacing):
+            off |= ~(np.abs(x - ax[i]) <= 1e-6 * h)
+        if off.any():
+            raise ValueError(f"point {tuple(pts[np.argmax(off)])} does not lie on a grid node")
+        return np.ravel_multi_index(idx, self.npoints)
 
     def snap(self, point) -> tuple:
         """Nearest grid node to a point, as coordinates taken from ``axes()``."""
-        _, idx = self._nearest_node(point)
-        return tuple(float(ax[i]) for ax, i in zip(self._axes, idx))
+        pts, idx = self._nearest_nodes(self._point(point))
+        if np.isnan(pts).any():
+            raise ValueError(f"point {tuple(pts[0])} has no nearest grid node")
+        return tuple(float(ax[i[0]]) for ax, i in zip(self._axes, idx))
 
     def subdivision_nodes(self, spans, count: int) -> list:
         """Tensor points of the distinct snapped nodes of ``count`` evenly
@@ -519,8 +539,8 @@ def euclidean_propagate(action: ActionSpec, grid: Grid, T: float, pairs) -> Prop
     if not 1 <= len(pairs) <= MAX_PAIRS:
         raise ValueError(f"a table holds 1 to {MAX_PAIRS} boundary pairs, got {len(pairs)}")
     # off-node pairs fail here, before any eigensolve
-    idx_i = [grid.index_of(p[0]) for p in pairs]
-    idx_f = [grid.index_of(p[1]) for p in pairs]
+    nodes = grid.indices_of([p[0] for p in pairs] + [p[1] for p in pairs])  # initial points first
+    idx_i, idx_f = nodes[: len(pairs)], nodes[len(pairs) :]
     sd = decompose_for_time(action, grid, T)
     psis = sd.eigenvectors
     boltz = np.exp(-sd.eigenvalues * T / action.hbar)

@@ -8,7 +8,9 @@ for real-time dynamics.
 """
 from __future__ import annotations
 
+import contextlib
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -265,18 +267,21 @@ def _c_loops(builds: list) -> list:
 
     ``s`` holds the state in s[0..3] and the state before the last step in
     s[4..7]. Its domain is 0 <= n <= ``MAX_STEPS``; callers bound n there.
-    All the loops come from one source file and one compiler call. The
-    shared library is built in a fresh temporary directory and loaded, and
-    the directory is removed before returning, so nothing is left behind.
+    All the loops come from one source file and one compiler call, made in
+    a temporary directory of the system that is removed before returning.
+    A library whose loops all pass the probe is copied into the user cache
+    (``_kept_path``) under a part name, then moved into place, so no process
+    loads it half written. A later process loads and probes it and calls no
+    compiler; one that fails to load or to pass is deleted and rebuilt. The
+    cache holds at most ``_MAX_KEPT_LOOPS`` files: past that, every one goes
+    before the next is kept. Deleting the directory clears it.
     Every loop is None when no compiler is found or the build fails or times
     out; a loop is None when it differs in any bit from its ``python_loop``
     on a short probe.
     """
     import ctypes
+    import hashlib
     import shutil
-    import subprocess
-    import tempfile
-    import threading
 
     compiler = shutil.which("cc") or shutil.which("gcc")
     if compiler is None:
@@ -303,6 +308,44 @@ def _c_loops(builds: list) -> list:
             "",
         ]
     )
+    state_type = ctypes.c_double * 8
+
+    def wrap(compiled):
+        compiled.argtypes = (ctypes.c_longlong, ctypes.c_double, ctypes.POINTER(ctypes.c_double))
+        compiled.restype = ctypes.c_longlong
+
+        def loop(n, c, x, y, px, py):
+            s = state_type(x, y, px, py)
+            k = compiled(n, c, s)
+            return k, tuple(s[4:]), tuple(s[:4])
+
+        loop.backend = "c"
+        return loop
+
+    def probed(library):  # its functions hold the library loaded
+        loops = [wrap(getattr(library, f"loop{i}")) for i in range(len(builds))]
+        return [
+            loop if _same_bits(loop, python_loop, "xy".index(q)) else None
+            for loop, (_, q, python_loop) in zip(loops, builds)
+        ]
+
+    kept = _kept_path(compiler, source)
+    if kept is not None:
+        with contextlib.suppress(OSError, AttributeError):  # not kept yet, or not these loops
+            with open(kept, "rb") as fh:
+                data = fh.read()
+            # a kept file ends in the sha256 of the library before it: a truncated
+            # library would not fail to load but crash the process (SIGBUS)
+            loops = probed(ctypes.CDLL(kept)) if hashlib.sha256(data[:-32]).digest() == data[-32:] else [None]
+            if all(loops):
+                return loops
+        with contextlib.suppress(OSError):
+            os.unlink(kept)
+
+    import subprocess  # only a build needs these
+    import tempfile
+    import threading
+
     try:
         with tempfile.TemporaryDirectory(prefix="qaction-") as build:
             path = f"{build}/loop.c"
@@ -322,28 +365,51 @@ def _c_loops(builds: list) -> list:
                     timer.cancel()
             if failed:
                 return [None] * len(builds)
-            library = ctypes.CDLL(f"{build}/loop.so")  # its functions hold it loaded
+            loops = probed(ctypes.CDLL(f"{build}/loop.so"))
+            if kept is not None and all(loops):
+                with contextlib.suppress(OSError):  # then it is not kept
+                    cache = os.path.dirname(kept)
+                    # kept libraries, and any part file a killed run left
+                    full = [name for name in os.listdir(cache) if name.startswith("loops-")]
+                    for old in full if len(full) >= _MAX_KEPT_LOOPS else ():
+                        os.unlink(os.path.join(cache, old))
+                    with open(f"{build}/loop.so", "rb") as fh:
+                        library = fh.read()
+                    fd, part = tempfile.mkstemp(prefix="loops-", suffix=".part", dir=cache)  # mode 0600
+                    try:
+                        with os.fdopen(fd, "wb") as fh:
+                            fh.write(library + hashlib.sha256(library).digest())  # appended: dlopen ignores it
+                        os.replace(part, kept)
+                    finally:
+                        with contextlib.suppress(OSError):  # gone once it is in place
+                            os.unlink(part)
     except OSError:
         return [None] * len(builds)
-    state_type = ctypes.c_double * 8
+    return loops
 
-    def wrap(compiled):
-        compiled.argtypes = (ctypes.c_longlong, ctypes.c_double, ctypes.POINTER(ctypes.c_double))
-        compiled.restype = ctypes.c_longlong
 
-        def loop(n, c, x, y, px, py):
-            s = state_type(x, y, px, py)
-            k = compiled(n, c, s)
-            return k, tuple(s[4:]), tuple(s[:4])
+def _kept_path(compiler: str, source: str):
+    """The library file of ``source`` built by ``compiler``, named by the
+    sha256 of those, the machine and ``C_FLAGS``, in ``$XDG_CACHE_HOME/qaction``
+    or ``$HOME/.cache/qaction`` (absolute paths only): made 0700, and None
+    unless this user owns it and no one else may write to it."""
+    import hashlib
 
-        loop.backend = "c"
-        return loop
-
-    loops = [wrap(getattr(library, f"loop{i}")) for i in range(len(builds))]
-    return [
-        loop if _same_bits(loop, python_loop, "xy".index(q)) else None
-        for loop, (_, q, python_loop) in zip(loops, builds)
-    ]
+    base, home = os.environ.get("XDG_CACHE_HOME", ""), os.environ.get("HOME", "")
+    if not os.path.isabs(base):
+        base = os.path.join(home, ".cache") if os.path.isabs(home) else None
+    if base is None or not hasattr(os, "getuid"):
+        return None
+    cache, real = os.path.join(base, "qaction"), os.path.realpath(compiler)
+    try:
+        os.makedirs(cache, mode=0o700, exist_ok=True)
+        owner, built_by = os.stat(cache), os.stat(real)
+    except OSError:
+        return None
+    if owner.st_uid != os.getuid() or owner.st_mode & 0o022 or not os.access(cache, os.W_OK):
+        return None
+    key = [real, str(built_by.st_size), str(built_by.st_mtime_ns), os.uname().machine, *C_FLAGS, source]
+    return os.path.join(cache, f"loops-{hashlib.sha256(chr(0).join(key).encode()).hexdigest()}.so")
 
 
 def _same_bits(loop, reference, axis: int) -> bool:
@@ -379,7 +445,11 @@ def _step_loops(*keys) -> tuple:
     generated Python otherwise, with the same bits either way;
     ``loop.backend`` names the one that runs. Each loop is built once per
     process, and the C loops of all the keys not built before by one
-    compiler call.
+    compiler call, whose library is kept in the user cache for later
+    processes: ``$XDG_CACHE_HOME/qaction`` or ``~/.cache/qaction``, named
+    by the compiler, the machine, ``C_FLAGS`` and the source, at most
+    ``_MAX_KEPT_LOOPS`` libraries, each probed again whenever it is loaded.
+    Deleting the directory clears it.
     """
     new = [key for key in dict.fromkeys(keys) if key not in _STEP_LOOPS]
     if new:

@@ -8,6 +8,15 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from qaction import ActionSpec, Grid, PolynomialPotential
 
 
+@pytest.fixture(autouse=True, scope="session")
+def loop_cache(tmp_path_factory):
+    """The compiled step loops of the test run, and of the CLI processes it
+    spawns, are kept in a cache of its own, never in the user's."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setenv("XDG_CACHE_HOME", str(tmp_path_factory.mktemp("xdg-cache")))
+        yield
+
+
 @pytest.fixture
 def ho():
     """Harmonic oscillator, m = omega = hbar = 1."""

@@ -725,14 +725,14 @@ def test_overflowing_derivative_coefficient_exit_2_leaves_no_files(tmp_path):
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
-def _fresh_run(argv=None) -> tuple:
-    """(exit code, loaded scipy modules) of a new interpreter that imports
-    ``qaction.cli`` and, given ``argv``, runs that command."""
+def _fresh_run(argv=None, package="scipy") -> tuple:
+    """(exit code, loaded modules of ``package``) of a new interpreter that
+    imports ``qaction.cli`` and, given ``argv``, runs that command."""
     probe = (
         "import json, sys\n"
         "from qaction.cli import main\n"
         f"code = main({argv!r}) if {argv!r} is not None else 0\n"
-        "mods = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+        f"mods = sorted(m for m in sys.modules if (m + '.').startswith({package + '.'!r}))\n"
         "print(json.dumps([code, mods]))\n"
     )
     env = dict(os.environ, PYTHONPATH=SRC + os.pathsep + os.environ.get("PYTHONPATH", ""))
@@ -791,6 +791,15 @@ def test_propagate_analytic_and_fit_skip_scipy_optimize(tmp_path, prop_cfg):
     })
     assert _fresh_run(["fit", "--config", coupled_cfg, "--out", str(tmp_path / "fit2d")]) == (0, [])
     assert _fresh_run(["propagate", "--config", propagate_cfg, "--out", str(tmp_path / "prop2d")]) == (0, [])
+
+
+def test_analytic_loads_no_numpy_ma(tmp_path):
+    """The WKB comparison sorts its nodes without ``np.unique``, whose first
+    call imports ``numpy.ma`` (5 ms)."""
+    cfg = write_cfg(tmp_path, "analytic.json", dict(ANALYTIC_BASE, quantum=HO_QUANTUM, e_gr=0.5))
+    out = tmp_path / "a"
+    assert _fresh_run(["analytic", "--config", cfg, "--out", str(out)], "numpy.ma") == (0, [])
+    assert (out / "wkb.json").exists()
 
 
 def _spawn_propagate(cfg: str, out: Path, blas_threads: str, preexec_fn=None) -> int:
@@ -1116,20 +1125,26 @@ def test_a_million_pairs_exit_2_at_once(tmp_path):
 
 
 def test_poincare_leaves_no_file_in_the_temporary_directory(tmp_path, monkeypatch):
-    """The compiled step loop is built in a temporary directory, removed again."""
+    """The compiled step loop is built in a temporary directory, removed
+    again; on an empty cache, the run leaves only that library there."""
     trajectory._STEP_LOOPS.clear()
     scratch = tmp_path / "tmp"
     scratch.mkdir()
     monkeypatch.setattr(tempfile, "tempdir", str(scratch))
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
     cfg = write_cfg(tmp_path, "poinc.json", POINCARE_BASE)
     assert main(["poincare", "--config", cfg, "--out", str(tmp_path / "p")]) == 0
     assert list(scratch.iterdir()) == []
+    kept = [p.name for p in (tmp_path / "cache").glob("qaction/*")]
+    assert len(kept) == (1 if shutil.which("cc") or shutil.which("gcc") else 0)
+    assert all(name.startswith("loops-") and name.endswith(".so") for name in kept)
     assert sorted(p.name for p in (tmp_path / "p").iterdir()) == ["comparison.json", "section_classical.csv"]
 
 
 def test_poincare_with_a_fit_result_calls_the_compiler_once(tmp_path, monkeypatch):
     """The classical and the quantum step loops come from one source file
-    and one build, and each runs compiled."""
+    and one build, and each runs compiled; the same loops built again, on a
+    cache that keeps that build, call no compiler."""
     compiler = shutil.which("cc") or shutil.which("gcc")
     builds = []
     popen = subprocess.Popen
@@ -1138,15 +1153,48 @@ def test_poincare_with_a_fit_result_calls_the_compiler_once(tmp_path, monkeypatc
         builds.append(argv)
         return popen(argv, **kwargs)
 
-    trajectory._STEP_LOOPS.clear()
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
     monkeypatch.setattr(subprocess, "Popen", counted)
     fit_path = tmp_path / "fitres.json"
     fit_path.write_text(json.dumps({"quantum": COUPLED_TRIAL}))
     cfg = write_cfg(tmp_path, "poinc.json", dict(POINCARE_BASE, fit_result=str(fit_path)))
-    assert main(["poincare", "--config", cfg, "--out", str(tmp_path / "p")]) == 0
-    assert len(builds) == (1 if compiler else 0)
-    backends = [loop.backend for loop in trajectory._STEP_LOOPS.values()]
-    assert backends == (["c", "c"] if compiler else ["python", "python"])
+    for run in ("p", "again"):
+        trajectory._STEP_LOOPS.clear()
+        assert main(["poincare", "--config", cfg, "--out", str(tmp_path / run)]) == 0
+        assert len(builds) == (1 if compiler else 0)
+        backends = [loop.backend for loop in trajectory._STEP_LOOPS.values()]
+        assert backends == (["c", "c"] if compiler else ["python", "python"])
+
+
+@pytest.mark.skipif(shutil.which("cc") is None, reason="no cc on PATH")
+def test_a_second_poincare_process_loads_the_kept_loops_and_writes_the_same_bytes(tmp_path):
+    """Two runs of one config on one cache write byte-identical outputs, and
+    only the first calls the compiler (a ``cc`` on PATH logs each call)."""
+    bin_dir, log = tmp_path / "bin", tmp_path / "cc.log"
+    bin_dir.mkdir()
+    wrapper = bin_dir / "cc"
+    wrapper.write_text(f'#!/bin/sh\necho "$@" >> "{log}"\nexec "{shutil.which("cc")}" "$@"\n')
+    wrapper.chmod(0o755)
+    fit_path = tmp_path / "fitres.json"
+    fit_path.write_text(json.dumps({"quantum": COUPLED_TRIAL}))
+    cfg = write_cfg(tmp_path, "poinc.json", dict(POINCARE_BASE, fit_result=str(fit_path)))
+    env = dict(
+        os.environ,
+        PYTHONPATH=SRC + os.pathsep + os.environ.get("PYTHONPATH", ""),
+        PATH=str(bin_dir) + os.pathsep + os.environ["PATH"],
+        XDG_CACHE_HOME=str(tmp_path / "cache"),
+    )
+    outputs, calls = [], []
+    for run in ("first", "second"):
+        argv = [sys.executable, "-m", "qaction.cli", "poincare", "--config", cfg, "--out", str(tmp_path / run)]
+        done = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        outputs.append({p.name: p.read_bytes() for p in (tmp_path / run).iterdir()})
+        calls.append(len(log.read_text().splitlines()))
+    assert calls == [1, 1]
+    assert sorted(outputs[0]) == ["comparison.json", "section_classical.csv", "section_quantum.csv"]
+    assert outputs[0] == outputs[1]
+    assert [p.name.startswith("loops-") for p in (tmp_path / "cache" / "qaction").iterdir()] == [True]
 
 
 def test_boolean_still_accepted_where_a_flag_is_expected(tmp_path):

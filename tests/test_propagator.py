@@ -679,6 +679,64 @@ def test_snap_lands_on_a_node_idempotently_and_mirrors(case):
         grid.index_of(tuple(s + 1e-5 * h * (1 if s <= 0 else -1) for s, h in zip(snapped, grid.spacing)))
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_index_of_and_indices_of_find_the_nearest_node_or_name_the_first_point_off_one(data):
+    """On nodes, within 1e-6 h of them, halfway between two, off them, outside
+    the box and not a number, on odd and even point counts: the one-point and
+    the many-point lookups give the node that a search of ``axes()`` finds
+    nearest, and fail naming the first point that lies on none."""
+    dim = data.draw(st.integers(1, 2))
+    grid = Grid(data.draw(st.tuples(*[st.sampled_from([1.0, 2.5, 7.5])] * dim)),
+                data.draw(st.tuples(*[st.integers(16, 41)] * dim)))
+    kinds = ["node", "near", "edge"]
+    kinds += ["halfway", "off", "outside", "inf", "nan"] if data.draw(st.booleans()) else []
+
+    def coordinate(axis):
+        ax, h, L = grid.axes()[axis], grid.spacing[axis], grid.extents[axis]
+        x, sign = float(ax[data.draw(st.integers(0, len(ax) - 1))]), data.draw(st.sampled_from([1.0, -1.0]))
+        return {
+            "node": x, "near": x + sign * 1e-7 * h, "edge": sign * (L + 1e-7 * h), "halfway": x + sign * 0.5 * h,
+            "off": x + sign * 1e-5 * h, "outside": sign * (L + data.draw(st.floats(0.1, 9.0))), "inf": sign * math.inf,
+            "nan": math.nan,
+        }[data.draw(st.sampled_from(kinds))]
+
+    def searched(point):
+        """Per-axis index of the node nearest to ``point`` by a search of
+        ``axes()``, or None when the point lies more than 1e-6 h from it."""
+        idx = [int(np.argmin(np.abs(ax - x))) for x, ax in zip(point, grid.axes())]
+        on = all(abs(x - ax[i]) <= 1e-6 * h for x, ax, i, h in zip(point, grid.axes(), idx, grid.spacing))
+        return idx if on else None
+
+    points = [tuple(coordinate(a) for a in range(dim)) for _ in range(data.draw(st.integers(1, 12)))]
+    nodes = [searched(p) for p in points]
+    off = [p for p, idx in zip(points, nodes) if idx is None]
+    if not off:
+        flat = [int(np.ravel_multi_index(idx, grid.npoints)) for idx in nodes]
+        assert grid.indices_of(points).tolist() == flat
+        assert [grid.index_of(p) for p in points] == flat
+        assert [grid.snap(p) for p in points] == [tuple(float(ax[i]) for ax, i in zip(grid.axes(), idx)) for idx in nodes]
+        return
+    message = f"point {tuple(np.asarray(off[0], dtype=float))} does not lie on a grid node"
+    for lookup in (grid.indices_of, grid.index_of):
+        with pytest.raises(ValueError) as raised:
+            lookup(points if lookup == grid.indices_of else off[0])
+        assert str(raised.value) == message
+    for point in points:
+        if any(math.isnan(x) for x in point):
+            with pytest.raises(ValueError, match="has no nearest grid node"):
+                grid.snap(point)
+
+
+def test_an_off_node_table_names_its_first_initial_point_before_any_final_one(ho):
+    grid = Grid((8.0,), (401,))  # nodes every 0.04
+    pairs = [((0.0,), (0.13,)), ((0.17,), (0.0,))]
+    with pytest.raises(ValueError, match=r"point \([^,]*0\.17\)?,\) does not lie on a grid node"):
+        euclidean_propagate(ho, grid, 1.0, pairs)
+    with pytest.raises(ValueError, match=r"point \([^,]*nan\)?,\) does not lie on a grid node"):
+        euclidean_propagate(ho, grid, 1.0, [((math.nan,), (0.0,))])
+
+
 def test_snap_sends_ties_toward_the_centre():
     odd = Grid((2.0,), (17,))  # nodes every 0.25, one at 0
     assert [odd.snap((x,))[0] for x in (0.125, -0.125, 0.375, -0.375)] == [0.0, 0.0, 0.25, -0.25]

@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import math
+import os
 import shutil
 import tempfile
 from unittest import mock
@@ -517,7 +518,124 @@ def test_compiled_loop_that_differs_from_python_is_refused(coupled_2d):
 
 @pytest.mark.skipif(COMPILER is None, reason="no C compiler on PATH")
 def test_c_build_leaves_no_file_behind(coupled_2d, monkeypatch, tmp_path):
-    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    """A build on an empty cache runs in a temporary directory of the system,
+    removed again, and leaves only its library in the cache."""
+    import subprocess
+
+    scratch, popen, outputs = tmp_path / "tmp", subprocess.Popen, []
+    scratch.mkdir()
+
+    def recorded(argv, **kwargs):
+        outputs.append(argv[argv.index("-o") + 1])
+        return popen(argv, **kwargs)
+
+    monkeypatch.setattr(tempfile, "tempdir", str(scratch))
+    monkeypatch.setattr(subprocess, "Popen", recorded)
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
     loop = _build_step_loops([(2, coupled_2d.potential.terms, 1.0, 1e-3, 0)])[0]
     assert loop.backend == "c"
+    assert [os.path.dirname(os.path.dirname(path)) for path in outputs] == [str(scratch)]
+    assert list(scratch.iterdir()) == []
+    (kept,) = (tmp_path / "cache" / "qaction").iterdir()
+    assert kept.name.startswith("loops-") and kept.suffix == ".so"
+
+
+# -- the user cache of compiled loops -----------------------------------------
+
+
+def _cache_key(coupled_2d, dt):
+    """A key whose source no other test builds: its cache path is its own."""
+    return (2, coupled_2d.potential.terms, 1.0, dt, 1)
+
+
+def _no_compiler(*args, **kwargs):
+    raise AssertionError("the compiler was called")
+
+
+@pytest.mark.skipif(COMPILER is None, reason="no C compiler on PATH")
+@pytest.mark.parametrize("damage", ["truncated", "garbage"])
+def test_a_damaged_kept_library_is_built_again_with_the_same_bits(coupled_2d, monkeypatch, tmp_path, damage):
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+    key = _cache_key(coupled_2d, 1.25e-3 if damage == "truncated" else 1.5e-3)
+    expected = _coupled_run(_build_step_loops([key])[0])
+    (kept,) = (tmp_path / "qaction").iterdir()
+    assert kept.name.startswith("loops-") and kept.suffix == ".so"
+    assert kept.stat().st_mode & 0o777 == 0o600
+    good = kept.read_bytes()
+    kept.unlink()  # a new file: the loaded library's mapping stays intact
+    bad = good[: len(good) // 2] if damage == "truncated" else b"not a shared library"
+    kept.write_bytes(bad)
+    loop = _build_step_loops([key])[0]
+    assert loop.backend == "c" and _coupled_run(loop) == expected
+    assert [p.name for p in (tmp_path / "qaction").iterdir()] == [kept.name]
+    assert kept.read_bytes() != bad
+    monkeypatch.setattr("subprocess.Popen", _no_compiler)
+    loop = _build_step_loops([key])[0]
+    assert loop.backend == "c" and _coupled_run(loop) == expected
+
+
+@pytest.mark.skipif(COMPILER is None, reason="no C compiler on PATH")
+@pytest.mark.parametrize("flaw", ["group-writable", "not owned"])
+def test_a_cache_others_may_write_or_own_is_not_used(coupled_2d, monkeypatch, tmp_path, flaw):
+    cache = tmp_path / "xdg" / "qaction"
+    cache.mkdir(parents=True)
+    if flaw == "group-writable":
+        cache.chmod(0o777)
+    else:
+        monkeypatch.setattr("os.getuid", lambda uid=os.getuid(): uid + 1)
+    scratch = tmp_path / "tmp"
+    scratch.mkdir()
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "xdg"))
+    monkeypatch.setattr(tempfile, "tempdir", str(scratch))
+    loop = _build_step_loops([_cache_key(coupled_2d, 1.75e-3)])[0]
+    assert loop.backend == "c"
+    assert list(cache.iterdir()) == [] and list(scratch.iterdir()) == []
+
+
+@pytest.mark.skipif(COMPILER is None, reason="no C compiler on PATH")
+@pytest.mark.parametrize("xdg, home", [(None, None), ("relative", None), (None, "relative"), ("", "")])
+def test_no_absolute_cache_path_writes_nothing(coupled_2d, monkeypatch, tmp_path, xdg, home):
+    """XDG_CACHE_HOME and HOME count only as absolute paths; with neither,
+    nothing is kept, in the working directory or anywhere else."""
+    for name, value in (("XDG_CACHE_HOME", xdg), ("HOME", home)):
+        if value is None:
+            monkeypatch.delenv(name, raising=False)
+        else:
+            monkeypatch.setenv(name, value)
+    cwd, scratch = tmp_path / "cwd", tmp_path / "tmp"
+    cwd.mkdir()
+    scratch.mkdir()
+    monkeypatch.chdir(cwd)
+    monkeypatch.setattr(tempfile, "tempdir", str(scratch))
+    loop = _build_step_loops([_cache_key(coupled_2d, 2.25e-3)])[0]
+    assert loop.backend == "c"
+    assert list(cwd.iterdir()) == [] and list(scratch.iterdir()) == []
+
+
+@pytest.mark.skipif(COMPILER is None, reason="no C compiler on PATH")
+def test_no_getuid_keeps_nothing(coupled_2d, monkeypatch, tmp_path):
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+    monkeypatch.delattr("os.getuid")
+    assert _build_step_loops([_cache_key(coupled_2d, 2.5e-3)])[0].backend == "c"
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.skipif(COMPILER is None, reason="no C compiler on PATH")
+@pytest.mark.parametrize("kept", [trajectory._MAX_KEPT_LOOPS - 1, trajectory._MAX_KEPT_LOOPS])
+def test_the_library_past_the_bound_clears_the_cache(coupled_2d, monkeypatch, tmp_path, kept):
+    """Up to ``_MAX_KEPT_LOOPS`` files are kept, a part file that a killed
+    run left among them; before one more is kept, every one goes, and
+    nothing else in the directory."""
+    cache = tmp_path / "qaction"
+    cache.mkdir(mode=0o700)
+    for i in range(kept):
+        (cache / (f"loops-{i:064x}.so" if i else "loops-killed.part")).write_bytes(b"")
+    (cache / "other.txt").write_text("not a loop")
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+    assert _build_step_loops([_cache_key(coupled_2d, 2.75e-3)])[0].backend == "c"
+    left = sorted(p.name for p in cache.glob("loops-*"))
+    if kept < trajectory._MAX_KEPT_LOOPS:
+        assert len(left) == kept + 1 and "loops-killed.part" in left
+    else:
+        assert len(left) == 1 and left[0].endswith(".so") and left[0] != f"loops-{1:064x}.so"
+    assert (cache / "other.txt").exists()
