@@ -64,10 +64,10 @@ def _call(lapack: dict, routine: str, *args, chars: int = 0):
         raise np.linalg.LinAlgError(f"{routine} failed (info = {info.value})")
 
 
-def eigh_tridiagonal(d, e, first: int, last: int) -> tuple:
-    """(w, z): eigenvalues ``first`` to ``last`` (0-based, ascending) of the
-    symmetric tridiagonal matrix with diagonal d and off-diagonal e, and
-    their unit eigenvectors as the rows of z.
+def eigh_tridiagonal(d, e, k: int) -> tuple:
+    """(w, z): the lowest k eigenvalues (ascending) of the symmetric
+    tridiagonal matrix with diagonal d and off-diagonal e, and their unit
+    eigenvectors as the rows of z.
 
     ?stebz finds the values by bisection and ?stein the vectors by inverse
     iteration, as ``scipy.linalg.eigh_tridiagonal(select="i")`` does.
@@ -76,21 +76,21 @@ def eigh_tridiagonal(d, e, first: int, last: int) -> tuple:
     d = np.ascontiguousarray(d, dtype=float)
     e = np.ascontiguousarray(e, dtype=float)
     n = len(d)
-    if d.shape != (n,) or e.shape != (n - 1,) or not 0 <= first <= last < n:
-        raise ValueError(f"no eigenvalues {first} to {last} of a {n} x {n} tridiagonal with {e.shape} off-diagonal")
+    if d.shape != (n,) or e.shape != (n - 1,) or not 1 <= k <= n:
+        raise ValueError(f"no lowest {k} eigenvalues of a {n} x {n} tridiagonal with {e.shape} off-diagonal")
     if not (np.isfinite(d).all() and np.isfinite(e).all()):
         raise ValueError("tridiagonal matrix holds non-finite values")
     lapack = _routines()
     if lapack is None:
         import scipy.linalg
 
-        w, z = scipy.linalg.eigh_tridiagonal(d, e, select="i", select_range=(first, last))
+        w, z = scipy.linalg.eigh_tridiagonal(d, e, select="i", select_range=(0, k - 1))
         return w, z.T
     m, nsplit = ctypes.c_int64(), ctypes.c_int64()
     w, iblock, isplit = np.empty(n), np.empty(n, np.int64), np.empty(n, np.int64)
     _call(
-        lapack, "dstebz", b"I", b"B", _int(n), _double(0.0), _double(1.0), _int(first + 1),
-        _int(last + 1), _double(0.0), _ptr(d), _ptr(e), ctypes.byref(m), ctypes.byref(nsplit), _ptr(w),
+        lapack, "dstebz", b"I", b"B", _int(n), _double(0.0), _double(1.0), _int(1), _int(k),
+        _double(0.0), _ptr(d), _ptr(e), ctypes.byref(m), ctypes.byref(nsplit), _ptr(w),
         _ptr(iblock), _ptr(isplit), _ptr(np.empty(4 * n)), _ptr(np.empty(3 * n, np.int64)), chars=2,
     )
     w = w[: m.value]

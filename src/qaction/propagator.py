@@ -21,13 +21,15 @@ all-even block, solved once per grid. Before any other solve, each block's
 states within the Boltzmann window above E_0 are counted by Sylvester's law
 of inertia, and each block is then solved for exactly that many.
 
-Every block comes from ``discretize_hamiltonian`` and is counted and solved
-with no scipy, through the LAPACK numpy already loads (``_lapack``). A 1-D
-block is its two diagonals, counted by the Sturm recurrence and solved by
-?stebz and ?stein; they hold no GIL, so two CPUs solve the two blocks at once.
-A 2-D block is its diagonal and two off-diagonals, counted by the block Sturm
-recurrence and solved by shift-invert Lanczos on a banded Cholesky factor, or
-densely by numpy's eigh when the window holds over a tenth of the block.
+Every block is one banded type, ``_Block``, from ``discretize_hamiltonian``,
+counted and solved with no scipy, through the LAPACK numpy already loads
+(``_lapack``). It is counted by the block Sturm recurrence over lines of
+constant x, a scalar one in 1-D, where a line is one node. A 1-D block is
+solved by ?stebz and ?stein; they hold no GIL, so two CPUs solve the two
+blocks at once. A 2-D block is solved by shift-invert Lanczos on a banded
+Cholesky factor of H - (min V - 1) I, or densely by numpy's eigh when the
+window holds over a tenth of the block. The weight a too-short window
+quotes comes from the Sturm count too, by bisection.
 """
 from __future__ import annotations
 
@@ -203,10 +205,14 @@ class PropagatorTable:
         amps = np.asarray(self.amplitudes, dtype=float)
         if amps.shape != (len(self.pairs),):
             raise ValueError("one amplitude per pair required")
-        if not np.all(np.isfinite(amps)) or np.any(amps <= 0.0):
+        bad = ~(np.isfinite(amps) & (amps > 0.0))
+        if bad.any():
+            i = int(np.argmax(bad))
+            xi, xf = self.pairs[i]
             raise NumericalError(
-                "non-positive amplitude in propagator table; increase the "
-                "spectral cutoff or reduce the boundary-point separation"
+                f"amplitude {amps[i]:.3g} of the pair {list(xi)} -> {list(xf)} at T={self.T:g} is not "
+                "positive: the spectral sum cancels below its rounding; use boundary points closer together "
+                "or a longer T"
             )
         object.__setattr__(self, "amplitudes", amps)
 
@@ -266,29 +272,19 @@ def _kinetic_stencil(hb2m: float, h: float, n: int, parity: int) -> tuple:
     return main, off
 
 
-class _Tridiagonal(NamedTuple):
-    """A symmetric tridiagonal block of H: diagonal d and off-diagonal e."""
-
-    d: np.ndarray
-    e: np.ndarray
-
-    @property
-    def shape(self) -> tuple:
-        return (len(self.d), len(self.d))
-
-    def toarray(self) -> np.ndarray:
-        return np.diag(self.d) + np.diag(self.e, 1) + np.diag(self.e, -1)
-
-
-class _Block2D(NamedTuple):
-    """A 2-D block of H over mx x my nodes, x major: diagonal d (V plus both
-    kinetic mains), and the off-diagonals ex and ey of each axis's kinetic block."""
+class _Block(NamedTuple):
+    """A block of H over mx x my nodes, x major, with my = 1 in 1-D: diagonal d (V plus
+    the kinetic mains), the off-diagonals ex and ey of each axis's kinetic block (ey is
+    empty in 1-D), and vmin, the least V over the block's nodes."""
 
     d: np.ndarray
     ex: np.ndarray
     ey: np.ndarray
+    vmin: float
 
-    shape = _Tridiagonal.shape  # (n, n) with n = len(d)
+    @property
+    def shape(self) -> tuple:
+        return (len(self.d), len(self.d))
 
     def lower_band(self) -> np.ndarray:
         """H in LAPACK's lower band storage, ab[i - j, j] = H[i, j], with my sub-diagonals."""
@@ -301,14 +297,14 @@ class _Block2D(NamedTuple):
     def toarray(self) -> np.ndarray:
         ab, i = self.lower_band(), np.arange(len(self.d))
         A = np.diag(self.d)
-        for k in (1, len(ab) - 1):
+        for k in {1, len(ab) - 1}:
             A[i[k:], i[:-k]] = A[i[:-k], i[k:]] = ab[k, :-k]
         return A
 
 
-def discretize_hamiltonian(action: ActionSpec, grid: Grid, sector: tuple = None):
+def discretize_hamiltonian(action: ActionSpec, grid: Grid, sector: tuple = None) -> _Block:
     """H = -(hbar^2/2m) Laplacian + V with Dirichlet walls, built without
-    scipy: in 1-D a ``_Tridiagonal``, in 2-D a ``_Block2D``.
+    scipy as a ``_Block``: its diagonal, each axis's off-diagonal and min V.
 
     Given one of the action's mirror sectors (one parity per axis, as from
     ``_sectors``), it is the block of H on that sector instead: the Kronecker
@@ -325,19 +321,19 @@ def discretize_hamiltonian(action: ActionSpec, grid: Grid, sector: tuple = None)
     stencils = [_kinetic_stencil(hb2m, h, n, parity) for h, n, parity in zip(grid.spacing, grid.npoints, sector)]
     nodes = [axis[: _axis_sector(n, p)[0]] for axis, n, p in zip(grid.axes(), grid.npoints, sector)]
     V = action.potential.evaluate_points(np.stack(np.meshgrid(*nodes, indexing="ij"), axis=-1)).ravel()
-    if grid.dim == 1:
-        ((main, off),) = stencils
-        return _Tridiagonal(main + V, off)
-    (mainx, offx), (mainy, offy) = stencils
-    return _Block2D(np.add.outer(mainx, mainy).ravel() + V, offx, offy)
+    # a 1-D line is one node, with no y coupling and a zero y main, which leaves d = main + V bit for bit
+    (mainx, offx), (mainy, offy) = stencils if grid.dim == 2 else (*stencils, (np.zeros(1), np.zeros(0)))
+    return _Block(np.add.outer(mainx, mainy).ravel() + V, offx, offy, float(V.min()))
 
 
-def _block_eigh(H: _Block2D, k: int) -> tuple:
-    """(values, vectors as rows) of the lowest k states of a 2-D block: by numpy's
-    dense eigh when k is over a tenth of its n nodes, else by shift-invert Lanczos
-    with full reorthogonalization and thick restart (Wu & Simon, SIAM J. Matrix
-    Anal. Appl. 22 (2000) 602) on a ?pbtrf factor of H - sigma I, sigma below
-    the Gershgorin bound. ``decompose_for_time`` holds the values to the window's
+def _block_eigh(H: _Block, k: int) -> tuple:
+    """(values, vectors as rows) of the lowest k states of a block: by numpy's dense
+    eigh when k is over a tenth of its n nodes, else by shift-invert Lanczos with full
+    reorthogonalization and thick restart (Wu & Simon, SIAM J. Matrix Anal. Appl. 22
+    (2000) 602) on a ?pbtrf factor of H - sigma I. The shift sits just below the wanted
+    end of the spectrum (Ericsson & Ruhe, Math. Comp. 35 (1980) 1251): sigma = min V - 1,
+    since every block is K + V with its kinetic part K positive semidefinite, folded or
+    not, so H - sigma I >= I. ``decompose_for_time`` holds the values to the window's
     count: an exactly degenerate state enters the Krylov space only through rounding.
     """
     # on the coupled oscillator's blocks (2-core Xeon, numpy 2.4.6) the two met near k = n/14 at 256 nodes (3.8 ms),
@@ -348,9 +344,7 @@ def _block_eigh(H: _Block2D, k: int) -> tuple:
     if 10 * k > n:
         vals, vecs = np.linalg.eigh(H.toarray())
         return vals[:k], vecs[:, :k].T
-    ab = H.lower_band()
-    low = np.abs(ab[1:])  # |H[j + i, j]|, which row j holds as |H[j, j - i]| too
-    sigma = float((H.d - low.sum(0) - sum(np.roll(b, i) for i, b in enumerate(low, 1))).min()) - 1.0
+    ab, sigma = H.lower_band(), H.vmin - 1.0
     ab[0] -= sigma
     factor = _lapack.cholesky_banded(ab)
     m = min(n // 2, 2 * k + 20)  # the basis, of which k + (m - k) // 2 Ritz vectors survive a restart
@@ -376,15 +370,6 @@ def _block_eigh(H: _Block2D, k: int) -> tuple:
     raise NumericalError(f"shift-invert Lanczos found no {k} converged states of a {n}-node block")
 
 
-def _second_highest(H) -> float:
-    """The (n - 1)th of the n eigenvalues of a block."""
-    if isinstance(H, _Tridiagonal):
-        from . import _lapack
-
-        return float(_lapack.eigh_tridiagonal(H.d, H.e, len(H.e) - 1, len(H.e) - 1)[0][0])
-    return -float(_block_eigh(_Block2D(-H.d, -H.ex, -H.ey), 2)[0][1])
-
-
 @functools.lru_cache(maxsize=16)
 def _sector_hamiltonians(action: ActionSpec, grid: Grid) -> tuple:
     """(sector, ``discretize_hamiltonian`` block) for each mirror sector, the all-even one first."""
@@ -395,20 +380,20 @@ def _negative_pivots(H, sigma: float):
     """Count of the negative pivots of H - sigma I factored unpivoted, or None
     when a pivot is exactly zero.
 
-    A ``_Tridiagonal`` is counted by the Sturm recurrence
-    q_i = (d_i - sigma) - e_{i-1}^2 / q_{i-1}; a ``_Block2D`` by its block form over
-    lines of constant x, S_i = A_i - sigma I - ex_{i-1}^2 S_{i-1}^-1, whose negative
-    eigenvalues add up to the count (Haynsworth's inertia additivity).
+    The recurrence runs over lines of constant x, S_i = A_i - sigma I - ex_{i-1}^2 S_{i-1}^-1,
+    whose negative eigenvalues add up to the count (Haynsworth's inertia additivity). With
+    one node per line (1-D) it is the scalar Sturm recurrence q_i = (d_i - sigma) -
+    ex_{i-1}^2 / q_{i-1}, run on Python floats; otherwise each S_i is solved by numpy's eigh.
     """
-    if isinstance(H, _Tridiagonal):
+    my = len(H.ey) + 1
+    if my == 1:
         count, q = 0, 1.0
-        for shifted, e2 in zip((H.d - sigma).tolist(), [0.0] + (H.e * H.e).tolist()):
+        for shifted, e2 in zip((H.d - sigma).tolist(), [0.0] + (H.ex * H.ex).tolist()):
             q = shifted - e2 / q
             if q == 0.0:
                 return None
             count += q < 0.0
         return count
-    my = len(H.ey) + 1
     line, count, inverse = np.diag(H.ey, 1) + np.diag(H.ey, -1), 0, np.zeros((my, my))
     for shifted, e in zip((H.d - sigma).reshape(-1, my), [0.0, *H.ex]):
         w, Q = np.linalg.eigh(line + np.diag(shifted) - e * e * inverse)
@@ -428,9 +413,21 @@ def _inertia(H, sigma: float) -> int:
             return count
         # an exactly zero pivot: move off it by a relative 1e-12, and by at least 1e-14 of
         # H's largest entry, since a smaller move can vanish in the rounding of H - sigma I
-        scale = max(np.abs(a).max(initial=0.0) for a in H)
+        scale = max(np.abs(a).max(initial=0.0) for a in (H.d, H.ex, H.ey))
         sigma += max(1e-12 * abs(sigma), 1e-14 * scale)
     raise NumericalError(f"no pivot-free factorization of H - sigma I near sigma = {sigma:g}")
+
+
+def _first_dropped(blocks: list, lo: float, hi: float, tol: float) -> float:
+    """The lowest (n - 1)th of the n eigenvalues of each of these blocks, the first state one of
+    them cannot resolve, to within tol above it, by bisection on their Sturm counts inside
+    (lo, hi]: no block has more than n - 2 states below lo, and one has more below hi."""
+    while hi - lo > tol and lo < (mid := 0.5 * (lo + hi)) < hi:
+        if any(_inertia(H, mid) > H.shape[0] - 2 for H in blocks):
+            hi = mid
+        else:
+            lo = mid
+    return hi
 
 
 def _window_count(action: ActionSpec, grid: Grid, gap: float) -> tuple:
@@ -457,7 +454,7 @@ def spectral_decompose(H, k: int, grid: Grid, sector: tuple = None) -> SpectralD
         raise ValueError("grid does not match Hamiltonian size")
     from . import _lapack
 
-    vals, vecs = _lapack.eigh_tridiagonal(H.d, H.e, 0, k - 1) if grid.dim == 1 else _block_eigh(H, k)
+    vals, vecs = _lapack.eigh_tridiagonal(H.d, H.ex, k) if grid.dim == 1 else _block_eigh(H, k)
     shape = [m for m, _, _ in axes]
     for a, (_, take, coef) in enumerate(axes):
         if take is not None:
@@ -497,10 +494,11 @@ def decompose_for_time(action: ActionSpec, grid: Grid, T: float) -> SpectralData
     e0 = float(_ground_state(action, grid).eigenvalues[0])
     blocks = _sector_hamiltonians(action, grid)
     counts[0] = max(counts[0], 1)  # the window can be narrower than the rounding of E_0
-    short = [(sector, H) for (sector, H), count in zip(blocks, counts) if count > H.shape[0] - 2]
+    short = [H for (_, H), count in zip(blocks, counts) if count > H.shape[0] - 2]
     if short:
-        # the first state a block drops is its (n - 1)th, the second from the top
-        dropped = min(_second_highest(H) for _, H in short)
+        # the first state a block drops is its (n - 1)th, the second from the top; the
+        # quoted weight's exponent is exact to 1e-9, far below its three digits
+        dropped = _first_dropped(short, e0, e0 + gap, 1e-9 * action.hbar / T)
         raise NumericalError(
             f"the grid resolves {sum(H.shape[0] - 2 for _, H in blocks)} states, too few for the "
             f"Boltzmann window at T={T:g}: dropped states carry weight up to "

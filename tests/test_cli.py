@@ -475,8 +475,8 @@ def _count_solves(monkeypatch):
     def size(name, args, kwargs):
         if name == "_negative_pivots":
             return args[0].shape[0]
-        if name == "eigh_tridiagonal":  # the LAPACK binding's (d, e, first, last)
-            return args[3] - args[2] + 1
+        if name == "eigh_tridiagonal":  # the LAPACK binding's (d, e, k)
+            return args[2]
         if name == "_block_eigh":  # (H, k)
             return args[1]
         return len(args[0])
@@ -574,21 +574,38 @@ def test_analytic_without_e_gr_solves_the_ground_state_once(tmp_path, monkeypatc
     """The e_gr lookup and the WKB reference share one k = 1 eigensolve."""
     calls = []
 
-    def counted(d, e, first, last, *args, **kwargs):
-        calls.append((first, last))
-        return eigh_tridiagonal(d, e, first, last, *args, **kwargs)
+    def counted(d, e, k):
+        calls.append(k)
+        return eigh_tridiagonal(d, e, k)
 
     eigh_tridiagonal = _lapack.eigh_tridiagonal
     _clear_spectral_caches()
     monkeypatch.setattr(_lapack, "eigh_tridiagonal", counted)
     cfg = write_cfg(tmp_path, "inv.json", {"action": HO, "grid": {"extents": [3.0], "npoints": [241]}})
     assert main(["analytic", "--config", cfg, "--out", str(tmp_path / "inv")]) == 0
-    assert calls == [(0, 0)]
+    assert calls == [1]
+
+
+def test_a_non_positive_amplitude_exits_3_naming_its_pair(tmp_path, capsys):
+    """At T = 0.2 the ends of the box are so far apart that the spectral sum
+    cancels below its rounding: the message names that pair and what to
+    change, not a spectral cutoff, which no setting controls."""
+    _clear_spectral_caches()
+    cfg = write_cfg(tmp_path, "far.json", {
+        "action": HO, "grid": {"extents": [8.0], "npoints": [401]}, "T": 0.2,
+        "pairs": [[0.0, 1.0], [-8.0, 8.0], [8.0, -8.0]],
+    })
+    out = tmp_path / "far"
+    assert main(["propagate", "--config", cfg, "--out", str(out)]) == 3
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert "of the pair [-8.0] -> [8.0] at T=0.2 is not positive" in err
+    assert "closer together or a longer T" in err and "cutoff" not in err
 
 
 def test_truncated_spectrum_exit_3_leaves_no_files(tmp_path, monkeypatch):
-    """The weight quoted for a 1-D block comes from the tridiagonal solver,
-    not from the 2-D block solver."""
+    """The weight quoted for a 1-D block comes from bisection on its Sturm
+    count, with no call of the block solver."""
     def no_block_solve(*args, **kwargs):
         raise AssertionError("the 2-D block solver reached on a 1-D block")
 
@@ -852,11 +869,11 @@ def test_a_failing_block_solve_fails_alike_on_one_and_two_cpus(tmp_path, monkeyp
     files written and no thread left running."""
     solve, raised_on_main = _lapack.eigh_tridiagonal, []
 
-    def failing(d, e, first, last):
+    def failing(d, e, k):
         if len(d) == 150:  # the odd block of 301 nodes; the even one has 151
             raised_on_main.append(threading.current_thread() is threading.main_thread())
             raise NumericalError("the odd block failed")
-        return solve(d, e, first, last)
+        return solve(d, e, k)
 
     monkeypatch.setattr(_lapack, "eigh_tridiagonal", failing)
     payload = {"action": HO, "grid": {"extents": [8.0], "npoints": [301]}, "T": 0.5, "pairs": {"points": [0.0]}}

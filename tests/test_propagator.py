@@ -1,3 +1,5 @@
+import decimal
+import functools
 import json
 import math
 import os
@@ -37,8 +39,7 @@ from qaction.propagator import (
     _inertia,
     _negative_pivots,
     _sector_hamiltonians,
-    _Block2D,
-    _Tridiagonal,
+    _Block,
     _sectors,
     _window_count,
     decompose_for_time,
@@ -388,11 +389,11 @@ def test_window_count_moves_off_a_zero_pivot(ho):
     (_, even), _ = _sector_hamiltonians(ho, Grid((6.0,), (301,)))
     sigma = float(even.d[0])  # the first pivot, d_0 - sigma, is exactly zero
     assert _negative_pivots(even, sigma) is None
-    E = np.linalg.eigvalsh(np.diag(even.d) + np.diag(even.e, 1) + np.diag(even.e, -1))
+    E = np.linalg.eigvalsh(even.toarray())
     count = _inertia(even, sigma)
     assert count == _negative_pivots(even, sigma + 1e-12 * sigma) == np.count_nonzero(E < sigma) > 0
     # after the move the second pivot is exactly zero
-    twice = _Tridiagonal(np.array([1.0, 1.0 + 1e-12]), np.array([0.0]))
+    twice = _Block(np.array([1.0, 1.0 + 1e-12]), np.array([0.0]), np.zeros(0), 0.0)
     with pytest.raises(NumericalError, match="pivot-free"):
         _inertia(twice, 1.0)
 
@@ -402,8 +403,8 @@ def test_zero_pivot_move_survives_a_shift_far_below_the_entries(sigma):
     """Pivot 6 of this block is (1 - sigma) - 1/(1 - sigma), exactly 0 while
     sigma is below rounding of 1; a move of 1e-12 sigma left it 0 (found by
     the Sturm property test), so the move is at least 1e-14 of H's scale."""
-    H = _Tridiagonal(np.array([1.0, 1.0, 0.0, 0.0, 1.0, 1.0, 0.0, 0.0, 0.0]),
-                     np.array([0.0, 0.0, 1.0, 0.0, 1.0, 1.0, 0.0, 1.0]))
+    H = _Block(np.array([1.0, 1.0, 0.0, 0.0, 1.0, 1.0, 0.0, 0.0, 0.0]),
+               np.array([0.0, 0.0, 1.0, 0.0, 1.0, 1.0, 0.0, 1.0]), np.zeros(0), 0.0)
     assert _negative_pivots(H, sigma) is None
     assert _inertia(H, sigma) == np.count_nonzero(np.linalg.eigvalsh(H.toarray()) < sigma) == 3
 
@@ -414,11 +415,11 @@ def test_window_count_moves_off_a_zero_in_a_schur_block(coupled_2d, monkeypatch)
     raises NumericalError. First on a block whose lines are diagonal, where
     the zeros are exact; then on the coupled oscillator, with numpy's eigh
     made to return a zero."""
-    block = _Block2D(np.array([1.0, 5.0, 1.0 + 1e-12, 5.0]), np.zeros(1), np.zeros(1))
+    block = _Block(np.array([1.0, 5.0, 1.0 + 1e-12, 5.0]), np.zeros(1), np.zeros(1), 0.0)
     assert _negative_pivots(block, 1.0) is None
     with pytest.raises(NumericalError, match="pivot-free"):
         _inertia(block, 1.0)  # S_0 = diag(0, 4), then S_1 = diag(0, 4 - 1e-12)
-    block = _Block2D(np.array([1.0, 5.0, 3.0, 5.0]), np.zeros(1), np.zeros(1))
+    block = _Block(np.array([1.0, 5.0, 3.0, 5.0]), np.zeros(1), np.zeros(1), 0.0)
     assert _inertia(block, 1.0) == 1
 
     grid, gap = Grid((6.0, 6.0), (30, 30)), 10.0
@@ -436,9 +437,14 @@ def test_window_count_moves_off_a_zero_in_a_schur_block(coupled_2d, monkeypatch)
     monkeypatch.setattr(np.linalg, "eigh", zeroing)
     zeros[:] = [True]  # the first line of the all-even block, then the same line again
     assert _window_count(coupled_2d, grid, gap) == expected
+    # the first line has no line before it, so its S_0 is A_0 - sigma I and its diagonal d[:my] - sigma, exactly
     (_, even), *_ = _sector_hamiltonians(coupled_2d, grid)
-    sigma = even.d[0] - diagonals[0][0]
-    npt.assert_allclose(diagonals[0] - diagonals[1], 1e-12 * sigma, rtol=1e-3)
+    first = even.d[: len(even.ey) + 1]
+    sigma = float(_ground_state(coupled_2d, grid).eigenvalues[0]) + gap
+    scale = max(np.abs(a).max() for a in (even.d, even.ex, even.ey))
+    moved = sigma + max(1e-12 * abs(sigma), 1e-14 * scale)
+    assert diagonals[0].tobytes() == (first - sigma).tobytes()
+    assert diagonals[1].tobytes() == (first - moved).tobytes()
     zeros[:] = [True, True]
     with pytest.raises(NumericalError, match="pivot-free"):
         _window_count(coupled_2d, grid, gap)
@@ -540,6 +546,56 @@ def test_a_wide_window_takes_the_dense_branch(coupled_2d, monkeypatch):
     npt.assert_allclose(sd.eigenvalues, np.sort(np.concatenate(E)), rtol=0, atol=1e-11)
 
 
+def _sturm_count_in_decimal(H, sigma: float) -> int:
+    """The eigenvalues of a 1-D block below sigma, by the Sturm recurrence in 40-digit arithmetic."""
+    with decimal.localcontext(prec=40):
+        count, q = 0, decimal.Decimal(1)
+        for d, e in zip(H.d.tolist(), [0.0, *H.ex.tolist()]):
+            q = (decimal.Decimal(d) - decimal.Decimal(sigma)) - decimal.Decimal(e) ** 2 / q
+            count += q < 0
+        return count
+
+
+def test_lanczos_shift_below_min_v_solves_a_fine_1d_block():
+    """sigma = min V - 1 sits just below E_0 on the 6401-node even block of
+    the HO on 12801 nodes, and shift-invert Lanczos finds E_0 to 1e-12, as a
+    Sturm count in 40 digits shows. A shift at the block's Gershgorin bound,
+    -1.3e5 here, found no converged state in 200 restarts. ?stebz, called
+    with LAPACK's default tolerance ulp ||H|| = 2.8e-10, agrees to it."""
+    (_, even), _ = _sector_hamiltonians(HO_1D, Grid((8.0,), (12801,)))
+    assert even.shape[0] == 6401 and even.vmin == 0.0
+    vals, vecs = propagator._block_eigh(even, 1)
+    e0 = float(vals[0])
+    assert [_sturm_count_in_decimal(even, e0 * (1.0 + s * 1e-12)) for s in (-1, 1)] == [0, 1]
+    assert vecs.shape == (1, 6401)
+    stebz = _lapack.eigh_tridiagonal(even.d, even.ex, 1)[0][0]
+    assert abs(stebz - e0) <= 2.8e-10
+
+
+def test_lanczos_restarts_at_most_twice_on_every_mirror_block(coupled_2d, monkeypatch):
+    """On the odd 127 x 127 grid the folded centre line of an even axis puts
+    the Gershgorin bound far below E_0, and with a shift there three blocks
+    took 5 or 6 restarts for k = 18. With sigma = min V - 1 each takes at
+    most 2: the first m = 56 steps and m - kept = 19 per restart, kept =
+    k + (m - k) // 2. The k values found are the lowest: k of them lie below
+    the top one."""
+    grid, k = Grid((6.3, 6.3), (127, 127)), 18
+    m = 2 * k + 20
+    kept = k + (m - k) // 2
+    solve, calls = _lapack.cho_solve_banded, []
+
+    def counted(c, b):
+        calls[-1] += 1
+        return solve(c, b)
+
+    monkeypatch.setattr(_lapack, "cho_solve_banded", counted)
+    for _, H in _sector_hamiltonians(coupled_2d, grid):
+        calls.append(0)
+        vals, _ = propagator._block_eigh(H, k)
+        assert _inertia(H, float(vals[-1]) + 1e-9) == k
+    assert len(calls) == 4 and max(calls) <= m + 2 * (m - kept) == 94, calls
+
+
 def test_sparse_sectors_reproduce_the_separable_spectrum_and_amplitudes(ho):
     """V = (x^2 + y^2)/2 on the shift-invert sectors of SPARSE_GRID: the
     window's levels are the sums of the 1-D levels on one axis, and G is the
@@ -636,6 +692,98 @@ def test_an_odd_term_keeps_its_axis_whole(dim, data):
             float(np.sum(psis[:, grid.index_of(i)] * psis[:, grid.index_of(f)] * boltz)) for i, f in pairs
         ]
         assert euclidean_propagate(action, grid, T, pairs).amplitudes.tolist() == expected
+
+
+@st.composite
+def _oracle_cases(draw):
+    """(action, grid, T): a mass, an even V or one with a term odd in x, odd or even
+    point counts and extents; 2-D grids of 24 to 32 nodes per axis at T >= 3, where
+    the mirror blocks' windows are under a tenth of their nodes and go to Lanczos."""
+    dim, odd = draw(st.sampled_from([1, 2])), draw(st.booleans())
+    coef = st.floats(0.3, 1.0)
+    if dim == 1:
+        npoints, extents, T = (draw(st.integers(24, 64)),), (draw(st.floats(3.0, 7.0)),), draw(st.floats(1.0, 6.0))
+        terms = {(2,): draw(coef), (4,): draw(st.floats(0.05, 0.3)), (3,): draw(st.floats(-0.2, 0.2)) if odd else 0.0}
+    else:
+        npoints = tuple(draw(st.lists(st.integers(24, 32), min_size=2, max_size=2)))
+        extents = tuple(draw(st.lists(st.floats(4.0, 7.0), min_size=2, max_size=2)))
+        T = draw(st.floats(3.0, 6.0))
+        terms = {(2, 0): draw(coef), (0, 2): draw(coef), (2, 2): draw(st.floats(0.02, 0.1)),
+                 (1, 2): draw(st.floats(-0.1, 0.1)) if odd else 0.0}
+    action = ActionSpec(mass=draw(st.floats(0.5, 2.0)), potential=PolynomialPotential(dim, terms))
+    return action, Grid(extents, npoints), T
+
+
+@settings(max_examples=12, deadline=None)
+@given(_oracle_cases(), st.data())
+def test_amplitudes_match_the_dense_kernel_of_the_whole_grid(case, data):
+    """G from the mirror blocks, window counts, solvers and parity embedding
+    equals G_ref = [exp(-T H / hbar)]_if / h^dim, with H the whole grid's dense
+    matrix and no sectors, to 1e-9 max(1, kappa) relative, where kappa =
+    sum_n |psi_n(x) psi_n(y)| exp(-E_n T / hbar) / |G| over every state of H is
+    the cancellation the sum must survive. The ends of each pair are nodes
+    where the ground state is at least 1e-2 of its peak: further out, G falls
+    to the rounding of the kernel's largest entries and to the window's
+    dropped weight, which are set relative to the ground state. A window
+    that the grid cannot resolve is drawn again."""
+    action, grid, T = case
+    A = discretize_hamiltonian(action, grid).toarray()
+    volume = math.prod(grid.spacing)
+    E, U = np.linalg.eigh(A)
+    bulk = np.flatnonzero(np.abs(U[:, 0]) >= 1e-2 * np.abs(U[:, 0]).max())
+    ends = data.draw(st.lists(st.tuples(st.sampled_from(bulk), st.sampled_from(bulk)), min_size=1, max_size=8))
+    i, f = np.array(ends).T
+    nodes = grid.nodes().reshape(grid.size, grid.dim)
+    try:
+        G = euclidean_propagate(action, grid, T, [(nodes[a], nodes[b]) for a, b in ends]).amplitudes
+    except NumericalError as exc:
+        assume("too few for the Boltzmann window" not in str(exc))  # the window overflows this grid
+        raise
+    reference = scipy.linalg.expm(-(T / action.hbar) * A)[i, f] / volume
+    magnitude = np.abs(U[i] * U[f]) @ np.exp(-E * T / action.hbar) / volume
+    kappa = magnitude / np.abs(reference)
+    npt.assert_array_less(np.abs(G - reference), 1e-9 * np.maximum(1.0, kappa) * np.abs(reference))
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.sampled_from([1, 2]), st.booleans(), st.data())
+def test_every_block_is_the_kronecker_sum_of_the_stencil_on_its_mirror_basis(dim, odd, data):
+    """The whole grid's ``toarray()`` is, bit for bit, the Kronecker sum over
+    the axes of (hbar^2/2m h^2) tridiag(-1, 2, -1) plus V at the nodes. Each
+    mirror block is P^T H P to rounding, P the orthonormal basis of its
+    sector: (e_i +- e_{n-1-i}) / sqrt(2) on the x <= 0 half of a split axis,
+    the centre node alone when it is even, and the whole axis otherwise; its
+    vmin is the least V on the nodes it keeps, which the odd half of an odd
+    axis leaves the centre out of."""
+    npoints = tuple(data.draw(st.lists(st.integers(16, 24), min_size=dim, max_size=dim)))
+    extents = tuple(data.draw(st.lists(st.floats(2.0, 7.0), min_size=dim, max_size=dim)))
+    mass, hbar = data.draw(st.floats(0.5, 2.0)), data.draw(st.floats(0.5, 2.0))
+    terms = {(2,) * dim: 0.5, (1,) + (2,) * (dim - 1): 0.3 if odd else 0.0}
+    action = ActionSpec(mass=mass, potential=PolynomialPotential(dim, terms), hbar=hbar)
+    grid = Grid(extents, npoints)
+    stencils = []
+    for n, h in zip(npoints, grid.spacing):
+        ones = np.ones(n - 1)
+        stencils.append(hbar**2 / (2.0 * mass) / h**2 * (2.0 * np.eye(n) - np.diag(ones, 1) - np.diag(ones, -1)))
+    eyes = [np.eye(n) for n in npoints]
+    kinetic = sum(
+        functools.reduce(np.kron, [stencils[a] if b == a else eyes[b] for b in range(dim)]) for a in range(dim)
+    )
+    V = action.potential.evaluate_points(grid.nodes()).ravel()
+    H = kinetic + np.diag(V)
+    assert np.array_equal(discretize_hamiltonian(action, grid).toarray(), H)
+
+    def basis(n, parity):
+        if parity == 0:
+            return np.eye(n)
+        columns = [(np.eye(n)[i] + parity * np.eye(n)[n - 1 - i]) / math.sqrt(2.0) for i in range(n // 2)]
+        return np.array(columns + ([np.eye(n)[n // 2]] if n % 2 and parity > 0 else [])).T
+
+    for sector in _sectors(action):
+        P = functools.reduce(np.kron, [basis(n, p) for n, p in zip(npoints, sector)])
+        block = discretize_hamiltonian(action, grid, sector)
+        npt.assert_allclose(block.toarray(), P.T @ H @ P, rtol=0, atol=1e-13 * np.abs(H).max())
+        npt.assert_allclose(block.vmin, (P.T @ (V[:, None] * P)).diagonal().min(), rtol=0, atol=1e-13 * np.abs(V).max())
 
 
 def test_grid_node_count_is_bounded():
@@ -756,8 +904,9 @@ def test_subdivision_nodes_are_mirror_symmetric():
 
 
 def test_1d_hamiltonian_is_its_two_diagonals_built_without_scipy():
-    """A 1-D ``discretize_hamiltonian`` returns the tridiagonal block the
-    solvers take, and a fresh interpreter that builds it loads no scipy."""
+    """A 1-D ``discretize_hamiltonian`` returns the block type of 2-D with one
+    node per line, no y off-diagonal, so it is tridiagonal, and a fresh
+    interpreter that builds it loads no scipy."""
     probe = (
         "import json, sys\n"
         "from qaction import ActionSpec, Grid, PolynomialPotential, discretize_hamiltonian\n"
@@ -770,10 +919,10 @@ def test_1d_hamiltonian_is_its_two_diagonals_built_without_scipy():
     env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
     done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
-    assert json.loads(done.stdout) == ["_Tridiagonal", [51, 51], [51, 51], []]
+    assert json.loads(done.stdout) == ["_Block", [51, 51], [51, 51], []]
     H = discretize_hamiltonian(ActionSpec(mass=1.0, potential=PolynomialPotential(1, {(2,): 0.5})), Grid((8.0,), (101,)))
-    assert isinstance(H, _Tridiagonal)
-    npt.assert_array_equal(H.toarray(), np.diag(H.d) + np.diag(H.e, 1) + np.diag(H.e, -1))
+    assert isinstance(H, _Block) and H.ey.size == 0
+    npt.assert_array_equal(H.toarray(), np.diag(H.d) + np.diag(H.ex, 1) + np.diag(H.ex, -1))
 
 
 @pytest.mark.parametrize("extents", [(1e200,), (1e-300,), (1e-320,), (1.0, 1e200)])
