@@ -18,14 +18,14 @@ import numpy as np
 
 from .errors import NumericalError
 from .model import ActionSpec, _as_integer, _as_number, _bisect_root, _json_floats
-from .trajectory import MAX_STEPS, PhaseState, _step_loops, hamiltonian_energy
+from .trajectory import MAX_STEPS, PhaseState, _step_loop, hamiltonian_energy
 
 _CONVENTIONS = ("above-minimum", "absolute")
 # R2 additive recurrence (plastic-number based): deterministic low-discrepancy
 # placement in the section plane, the "seed" of a section
 _PLASTIC = 1.3247179572447460260
 _R2_ALPHA = (1.0 / _PLASTIC, 1.0 / _PLASTIC**2)
-MAX_START_INDEX = 2**53  # every start index up to it converts to a float exactly
+MAX_START_INDEX = 2**32  # fewer than 2**32 draws past it keep alpha*k < 2**33: 20+ fractional bits
 MAX_BOXES = 4096  # boxes per axis of an occupancy partition
 
 
@@ -120,7 +120,7 @@ def section_initial_conditions(
         raise ValueError("fill_fraction must lie strictly between 0 and 1")
     start_index = _as_integer(start_index, "start_index")
     if not 0 <= start_index <= MAX_START_INDEX:
-        raise ValueError(f"start_index must lie in [0, 2**53], got {start_index}")
+        raise ValueError(f"start_index must lie in [0, 2**32], got {start_index}")
     e_abs = _shell_energy(action, spec)
     pax, c = spec.plane_axis, spec.plane_value
     x_max, _ = _plane_extent(action, pax, c, e_abs)
@@ -199,17 +199,12 @@ def _henon_refine(x, y_from, px, py, m, grad, plane_axis, c):
     return x_c, px_c, py_c
 
 
-def _section_loops(spec: SectionSpec, *actions: ActionSpec) -> tuple:
-    """The step loops that sections of these actions run, built together."""
-    return _step_loops(*((a.dimension, a.potential.terms, a.mass, spec.dt, spec.plane_axis) for a in actions))
-
-
 def _orbit_crossings(action: ActionSpec, spec: SectionSpec, e_abs: float, start: PhaseState) -> np.ndarray:
     """Refined oriented crossings (x, p_x) of one orbit, stepped on its own."""
     pot = action.potential
     m = action.mass
     grad = pot.kernel().gradient
-    (loop,) = _section_loops(spec, action)
+    loop = _step_loop(action.dimension, pot.terms, m, spec.dt, spec.plane_axis)
     axis = 1 - spec.plane_axis
     pax = spec.plane_axis
     c = spec.plane_value

@@ -43,7 +43,6 @@ from .asymptotics import (
 from .chaos import (
     SectionSpec,
     _box_counts,
-    _section_loops,
     _section_summary,
     compare_sections,
     generate_section,
@@ -373,8 +372,6 @@ def cmd_poincare(cfg: dict, args) -> list:
         _expect(isinstance(fit_data, dict), "fit_result must hold a JSON object")
         quantum = _parse_action(fit_data.get("quantum"), "fit_result quantum", confining=True)
         _expect(quantum.dimension == 2, "fit_result holds a non-2-D action")
-
-    _section_loops(spec, classical, *([quantum] if quantum else []))  # one compiler call for both
 
     def build(action: ActionSpec):
         ics = section_initial_conditions(action, spec, n_orbits, fill_fraction=fill, start_index=start_index)

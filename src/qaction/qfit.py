@@ -198,7 +198,7 @@ def _normalize_n_nodes(n_nodes):
 class _EvalDetail:
     log_z_free: float  # optimal offset before any gauge fixing
     failed: tuple
-    vector: np.ndarray  # r_j minus the offset actually used, penalties where failed
+    vector: np.ndarray  # r_j minus log_z_free, penalties where failed
     jacobian: np.ndarray  # d vector / d theta, one row per pair
 
     @property
@@ -264,7 +264,7 @@ class _Evaluator:
         n = len(self.problem.table.pairs)
         return _EvalDetail(math.nan, failed, np.full(n, value), np.zeros((n, self.n_params)))
 
-    def detail(self, trial: ActionSpec, log_z=None) -> _EvalDetail:
+    def detail(self, trial: ActionSpec) -> _EvalDetail:
         self.n_evaluations += 1
         viol = _confinement_violation(trial.potential)
         if viol > 0.0:
@@ -285,10 +285,8 @@ class _Evaluator:
         r = self.problem._log_g + values[:, 0]
         jac = values[:, 1:]
         z_free = float(np.mean(r[okp]))
-        z = z_free if log_z is None else float(log_z)
-        if log_z is None:
-            jac = jac - np.mean(jac[okp], axis=0)
-        vector = np.where(okp, r - z, PENALTY_FAILED)
+        jac = jac - np.mean(jac[okp], axis=0)
+        vector = np.where(okp, r - z_free, PENALTY_FAILED)
         return _EvalDetail(z_free, failed, vector, np.where(okp[:, None], jac, 0.0))
 
 

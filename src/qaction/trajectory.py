@@ -261,23 +261,23 @@ def _python_loop(statements: list, q: str):
     return loop
 
 
-def _c_loops(builds: list) -> list:
-    """Each (statements, q, python_loop) of ``builds`` compiled as the C function
-    ``long long loop<i>(long long n, double c, double *s)``, or None in its place.
+def _c_loop(statements: list, q: str, python_loop):
+    """The loop of ``statements`` compiled as the C function
+    ``long long loop(long long n, double c, double *s)``, or None.
 
     ``s`` holds the state in s[0..3] and the state before the last step in
     s[4..7]. Its domain is 0 <= n <= ``MAX_STEPS``; callers bound n there.
-    All the loops come from one source file and one compiler call, made in
-    a temporary directory of the system that is removed before returning.
-    A library whose loops all pass the probe is copied into the user cache
-    (``_kept_path``) under a part name, then moved into place, so no process
-    loads it half written. A later process loads and probes it and calls no
-    compiler; one that fails to load or to pass is deleted and rebuilt. The
-    cache holds at most ``_MAX_KEPT_LOOPS`` files: past that, every one goes
-    before the next is kept. Deleting the directory clears it.
-    Every loop is None when no compiler is found or the build fails or times
-    out; a loop is None when it differs in any bit from its ``python_loop``
-    on a short probe.
+    The source holds this one loop; one compiler call builds it in a
+    temporary directory of the system that is removed before returning.
+    A library that passes the probe is copied into the user cache, named by
+    the sha256 of its source, compiler and flags (``_kept_path``), as a part
+    file moved into place, so no process loads it half written. A later process loads
+    and probes it and calls no compiler; one that fails to load or to pass
+    is deleted and rebuilt. The cache holds at most ``_MAX_KEPT_LOOPS``
+    files: past that, every one goes before the next is kept. Deleting the
+    directory clears it. The loop is None when no compiler is found, when
+    the build fails or times out, or when it differs in any bit from
+    ``python_loop`` on a short probe.
     """
     import ctypes
     import hashlib
@@ -285,32 +285,29 @@ def _c_loops(builds: list) -> list:
 
     compiler = shutil.which("cc") or shutil.which("gcc")
     if compiler is None:
-        return [None] * len(builds)
-    source = "\n".join(
-        line
-        for i, (statements, q, _) in enumerate(builds)
-        for line in [
-            f"long long loop{i}(long long n, double c, double *s)",
-            "{",
-            "    double x = s[0], y = s[1], px = s[2], py = s[3];",
-            "    double x0 = x, y0 = y, px0 = px, py0 = py;",
-            "    long long k = 0;",
-            "    while (k < n) {",
-            "        k++;",
-            "        x0 = x; y0 = y; px0 = px; py0 = py;",
-            *(f"        {s};" for s in statements),
-            f"        if (({q}0 < c && c <= {q}) || ({q} <= c && c < {q}0)) break;",
-            "    }",
-            "    s[0] = x; s[1] = y; s[2] = px; s[3] = py;",
-            "    s[4] = x0; s[5] = y0; s[6] = px0; s[7] = py0;",
-            "    return k;",
-            "}",
-            "",
-        ]
-    )
+        return None
+    source = "\n".join([
+        "long long loop(long long n, double c, double *s)",
+        "{",
+        "    double x = s[0], y = s[1], px = s[2], py = s[3];",
+        "    double x0 = x, y0 = y, px0 = px, py0 = py;",
+        "    long long k = 0;",
+        "    while (k < n) {",
+        "        k++;",
+        "        x0 = x; y0 = y; px0 = px; py0 = py;",
+        *(f"        {s};" for s in statements),
+        f"        if (({q}0 < c && c <= {q}) || ({q} <= c && c < {q}0)) break;",
+        "    }",
+        "    s[0] = x; s[1] = y; s[2] = px; s[3] = py;",
+        "    s[4] = x0; s[5] = y0; s[6] = px0; s[7] = py0;",
+        "    return k;",
+        "}",
+        "",
+    ])
     state_type = ctypes.c_double * 8
 
-    def wrap(compiled):
+    def probed(library):  # the loop holds the library loaded
+        compiled = library.loop
         compiled.argtypes = (ctypes.c_longlong, ctypes.c_double, ctypes.POINTER(ctypes.c_double))
         compiled.restype = ctypes.c_longlong
 
@@ -320,25 +317,18 @@ def _c_loops(builds: list) -> list:
             return k, tuple(s[4:]), tuple(s[:4])
 
         loop.backend = "c"
-        return loop
-
-    def probed(library):  # its functions hold the library loaded
-        loops = [wrap(getattr(library, f"loop{i}")) for i in range(len(builds))]
-        return [
-            loop if _same_bits(loop, python_loop, "xy".index(q)) else None
-            for loop, (_, q, python_loop) in zip(loops, builds)
-        ]
+        return loop if _same_bits(loop, python_loop, "xy".index(q)) else None
 
     kept = _kept_path(compiler, source)
     if kept is not None:
-        with contextlib.suppress(OSError, AttributeError):  # not kept yet, or not these loops
+        with contextlib.suppress(OSError, AttributeError):  # not kept yet, or not this loop
             with open(kept, "rb") as fh:
                 data = fh.read()
             # a kept file ends in the sha256 of the library before it: a truncated
             # library would not fail to load but crash the process (SIGBUS)
-            loops = probed(ctypes.CDLL(kept)) if hashlib.sha256(data[:-32]).digest() == data[-32:] else [None]
-            if all(loops):
-                return loops
+            loop = probed(ctypes.CDLL(kept)) if hashlib.sha256(data[:-32]).digest() == data[-32:] else None
+            if loop is not None:
+                return loop
         with contextlib.suppress(OSError):
             os.unlink(kept)
 
@@ -364,9 +354,9 @@ def _c_loops(builds: list) -> list:
                 finally:
                     timer.cancel()
             if failed:
-                return [None] * len(builds)
-            loops = probed(ctypes.CDLL(f"{build}/loop.so"))
-            if kept is not None and all(loops):
+                return None
+            loop = probed(ctypes.CDLL(f"{build}/loop.so"))
+            if kept is not None and loop is not None:
                 with contextlib.suppress(OSError):  # then it is not kept
                     cache = os.path.dirname(kept)
                     # kept libraries, and any part file a killed run left
@@ -384,8 +374,8 @@ def _c_loops(builds: list) -> list:
                         with contextlib.suppress(OSError):  # gone once it is in place
                             os.unlink(part)
     except OSError:
-        return [None] * len(builds)
-    return loops
+        return None
+    return loop
 
 
 def _kept_path(compiler: str, source: str):
@@ -433,9 +423,9 @@ _STEP_LOOPS = {}  # the step loops built in this process, by key
 _MAX_KEPT_LOOPS = 64  # past this many, the kept loops are dropped before the next build
 
 
-def _step_loops(*keys) -> tuple:
-    """Forest-Ruth loops ``loop(n, c, x, y, px, py) -> (k, before, after)``,
-    one per key (dimension, terms, mass, dt, plane_axis).
+def _step_loop(dimension: int, terms: tuple, mass: float, dt: float, plane_axis: int):
+    """The Forest-Ruth loop ``loop(n, c, x, y, px, py) -> (k, before, after)``
+    of this key.
 
     A loop takes at most n steps (0 <= n <= ``MAX_STEPS``) of
     H = (px^2 + py^2)/2m + V and returns after the first step k at which the
@@ -443,35 +433,26 @@ def _step_loops(*keys) -> tuple:
     states (x, y, px, py) before and after that step; c = nan is a plane no
     step crosses. The loop runs as C when a C compiler is on PATH and as
     generated Python otherwise, with the same bits either way;
-    ``loop.backend`` names the one that runs. Each loop is built once per
-    process, and the C loops of all the keys not built before by one
-    compiler call, whose library is kept in the user cache for later
-    processes: ``$XDG_CACHE_HOME/qaction`` or ``~/.cache/qaction``, named
-    by the compiler, the machine, ``C_FLAGS`` and the source, at most
-    ``_MAX_KEPT_LOOPS`` libraries, each probed again whenever it is loaded.
-    Deleting the directory clears it.
+    ``loop.backend`` names the one that runs. Each key is built once per
+    process while at most ``_MAX_KEPT_LOOPS`` keys are held; the next new
+    key drops them all. Its C library is kept in the user cache for later
+    processes (``_c_loop``).
     """
-    new = [key for key in dict.fromkeys(keys) if key not in _STEP_LOOPS]
-    if new:
-        if len(_STEP_LOOPS) + len(new) > _MAX_KEPT_LOOPS:
+    key = (dimension, terms, mass, dt, plane_axis)
+    if key not in _STEP_LOOPS:
+        if len(_STEP_LOOPS) >= _MAX_KEPT_LOOPS:
             _STEP_LOOPS.clear()
-            new = list(dict.fromkeys(keys))
-        _STEP_LOOPS.update(zip(new, _build_step_loops(new)))
-    return tuple(_STEP_LOOPS[key] for key in keys)
+        _STEP_LOOPS[key] = _build_step_loop(key)
+    return _STEP_LOOPS[key]
 
 
-def _step_loop(dimension: int, terms: tuple, mass: float, dt: float, plane_axis: int):
-    """The one loop of ``_step_loops`` for this key."""
-    return _step_loops((dimension, terms, mass, dt, plane_axis))[0]
-
-
-def _build_step_loops(keys: list) -> list:
-    """A new loop per key of ``_step_loops``, the C ones built together."""
-    builds = []
-    for dimension, terms, mass, dt, plane_axis in keys:
-        statements, q = _step_statements(dimension, terms, mass, dt), "xy"[plane_axis]
-        builds.append((statements, q, _python_loop(statements, q)))
-    return [c or python for c, (_, _, python) in zip(_c_loops(builds), builds)]
+def _build_step_loop(key: tuple):
+    """A new loop of ``_step_loop`` for this key: compiled by ``_c_loop``,
+    or its Python loop when that gives None."""
+    dimension, terms, mass, dt, plane_axis = key
+    statements, q = _step_statements(dimension, terms, mass, dt), "xy"[plane_axis]
+    python_loop = _python_loop(statements, q)
+    return _c_loop(statements, q, python_loop) or python_loop
 
 
 def integrate_realtime(

@@ -1,8 +1,11 @@
 import dataclasses
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qaction import (
     ActionSpec,
@@ -18,6 +21,7 @@ from qaction import (
     section_initial_conditions,
     section_occupancy,
 )
+from qaction.chaos import _R2_ALPHA, MAX_START_INDEX, _plane_extent
 from qaction.trajectory import MAX_STEPS
 
 
@@ -180,10 +184,10 @@ def test_initial_conditions_validation(coupled, ho):
         section_initial_conditions(coupled, spec, 0)
     with pytest.raises(ValueError):
         section_initial_conditions(coupled, spec, 4, fill_fraction=1.0)
-    for start_index in (-1, 2**53 + 1, 10**400, 1.0, True):
+    for start_index in (-1, 2**32 + 1, 10**400, 1.0, True):
         with pytest.raises(ValueError, match="start_index"):
             section_initial_conditions(coupled, spec, 4, start_index=start_index)
-    assert len(section_initial_conditions(coupled, spec, 2, start_index=2**53)) == 2
+    assert len(section_initial_conditions(coupled, spec, 2, start_index=2**32)) == 2
     with pytest.raises(ValueError, match="does not reach"):
         section_initial_conditions(
             coupled, SectionSpec(energy=0.5, plane_value=10.0, energy_convention="absolute"), 2
@@ -191,6 +195,28 @@ def test_initial_conditions_validation(coupled, ho):
     for energy, convention in ((0.0, "above-minimum"), (-0.5, "absolute")):
         with pytest.raises(ValueError, match="exceed"):
             section_initial_conditions(coupled, SectionSpec(energy=energy, energy_convention=convention), 2)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, MAX_START_INDEX))
+def test_every_start_index_keeps_the_bits_of_its_draws(coupled, start_index):
+    """Draw k sits at frac(0.5 + alpha*k), taken exactly with the float alpha,
+    to within 2**-20 at every declared start index; at 2**53 the 16 orbits
+    once collapsed to one, as alpha*k kept no fractional bit. On the plane
+    y = 0 of this V every draw is kept, so draw i is k = start_index + i."""
+    spec = SectionSpec(energy=2.0)
+    states = section_initial_conditions(coupled, spec, 16, start_index=start_index)
+    assert len(set(states)) == 16
+    e_abs = 2.0 + coupled.potential((0.0, 0.0))
+    x_max, _ = _plane_extent(coupled, 1, 0.0, e_abs)
+    for i, s in enumerate(states):
+        room = 2.0 * (e_abs - coupled.potential(s.position))
+        u = (s.position[0] / (0.9 * x_max) + 1.0) / 2.0
+        w = (s.momentum[0] / (0.9 * math.sqrt(room)) + 1.0) / 2.0
+        for drawn, alpha in zip((u, w), _R2_ALPHA):
+            exact = (Fraction(1, 2) + Fraction(alpha) * (start_index + i)) % 1
+            off = abs(Fraction(drawn) - exact)
+            assert min(off, 1 - off) <= Fraction(1, 2**20)
 
 
 def test_section_spec_validation(coupled):

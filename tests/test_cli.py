@@ -1158,10 +1158,10 @@ def test_poincare_leaves_no_file_in_the_temporary_directory(tmp_path, monkeypatc
     assert sorted(p.name for p in (tmp_path / "p").iterdir()) == ["comparison.json", "section_classical.csv"]
 
 
-def test_poincare_with_a_fit_result_calls_the_compiler_once(tmp_path, monkeypatch):
-    """The classical and the quantum step loops come from one source file
-    and one build, and each runs compiled; the same loops built again, on a
-    cache that keeps that build, call no compiler."""
+def test_poincare_with_a_fit_result_calls_the_compiler_once_per_loop(tmp_path, monkeypatch):
+    """The classical and the quantum step loops are built one compiler call
+    each, and each runs compiled; the same loops built again, on a cache
+    that keeps both builds, call no compiler."""
     compiler = shutil.which("cc") or shutil.which("gcc")
     builds = []
     popen = subprocess.Popen
@@ -1175,12 +1175,53 @@ def test_poincare_with_a_fit_result_calls_the_compiler_once(tmp_path, monkeypatc
     fit_path = tmp_path / "fitres.json"
     fit_path.write_text(json.dumps({"quantum": COUPLED_TRIAL}))
     cfg = write_cfg(tmp_path, "poinc.json", dict(POINCARE_BASE, fit_result=str(fit_path)))
+    calls = []
     for run in ("p", "again"):
         trajectory._STEP_LOOPS.clear()
         assert main(["poincare", "--config", cfg, "--out", str(tmp_path / run)]) == 0
-        assert len(builds) == (1 if compiler else 0)
+        calls.append(len(builds) - sum(calls))
         backends = [loop.backend for loop in trajectory._STEP_LOOPS.values()]
         assert backends == (["c", "c"] if compiler else ["python", "python"])
+    assert calls == ([2, 0] if compiler else [0, 0])
+
+
+@pytest.mark.skipif(shutil.which("cc") is None and shutil.which("gcc") is None, reason="no C compiler on PATH")
+def test_a_fit_run_after_a_classical_run_builds_only_the_quantum_loop(tmp_path, monkeypatch):
+    """A poincare run with a fit, on the cache of a classical-only run of
+    the same action, compiles one source holding one function, and loads
+    the classical library that the first run kept, unchanged."""
+    import ctypes
+
+    sources, loaded = [], []
+    popen, cdll = subprocess.Popen, ctypes.CDLL
+
+    def counted(argv, **kwargs):
+        with open(argv[-1]) as fh:
+            sources.append(fh.read())
+        return popen(argv, **kwargs)
+
+    def recorded(path, *args, **kwargs):
+        loaded.append(path)
+        return cdll(path, *args, **kwargs)
+
+    cache = tmp_path / "cache" / "qaction"
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+    monkeypatch.setattr(subprocess, "Popen", counted)
+    monkeypatch.setattr(ctypes, "CDLL", recorded)
+    trajectory._STEP_LOOPS.clear()
+    cfg = write_cfg(tmp_path, "classical.json", POINCARE_BASE)
+    assert main(["poincare", "--config", cfg, "--out", str(tmp_path / "classical")]) == 0
+    (classical,) = cache.iterdir()
+    stamp = classical.stat().st_mtime_ns
+    fit_path = tmp_path / "fitres.json"
+    fit_path.write_text(json.dumps({"quantum": COUPLED_TRIAL}))
+    cfg = write_cfg(tmp_path, "fit.json", dict(POINCARE_BASE, fit_result=str(fit_path)))
+    trajectory._STEP_LOOPS.clear()
+    del sources[:], loaded[:]
+    assert main(["poincare", "--config", cfg, "--out", str(tmp_path / "fit")]) == 0
+    assert len(sources) == 1 and sources[0].count("long long loop") == 1
+    assert loaded[0] == str(classical) and classical.stat().st_mtime_ns == stamp
+    assert len(list(cache.iterdir())) == 2
 
 
 @pytest.mark.skipif(shutil.which("cc") is None, reason="no cc on PATH")
@@ -1208,10 +1249,10 @@ def test_a_second_poincare_process_loads_the_kept_loops_and_writes_the_same_byte
         assert done.returncode == 0, done.stderr
         outputs.append({p.name: p.read_bytes() for p in (tmp_path / run).iterdir()})
         calls.append(len(log.read_text().splitlines()))
-    assert calls == [1, 1]
+    assert calls == [2, 2]
     assert sorted(outputs[0]) == ["comparison.json", "section_classical.csv", "section_quantum.csv"]
     assert outputs[0] == outputs[1]
-    assert [p.name.startswith("loops-") for p in (tmp_path / "cache" / "qaction").iterdir()] == [True]
+    assert [p.name.startswith("loops-") for p in (tmp_path / "cache" / "qaction").iterdir()] == [True, True]
 
 
 def test_boolean_still_accepted_where_a_flag_is_expected(tmp_path):

@@ -30,8 +30,8 @@ from qaction import trajectory
 from qaction.trajectory import (
     MAX_NODES,
     MAX_STEPS,
-    _build_step_loops,
-    _c_loops,
+    _build_step_loop,
+    _c_loop,
     _python_loop,
     _step_loop,
     _step_statements,
@@ -334,7 +334,7 @@ def step_loops(*key):
     loop = _step_loop(*key)
     assert loop.backend == ("c" if COMPILER else "python")
     with mock.patch("shutil.which", return_value=None):
-        python = _build_step_loops([key])[0]
+        python = _build_step_loop(key)
     assert python.backend == "python"
     return loop, python
 
@@ -457,21 +457,24 @@ def test_step_count_beyond_its_bound_is_refused_before_stepping(coupled_2d, monk
 
 
 def test_kept_loops_are_dropped_past_their_bound_and_requests_still_served(monkeypatch):
-    """Each key's loop is built once while kept; past the bound the kept ones
-    go, and a request mixing a dropped key with a new one is built whole."""
+    """Each key's loop is built once while it is kept; the key past the
+    bound drops the kept ones, and a dropped key is built again on request."""
     built = []
 
-    def fake_build(keys):
-        built.append(list(keys))
-        return [f"loop {key}" for key in keys]
+    def fake_build(key):
+        built.append(key)
+        return f"loop {key[0]}"
 
     monkeypatch.setattr(trajectory, "_STEP_LOOPS", {})
-    monkeypatch.setattr(trajectory, "_build_step_loops", fake_build)
+    monkeypatch.setattr(trajectory, "_build_step_loop", fake_build)
     bound = trajectory._MAX_KEPT_LOOPS
-    assert trajectory._step_loops(*range(bound)) == tuple(f"loop {k}" for k in range(bound))
-    assert trajectory._step_loops(0, 0, 5) == ("loop 0", "loop 0", "loop 5") and len(built) == 1
-    assert trajectory._step_loops(3, bound) == ("loop 3", f"loop {bound}")
-    assert built[1:] == [[3, bound]] and len(trajectory._STEP_LOOPS) == 2
+    keys = [(k, (), 1.0, 1e-3, 1) for k in range(bound + 1)]
+    assert [_step_loop(*key) for key in keys[:bound]] == [f"loop {k}" for k in range(bound)]
+    assert [_step_loop(*keys[k]) for k in (0, 0, 5)] == ["loop 0", "loop 0", "loop 5"]
+    assert built == keys[:bound]
+    assert _step_loop(*keys[bound]) == f"loop {bound}" and len(trajectory._STEP_LOOPS) == 1
+    assert _step_loop(*keys[3]) == "loop 3"
+    assert built[bound:] == [keys[bound], keys[3]] and len(trajectory._STEP_LOOPS) == 2
 
 
 def _coupled_run(loop):
@@ -482,7 +485,7 @@ def test_hidden_compiler_runs_the_python_loop_with_the_same_bits(coupled_2d, mon
     key = (2, coupled_2d.potential.terms, 1.0, 1e-3, 1)
     expected = _coupled_run(_step_loop(*key))
     monkeypatch.setattr(shutil, "which", lambda name: None)
-    loop = _build_step_loops([key])[0]
+    loop = _build_step_loop(key)
     assert loop.backend == "python"
     assert _coupled_run(loop) == expected
 
@@ -493,7 +496,7 @@ def test_failed_build_runs_the_python_loop(coupled_2d, monkeypatch, tmp_path):
     false = shutil.which("false")
     monkeypatch.setattr(shutil, "which", lambda name: false)
     monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
-    loop = _build_step_loops([key])[0]
+    loop = _build_step_loop(key)
     assert loop.backend == "python"
     assert _coupled_run(loop) == expected
     assert list(tmp_path.iterdir()) == []
@@ -505,7 +508,7 @@ def test_build_past_its_timeout_runs_the_python_loop(coupled_2d, monkeypatch, tm
     hanging.chmod(0o755)
     monkeypatch.setattr(shutil, "which", lambda name: str(hanging))
     monkeypatch.setattr(trajectory, "C_BUILD_TIMEOUT_S", 0.2)
-    loop = _build_step_loops([(2, coupled_2d.potential.terms, 1.0, 1e-3, 1)])[0]
+    loop = _build_step_loop((2, coupled_2d.potential.terms, 1.0, 1e-3, 1))
     assert loop.backend == "python"
 
 
@@ -513,7 +516,7 @@ def test_compiled_loop_that_differs_from_python_is_refused(coupled_2d):
     """The probe compares bits: a loop built for another dt is not taken."""
     terms = coupled_2d.potential.terms
     other_dt = _python_loop(_step_statements(2, terms, 1.0, 2e-3), "y")
-    assert _c_loops([(_step_statements(2, terms, 1.0, 1e-3), "y", other_dt)]) == [None]
+    assert _c_loop(_step_statements(2, terms, 1.0, 1e-3), "y", other_dt) is None
 
 
 @pytest.mark.skipif(COMPILER is None, reason="no C compiler on PATH")
@@ -532,7 +535,7 @@ def test_c_build_leaves_no_file_behind(coupled_2d, monkeypatch, tmp_path):
     monkeypatch.setattr(tempfile, "tempdir", str(scratch))
     monkeypatch.setattr(subprocess, "Popen", recorded)
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
-    loop = _build_step_loops([(2, coupled_2d.potential.terms, 1.0, 1e-3, 0)])[0]
+    loop = _build_step_loop((2, coupled_2d.potential.terms, 1.0, 1e-3, 0))
     assert loop.backend == "c"
     assert [os.path.dirname(os.path.dirname(path)) for path in outputs] == [str(scratch)]
     assert list(scratch.iterdir()) == []
@@ -557,7 +560,7 @@ def _no_compiler(*args, **kwargs):
 def test_a_damaged_kept_library_is_built_again_with_the_same_bits(coupled_2d, monkeypatch, tmp_path, damage):
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
     key = _cache_key(coupled_2d, 1.25e-3 if damage == "truncated" else 1.5e-3)
-    expected = _coupled_run(_build_step_loops([key])[0])
+    expected = _coupled_run(_build_step_loop(key))
     (kept,) = (tmp_path / "qaction").iterdir()
     assert kept.name.startswith("loops-") and kept.suffix == ".so"
     assert kept.stat().st_mode & 0o777 == 0o600
@@ -565,12 +568,12 @@ def test_a_damaged_kept_library_is_built_again_with_the_same_bits(coupled_2d, mo
     kept.unlink()  # a new file: the loaded library's mapping stays intact
     bad = good[: len(good) // 2] if damage == "truncated" else b"not a shared library"
     kept.write_bytes(bad)
-    loop = _build_step_loops([key])[0]
+    loop = _build_step_loop(key)
     assert loop.backend == "c" and _coupled_run(loop) == expected
     assert [p.name for p in (tmp_path / "qaction").iterdir()] == [kept.name]
     assert kept.read_bytes() != bad
     monkeypatch.setattr("subprocess.Popen", _no_compiler)
-    loop = _build_step_loops([key])[0]
+    loop = _build_step_loop(key)
     assert loop.backend == "c" and _coupled_run(loop) == expected
 
 
@@ -587,7 +590,7 @@ def test_a_cache_others_may_write_or_own_is_not_used(coupled_2d, monkeypatch, tm
     scratch.mkdir()
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "xdg"))
     monkeypatch.setattr(tempfile, "tempdir", str(scratch))
-    loop = _build_step_loops([_cache_key(coupled_2d, 1.75e-3)])[0]
+    loop = _build_step_loop(_cache_key(coupled_2d, 1.75e-3))
     assert loop.backend == "c"
     assert list(cache.iterdir()) == [] and list(scratch.iterdir()) == []
 
@@ -607,7 +610,7 @@ def test_no_absolute_cache_path_writes_nothing(coupled_2d, monkeypatch, tmp_path
     scratch.mkdir()
     monkeypatch.chdir(cwd)
     monkeypatch.setattr(tempfile, "tempdir", str(scratch))
-    loop = _build_step_loops([_cache_key(coupled_2d, 2.25e-3)])[0]
+    loop = _build_step_loop(_cache_key(coupled_2d, 2.25e-3))
     assert loop.backend == "c"
     assert list(cwd.iterdir()) == [] and list(scratch.iterdir()) == []
 
@@ -616,7 +619,7 @@ def test_no_absolute_cache_path_writes_nothing(coupled_2d, monkeypatch, tmp_path
 def test_no_getuid_keeps_nothing(coupled_2d, monkeypatch, tmp_path):
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
     monkeypatch.delattr("os.getuid")
-    assert _build_step_loops([_cache_key(coupled_2d, 2.5e-3)])[0].backend == "c"
+    assert _build_step_loop(_cache_key(coupled_2d, 2.5e-3)).backend == "c"
     assert list(tmp_path.iterdir()) == []
 
 
@@ -632,7 +635,7 @@ def test_the_library_past_the_bound_clears_the_cache(coupled_2d, monkeypatch, tm
         (cache / (f"loops-{i:064x}.so" if i else "loops-killed.part")).write_bytes(b"")
     (cache / "other.txt").write_text("not a loop")
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
-    assert _build_step_loops([_cache_key(coupled_2d, 2.75e-3)])[0].backend == "c"
+    assert _build_step_loop(_cache_key(coupled_2d, 2.75e-3)).backend == "c"
     left = sorted(p.name for p in cache.glob("loops-*"))
     if kept < trajectory._MAX_KEPT_LOOPS:
         assert len(left) == kept + 1 and "loops-killed.part" in left
