@@ -27,40 +27,13 @@ import sys
 import tempfile
 from dataclasses import asdict
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from .asymptotics import (
-    MAX_L,
-    ground_state_from_quantum_action,
-    hydrogen_table,
-    invert_transformation_law,
-    transformation_law_residual,
-    transformation_law_residual_grid,
-    ground_state_spectral,
-    wkb_compare,
-)
-from .chaos import (
-    SectionSpec,
-    _box_counts,
-    _section_summary,
-    compare_sections,
-    generate_section,
-    section_initial_conditions,
-)
 from .errors import NumericalError
 from .model import ActionSpec, _as_integer, _as_number
-from .propagator import MAX_GRID_NODES, MAX_PAIRS, Grid, decompose_for_time, euclidean_propagate, tensor_pairs
-from .qfit import (
-    FLOW_CSV_HEADER,
-    FitProblem,
-    _normalize_ansatz,
-    _normalize_n_nodes,
-    default_pairs,
-    fit_flow,
-    fit_quantum_action,
-    flow_rows,
-)
+
+if TYPE_CHECKING:
+    from .propagator import Grid
 
 
 class ConfigError(ValueError):
@@ -101,6 +74,8 @@ def _parse_action(data, where: str, confining: bool = False) -> ActionSpec:
 
 
 def _parse_grid(data, where: str = "grid") -> Grid:
+    from .propagator import Grid
+
     _expect(isinstance(data, dict), f"{where} must be an object")
     ext = _get(data, "extents", list, where=where)
     npt = _get(data, "npoints", list, where=where)
@@ -125,8 +100,12 @@ def _parse_pairs(data, grid: Grid, classical: ActionSpec = None, where: str = "p
     a plain list is read as explicit [initial, final] pairs. Every form is
     refused before its list is built when it would exceed ``MAX_PAIRS``.
     """
+    from .propagator import MAX_GRID_NODES, MAX_PAIRS, tensor_pairs
+
     if data == "auto":
         _expect(classical is not None, f"{where}: 'auto' needs a classical action")
+        from .qfit import default_pairs
+
         return default_pairs(classical, grid)
     if isinstance(data, dict):
         if "points" in data:
@@ -180,6 +159,8 @@ def _parse_point(p, dim: int, where: str):
 
 
 def _py(v):
+    import numpy as np
+
     if isinstance(v, (np.floating,)):
         return float(v)
     if isinstance(v, (np.integer,)):
@@ -232,6 +213,8 @@ def _json_artifact(name: str, payload: dict) -> tuple:
 
 
 def cmd_propagate(cfg: dict, args) -> list:
+    from .propagator import decompose_for_time, euclidean_propagate
+
     action = _parse_action(_get(cfg, "action", dict), "action", confining=True)
     grid = _parse_grid(_get(cfg, "grid", dict))
     _expect(grid.dim == action.dimension, "grid and action dimensions differ")
@@ -255,6 +238,17 @@ def _fit_result_payload(result) -> dict:
 
 
 def cmd_fit(cfg: dict, args) -> list:
+    from .propagator import euclidean_propagate
+    from .qfit import (
+        FLOW_CSV_HEADER,
+        FitProblem,
+        _normalize_ansatz,
+        _normalize_n_nodes,
+        fit_flow,
+        fit_quantum_action,
+        flow_rows,
+    )
+
     classical = _parse_action(_get(cfg, "classical", dict), "classical", confining=True)
     grid = _parse_grid(_get(cfg, "grid", dict))
     _expect(grid.dim == classical.dimension, "grid and classical dimensions differ")
@@ -293,6 +287,17 @@ def cmd_fit(cfg: dict, args) -> list:
 
 
 def cmd_analytic(cfg: dict, args) -> list:
+    from .asymptotics import (
+        MAX_L,
+        ground_state_from_quantum_action,
+        ground_state_spectral,
+        hydrogen_table,
+        invert_transformation_law,
+        transformation_law_residual,
+        transformation_law_residual_grid,
+        wkb_compare,
+    )
+
     classical = _parse_action(_get(cfg, "action", dict), "action", confining=True)
     _expect(classical.dimension == 1, "the analytic pipeline is 1-D")
     grid = _parse_grid(_get(cfg, "grid", dict))
@@ -346,6 +351,15 @@ def _section_artifacts(stem: str, section, fmt: str) -> tuple:
 
 
 def cmd_poincare(cfg: dict, args) -> list:
+    from .chaos import (
+        SectionSpec,
+        _box_counts,
+        _section_summary,
+        compare_sections,
+        generate_section,
+        section_initial_conditions,
+    )
+
     classical = _parse_action(_get(cfg, "action", dict), "action", confining=True)
     _expect(classical.dimension == 2, "sections need a 2-D action")
     n_orbits = _integer(cfg, "n_orbits", default=12)

@@ -305,6 +305,7 @@ class FitResult:
     potential_minimum: float
     gradient_norm: float
     parameter_uncertainties: tuple
+    data_count: int  # distinct boundary pairs that solved: the data the uncertainties rest on
 
     def __post_init__(self):
         if self.rms_residual < 0.0:
@@ -329,27 +330,38 @@ class FitResult:
             "per_pair_residuals": _json_floats(self.per_pair_residuals),
             "gradient_norm": self.gradient_norm,
             "parameter_uncertainties": _json_floats(self.parameter_uncertainties),
+            "data_count": self.data_count,
         }
 
 
-def _fit_diagnostics(det: _EvalDetail) -> tuple:
-    """(||J^T r||_inf, sqrt diag sigma^2 (J^T J)^+) over the pairs that solved.
+def _fit_diagnostics(det: _EvalDetail, key_of_pair: np.ndarray) -> tuple:
+    """(||J^T r||_inf over the table rows that solved, then sqrt diag
+    sigma^2 (J^T J)^+ and the count n of the data they rest on).
 
-    sigma^2 = sum r^2 / (N - p - 1): the fitted offset ln Z costs one more
-    degree of freedom than the p search parameters. The pseudo-inverse
-    drops the directions along which J^T J is below rounding (1e-15 of its
-    largest eigenvalue), so J below sqrt(1e-15) of its largest singular
-    value: the data do not determine them, and a parameter with weight on
-    one has an infinite uncertainty.
+    A datum is one ``_Evaluator`` key: a pair, its mirror and any repeat
+    of either are one solve, so they make one row, their mean residual
+    with their shared Jacobian row. sigma^2 = sum r^2 / (n - p - 1) over
+    the n keys that solved: the fitted offset ln Z costs one more degree
+    of freedom than the p search parameters. The pseudo-inverse drops the
+    directions along which J^T J is below rounding (1e-15 of its largest
+    eigenvalue), so J below sqrt(1e-15) of its largest singular value: the
+    data do not determine them, and a parameter with weight on one has an
+    infinite uncertainty.
     """
     res = det.residuals
     ok = np.isfinite(res)
-    r, jac = res[ok], det.jacobian[ok]
-    p = jac.shape[1]
+    r, jac, keys = res[ok], det.jacobian[ok], key_of_pair[ok]
+    counts = np.bincount(keys)
+    solved = counts > 0
+    n, p = int(np.count_nonzero(solved)), jac.shape[1]
     if p == 0:
-        return 0.0, ()
+        return 0.0, (), n
     gradient_norm = float(np.max(np.abs(jac.T @ r)))
-    dof = len(r) - p - 1
+    r = np.bincount(keys, weights=r)[solved] / counts[solved]
+    rows = np.zeros((len(counts), p))
+    rows[keys] = jac
+    jac = rows[solved]
+    dof = n - p - 1
     sigma2 = float(np.dot(r, r)) / dof if dof > 0 else math.nan
     var = sigma2 * np.diag(np.linalg.pinv(jac.T @ jac))
     # padded to at least p rows, so that vt spans every direction; U is N x p, never N x N
@@ -357,7 +369,7 @@ def _fit_diagnostics(det: _EvalDetail) -> tuple:
     _, s, vt = np.linalg.svd(padded, full_matrices=False)
     null = vt[s <= math.sqrt(1e-15) * s[0]]
     var[np.any(np.abs(null) > math.sqrt(np.finfo(float).eps), axis=0)] = math.inf
-    return gradient_norm, tuple(float(v) for v in np.sqrt(np.maximum(var, 0.0)))
+    return gradient_norm, tuple(float(v) for v in np.sqrt(np.maximum(var, 0.0))), n
 
 
 def _levenberg_marquardt(evaluate, y, max_nfev):
@@ -454,7 +466,7 @@ def fit_quantum_action(
     else:
         log_z = det.log_z_free
         quantum = shape
-    gradient_norm, uncertainties = _fit_diagnostics(det)
+    gradient_norm, uncertainties, data_count = _fit_diagnostics(det, ev.key_of_pair)
     return FitResult(
         quantum=quantum,
         T=T,
@@ -467,6 +479,7 @@ def fit_quantum_action(
         potential_minimum=vmin,
         gradient_norm=gradient_norm,
         parameter_uncertainties=uncertainties,
+        data_count=data_count,
     )
 
 

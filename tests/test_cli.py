@@ -742,22 +742,26 @@ def test_overflowing_derivative_coefficient_exit_2_leaves_no_files(tmp_path):
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
+def _fresh_python(probe: str):
+    """The JSON value that the script ``probe`` prints last, run in a new interpreter."""
+    env = dict(os.environ, PYTHONPATH=SRC + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    done = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=300
+    )
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout.splitlines()[-1])
+
+
 def _fresh_run(argv=None, package="scipy") -> tuple:
     """(exit code, loaded modules of ``package``) of a new interpreter that
     imports ``qaction.cli`` and, given ``argv``, runs that command."""
-    probe = (
+    code, mods = _fresh_python(
         "import json, sys\n"
         "from qaction.cli import main\n"
         f"code = main({argv!r}) if {argv!r} is not None else 0\n"
         f"mods = sorted(m for m in sys.modules if (m + '.').startswith({package + '.'!r}))\n"
         "print(json.dumps([code, mods]))\n"
     )
-    env = dict(os.environ, PYTHONPATH=SRC + os.pathsep + os.environ.get("PYTHONPATH", ""))
-    done = subprocess.run(
-        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=300
-    )
-    assert done.returncode == 0, done.stderr
-    code, mods = json.loads(done.stdout.splitlines()[-1])
     return code, mods
 
 
@@ -808,6 +812,84 @@ def test_propagate_analytic_and_fit_skip_scipy_optimize(tmp_path, prop_cfg):
     })
     assert _fresh_run(["fit", "--config", coupled_cfg, "--out", str(tmp_path / "fit2d")]) == (0, [])
     assert _fresh_run(["propagate", "--config", propagate_cfg, "--out", str(tmp_path / "prop2d")]) == (0, [])
+
+
+def test_poincare_loads_no_propagator_fit_or_asymptotics_layer(tmp_path):
+    """A section run, even with a fit result, needs only the model, the step
+    loops and the section code: no eigensolve, no fit, no LAPACK binding."""
+    fit_path = tmp_path / "fitres.json"
+    fit_path.write_text(json.dumps({"quantum": COUPLED_TRIAL}))
+    cfg = write_cfg(
+        tmp_path,
+        "poinc.json",
+        {"action": COUPLED, "energy": 2.0, "n_orbits": 2, "max_crossings": 4, "fit_result": str(fit_path)},
+    )
+    code, mods = _fresh_run(["poincare", "--config", cfg, "--out", str(tmp_path / "p")], "qaction")
+    assert code == 0 and "qaction.chaos" in mods
+    unused = {"qaction.propagator", "qaction.qfit", "qaction.asymptotics", "qaction._lapack"}
+    assert unused.isdisjoint(mods), sorted(unused.intersection(mods))
+
+
+def test_propagate_loads_no_trajectory_fit_or_chaos_layer(tmp_path, prop_cfg):
+    """Explicit pairs need only the eigensolve; "auto" pairs may load the fit
+    module for ``default_pairs``, and still no section code."""
+    code, mods = _fresh_run(["propagate", "--config", prop_cfg, "--out", str(tmp_path / "e")], "qaction")
+    assert code == 0 and "qaction.propagator" in mods
+    unused = {"qaction.qfit", "qaction.asymptotics", "qaction.trajectory", "qaction.chaos"}
+    assert unused.isdisjoint(mods), sorted(unused.intersection(mods))
+    auto_cfg = write_cfg(tmp_path, "auto.json", {
+        "action": HO, "grid": {"extents": [8.0], "npoints": [401]}, "T": 1.0, "pairs": "auto",
+    })
+    code, mods = _fresh_run(["propagate", "--config", auto_cfg, "--out", str(tmp_path / "a")], "qaction")
+    assert code == 0 and "qaction.qfit" in mods and "qaction.chaos" not in mods
+
+
+def test_import_qaction_loads_no_layer_and_pins_blas():
+    loaded, numpy_loaded, blas = _fresh_python(
+        "import json, os, sys\n"
+        "import qaction\n"
+        "mods = sorted(m for m in sys.modules if m.startswith('qaction.'))\n"
+        "blas = [os.environ.get(v) for v in ('OPENBLAS_NUM_THREADS', 'OMP_NUM_THREADS', 'MKL_NUM_THREADS')]\n"
+        "print(json.dumps([mods, 'numpy' in sys.modules, blas]))\n"
+    )
+    assert loaded == [] and not numpy_loaded
+    assert blas == ["1", "1", "1"]
+
+
+def test_each_public_name_loads_its_own_module_on_first_use():
+    """``from qaction import Grid`` loads the propagator alone, and every name
+    of ``__all__`` is the object its defining module holds."""
+    first, mismatched = _fresh_python(
+        "import json, sys\n"
+        "from qaction import Grid\n"
+        "first = sorted(m for m in sys.modules if m.startswith('qaction.'))\n"
+        "import qaction\n"
+        "mismatched = [n for n in qaction.__all__\n"
+        "              if getattr(sys.modules[getattr(qaction, n).__module__], n) is not getattr(qaction, n)]\n"
+        "print(json.dumps([first, mismatched]))\n"
+    )
+    assert first == ["qaction.errors", "qaction.model", "qaction.propagator"]
+    assert mismatched == []
+
+
+def test_package_namespace_lists_refuses_and_resolves_submodules():
+    """``dir`` covers ``__all__`` before any layer is loaded, an unknown name
+    raises AttributeError, and ``qaction.chaos`` imports the submodule."""
+    listed, refused, before, resolved = _fresh_python(
+        "import json, sys\n"
+        "import qaction\n"
+        "listed = set(qaction.__all__) <= set(dir(qaction)) and 'chaos' in dir(qaction)\n"
+        "try:\n"
+        "    qaction.no_such_name\n"
+        "    refused = False\n"
+        "except AttributeError:\n"
+        "    refused = True\n"
+        "before = 'qaction.chaos' in sys.modules\n"
+        "resolved = qaction.chaos is sys.modules['qaction.chaos']\n"
+        "print(json.dumps([listed, refused, before, resolved]))\n"
+    )
+    assert listed and refused and resolved
+    assert not before
 
 
 def test_analytic_loads_no_numpy_ma(tmp_path):

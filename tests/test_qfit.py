@@ -415,12 +415,34 @@ def test_diagnostics_of_a_tall_jacobian_stay_in_its_own_size():
     det = _EvalDetail(0.0, (), 1e-3 * np.ones(n), jac)
     tracemalloc.start()
     try:
-        _, sigma = _fit_diagnostics(det)
+        _, sigma, count = _fit_diagnostics(det, np.arange(n))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 8 * jac.nbytes
+    assert count == n
     assert math.isfinite(sigma[0]) and math.isfinite(sigma[1]) and sigma[2] == math.inf
+
+
+def test_a_table_holding_every_pair_twice_quotes_the_uncertainties_of_each_pair_once():
+    """A pair, its mirror and a repeat are one solve and one datum: entering
+    every pair twice leaves the data count and the uncertainties as they are."""
+    act = ActionSpec(mass=1.0, potential=PolynomialPotential(1, {(2,): 0.5, (4,): 0.1}), hbar=1.0)
+    grid = Grid((6.0,), (601,))
+    pts = [(x,) for x in (-1.0, -0.5, 0.0, 0.5, 1.0)]
+    once = [(a, b) for a, b in tensor_pairs(pts, pts) if a <= b]
+    twice = once + [(b, a) for a, b in once]  # each mirror, and each diagonal pair again
+    results = []
+    for pairs in (once, twice):
+        prob = FitProblem(
+            classical=act, table=euclidean_propagate(act, grid, 1.0, pairs), ansatz=((0,), (2,)), fit_mass=True
+        )
+        results.append(fit_quantum_action(prob, n_nodes=129))
+    single, double = results
+    assert single.data_count == double.data_count == len(once) == 15
+    assert double.to_json_dict()["data_count"] == 15
+    assert all(0.0 < u < math.inf for u in single.parameter_uncertainties)
+    assert double.parameter_uncertainties == pytest.approx(single.parameter_uncertainties, rel=1e-8)
 
 
 @pytest.mark.parametrize(
