@@ -115,6 +115,7 @@ def _settling_action(action: ActionSpec, grid: Grid) -> tuple:
     pot = action.potential
     nodes = grid.nodes()
     r0, vmin = pot.minimum(nodes)
+    r0 = np.asarray(r0)
     d = nodes.reshape(grid.size, grid.dim) - r0
     dist = np.sqrt(np.sum(d * d, axis=1))
     ray = r0[None, None, :] + _RAY_S[None, :, None] * d[:, None, :]

@@ -10,11 +10,10 @@ potential by the ground energy, and that shift must not read as dynamics.
 """
 from __future__ import annotations
 
+import bisect
 import functools
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .errors import NumericalError
 from .model import ActionSpec, _as_integer, _as_number, _bisect_root, _json_floats
@@ -27,6 +26,7 @@ _PLASTIC = 1.3247179572447460260
 _R2_ALPHA = (1.0 / _PLASTIC, 1.0 / _PLASTIC**2)
 MAX_START_INDEX = 2**32  # fewer than 2**32 draws past it keep alpha*k < 2**33: 20+ fractional bits
 MAX_BOXES = 4096  # boxes per axis of an occupancy partition
+MAX_ORBITS = 4096  # orbits of one section
 
 
 @dataclass(frozen=True)
@@ -47,8 +47,8 @@ class SectionSpec:
             object.__setattr__(self, name, _as_number(getattr(self, name), f"section {name}"))
         for name in ("max_crossings", "plane_axis", "orientation", "max_steps"):
             object.__setattr__(self, name, _as_integer(getattr(self, name), f"section {name}"))
-        if not 0.0 < self.dt <= 1e-2:
-            raise ValueError(f"time step must lie in (0, 1e-2], got {self.dt}")
+        if not 1e-6 <= self.dt <= 1e-2:
+            raise ValueError(f"time step must lie in [1e-6, 1e-2], got {self.dt}")
         if self.max_crossings < 1:
             raise ValueError("need at least one crossing per orbit")
         if not 1 <= self.max_steps <= MAX_STEPS:
@@ -114,8 +114,8 @@ def section_initial_conditions(
     """
     if action.dimension != 2:
         raise ValueError("sections require a 2-D action")
-    if n_orbits < 1:
-        raise ValueError("need at least one orbit")
+    if not 1 <= _as_integer(n_orbits, "n_orbits") <= MAX_ORBITS:
+        raise ValueError(f"n_orbits must lie in [1, {MAX_ORBITS}], got {n_orbits}")
     if not 0.0 < fill_fraction < 1.0:
         raise ValueError("fill_fraction must lie strictly between 0 and 1")
     start_index = _as_integer(start_index, "start_index")
@@ -149,18 +149,16 @@ class PoincareSection:
     spec: SectionSpec
     action_used: ActionSpec
     e_absolute: float
-    orbits: tuple  # one (k_i, 2) array of (x, p_x) per initial condition
+    orbits: tuple  # one tuple of (x, p_x) float pairs per initial condition
 
     def __post_init__(self):
         pot = self.action_used.potential
         m = self.action_used.mass
         pax, c = self.spec.plane_axis, self.spec.plane_value
         for pts in self.orbits:
-            if pts.size == 0:
-                continue
-            v = pot.evaluate_points(np.column_stack(_on_plane(pax, np.full(len(pts), c), pts[:, 0])))
-            if np.any(pts[:, 1] ** 2 / (2.0 * m) > self.e_absolute - v + 1e-8):
-                raise NumericalError("section point outside the allowed region")
+            for x, px in pts:
+                if px * px / (2.0 * m) > self.e_absolute - pot(_on_plane(pax, c, x)) + 1e-8:
+                    raise NumericalError("section point outside the allowed region")
 
     def extent(self) -> tuple:
         """Half-widths (x_max, p_max) of the allowed region in the section plane."""
@@ -199,7 +197,7 @@ def _henon_refine(x, y_from, px, py, m, grad, plane_axis, c):
     return x_c, px_c, py_c
 
 
-def _orbit_crossings(action: ActionSpec, spec: SectionSpec, e_abs: float, start: PhaseState) -> np.ndarray:
+def _orbit_crossings(action: ActionSpec, spec: SectionSpec, e_abs: float, start: PhaseState) -> tuple:
     """Refined oriented crossings (x, p_x) of one orbit, stepped on its own."""
     pot = action.potential
     m = action.mass
@@ -238,7 +236,7 @@ def _orbit_crossings(action: ActionSpec, spec: SectionSpec, e_abs: float, start:
                 raise NumericalError("energy at a refined crossing drifted beyond 1e-8")
             points.append((x_c, px_c))
             if len(points) == spec.max_crossings:
-                return np.array(points, dtype=float)
+                return tuple(points)
         last_transit = direction
 
 
@@ -281,26 +279,25 @@ def _box_counts(boxes) -> tuple:
 
 def _occupied_boxes(section: PoincareSection, boxes, x_max, p_max) -> set:
     nx, npx = boxes
-    occupied = set()
-    for pts in section.orbits:
-        if pts.size == 0:
-            continue
-        ix = np.clip(((pts[:, 0] + x_max) / (2.0 * x_max) * nx).astype(int), 0, nx - 1)
-        ip = np.clip(((pts[:, 1] + p_max) / (2.0 * p_max) * npx).astype(int), 0, npx - 1)
-        occupied.update(zip(ix.tolist(), ip.tolist()))
-    return occupied
+    return {
+        (min(max(int((x + x_max) / (2.0 * x_max) * nx), 0), nx - 1),
+         min(max(int((px + p_max) / (2.0 * p_max) * npx), 0), npx - 1))
+        for pts in section.orbits
+        for x, px in pts
+    }
 
 
 def _allowed_boxes(section: PoincareSection, boxes, x_max, p_max) -> int:
-    """Boxes whose center lies inside the energetically allowed plane region."""
+    """Boxes whose center lies inside the energetically allowed plane region:
+    per column, the sorted kinetic terms of the box centers within its room."""
     nx, npx = boxes
-    cx = -x_max + (np.arange(nx) + 0.5) * (2.0 * x_max / nx)
-    cp = -p_max + (np.arange(npx) + 0.5) * (2.0 * p_max / npx)
-    spec = section.spec
-    z = np.column_stack(_on_plane(spec.plane_axis, np.full(nx, spec.plane_value), cx))
-    room = section.e_absolute - section.action_used.potential.evaluate_points(z)
-    allowed = (cp[None, :] ** 2 / (2.0 * section.action_used.mass)) <= room[:, None]
-    return int(np.count_nonzero(allowed))
+    spec, pot, m = section.spec, section.action_used.potential, section.action_used.mass
+    centers = [-p_max + (j + 0.5) * (2.0 * p_max / npx) for j in range(npx)]
+    kinetic = sorted(c * c / (2.0 * m) for c in centers)
+    return sum(
+        bisect.bisect_right(kinetic, section.e_absolute - pot(_on_plane(spec.plane_axis, spec.plane_value, cx)))
+        for cx in (-x_max + (i + 0.5) * (2.0 * x_max / nx) for i in range(nx))
+    )
 
 
 def section_occupancy(section: PoincareSection, boxes: tuple = (48, 48)) -> float:
@@ -327,21 +324,17 @@ def orbit_thickness(section: PoincareSection, n_angle_bins: int = 32) -> list:
         if len(pts) < 8:
             out.append(math.nan)
             continue
-        u = pts[:, 0] / x_max
-        v = pts[:, 1] / p_max
-        r = np.hypot(u, v)
-        theta = np.arctan2(v, u)
-        bins = np.clip(
-            ((theta + math.pi) / (2.0 * math.pi) * n_angle_bins).astype(int),
-            0,
-            n_angle_bins - 1,
-        )
+        bins = [[] for _ in range(n_angle_bins)]
+        for x, px in pts:
+            u, v = x / x_max, px / p_max
+            b = int((math.atan2(v, u) + math.pi) / (2.0 * math.pi) * n_angle_bins)
+            bins[min(max(b, 0), n_angle_bins - 1)].append(math.hypot(u, v))
         spreads = []
-        for b in range(n_angle_bins):
-            sel = r[bins == b]
-            if len(sel) >= 3:
-                spreads.append(float(np.std(sel)))
-        out.append(float(np.mean(spreads)) if spreads else math.nan)
+        for r in bins:  # each bin's standard deviation, by two exactly rounded sums
+            if len(r) >= 3:
+                mean = math.fsum(r) / len(r)
+                spreads.append(math.sqrt(math.fsum((a - mean) * (a - mean) for a in r) / len(r)))
+        out.append(math.fsum(spreads) / len(spreads) if spreads else math.nan)
     return out
 
 

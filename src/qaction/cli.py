@@ -159,11 +159,10 @@ def _parse_point(p, dim: int, where: str):
 
 
 def _py(v):
-    import numpy as np
-
-    if isinstance(v, (np.floating,)):
+    np = sys.modules.get("numpy")  # no numpy value exists before numpy loads
+    if np is not None and isinstance(v, np.floating):
         return float(v)
-    if isinstance(v, (np.integer,)):
+    if np is not None and isinstance(v, np.integer):
         return int(v)
     return v
 

@@ -8,12 +8,14 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
-from typing import Callable, Mapping, NamedTuple
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Mapping, NamedTuple
 
 from .errors import NumericalError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 Exponents = tuple[int, ...]
 # highest total degree of a term: the paper stops at 4, acceptance criterion 4 at 10, and the kernels spell x^n as n products
@@ -26,7 +28,7 @@ def _as_number(value, what: str) -> float:
     A number is a real that is not a bool: strings, lists, objects and
     bools are refused, and so is an integer too large for a float.
     """
-    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ValueError(f"{what} must be a number, got {type(value).__name__}")
     try:
         out = float(value)
@@ -39,7 +41,7 @@ def _as_number(value, what: str) -> float:
 
 def _as_integer(value, what: str) -> int:
     """``value`` as an int; an integer is an int or numpy integer that is not a bool."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ValueError(f"{what} must be an integer, got {value!r}")
     return int(value)
 
@@ -112,6 +114,24 @@ def _bisect_root(f: Callable, a: float, b: float) -> float:
         else:
             b, fb = mid, fm
     return a if fa == 0.0 else b
+
+
+def _symmetric_eigh(upper: tuple) -> tuple:
+    """(ascending eigenvalues, one unit eigenvector each) of the symmetric
+    1x1 or 2x2 matrix whose upper triangle is ``upper``, row by row."""
+    if len(upper) == 1:
+        return upper, ((1.0,),)
+    a, b, c = upper
+    if b == 0.0:
+        return ((a, c), ((1.0, 0.0), (0.0, 1.0))) if a <= c else ((c, a), ((0.0, 1.0), (1.0, 0.0)))
+    half_gap, mean = 0.5 * a - 0.5 * c, 0.5 * a + 0.5 * c
+    r = math.hypot(half_gap, b)
+    # the eigenvector of mean + r, from the row of H - (mean + r) I that does not cancel
+    top = (half_gap + r, b) if half_gap >= 0.0 else (b, r - half_gap)
+    big = max(abs(top[0]), abs(top[1]))  # from unit scale, a subnormal entry loses no bits in hypot
+    norm = math.hypot(top[0] / big, top[1] / big)
+    u = (top[0] / big / norm, top[1] / big / norm)
+    return (mean - r, mean + r), ((-u[1], u[0]), u)
 
 
 class PolynomialKernel(NamedTuple):
@@ -216,22 +236,25 @@ class PolynomialPotential:
         """Compiled value, gradient and Hessian of this potential (cached)."""
         return _compile(self.dimension, self.terms)
 
-    def _coordinates(self, points) -> tuple:
+    def _coordinates(self, points, trailing: tuple) -> tuple:
+        """(an empty output of shape points.shape[:-1] + trailing, the coordinate arrays of points)."""
+        import numpy as np
+
         pts = np.asarray(points, dtype=float)
         if pts.shape[-1] != self.dimension:
             raise ValueError(f"points trailing axis {pts.shape[-1]} != dimension {self.dimension}")
-        return pts.shape[:-1], tuple(pts[..., a] for a in range(self.dimension))
+        return np.empty(pts.shape[:-1] + trailing), tuple(pts[..., a] for a in range(self.dimension))
 
     def __call__(self, point) -> float:
-        pt = np.atleast_1d(np.asarray(point, dtype=float))
-        if pt.shape != (self.dimension,):
-            raise ValueError(f"point has shape {pt.shape}, expected ({self.dimension},)")
-        return float(self.kernel().value(*pt.tolist()))
+        """V at one point: a sequence of ``dimension`` reals, or a bare real in 1-D."""
+        coords = (point,) if isinstance(point, numbers.Real) else tuple(point)
+        if len(coords) != self.dimension or not all(isinstance(c, numbers.Real) for c in coords):
+            raise ValueError(f"point must hold {self.dimension} real coordinate(s), got {point!r}")
+        return self.kernel().value(*map(float, coords))
 
     def evaluate_points(self, points: np.ndarray) -> np.ndarray:
         """Evaluate on an array of shape (..., dimension)."""
-        shape, coords = self._coordinates(points)
-        out = np.empty(shape)
+        out, coords = self._coordinates(points, ())
         out[...] = self.kernel().value(*coords)
         return out
 
@@ -242,17 +265,15 @@ class PolynomialPotential:
 
     def gradient_points(self, points: np.ndarray) -> np.ndarray:
         """Gradient at each point, shape (..., dimension)."""
-        shape, coords = self._coordinates(points)
-        out = np.empty(shape + (self.dimension,))
+        out, coords = self._coordinates(points, (self.dimension,))
         for a, component in enumerate(self.kernel().gradient(*coords)):
             out[..., a] = component
         return out
 
     def hessian_points(self, points: np.ndarray) -> np.ndarray:
         """Hessian at each point, shape (..., dimension, dimension)."""
-        shape, coords = self._coordinates(points)
         n = self.dimension
-        out = np.empty(shape + (n, n))
+        out, coords = self._coordinates(points, (n, n))
         entries = iter(self.kernel().hessian(*coords))
         for a in range(n):
             for b in range(a, n):
@@ -268,35 +289,39 @@ class PolynomialPotential:
         eigenbasis a step is Newton's along positive curvature and the
         negative gradient elsewhere, plus a unit step down a negative
         curvature, so saddles are left. Each step is halved until V does not
-        rise beyond rounding. Stops at |grad V|_inf <= 1e-12.
+        rise beyond rounding. Stops at |grad V|_inf <= 1e-12. The point is a
+        tuple of floats.
         """
-        if points is None:
-            z = np.zeros(self.dimension)
-        else:
-            values = self.evaluate_points(points).ravel()
-            z = np.asarray(points, dtype=float).reshape(-1, self.dimension)[int(np.argmin(values))]
-        curvature, directions = np.linalg.eigh(self.hessian_points(z))
+        kernel = self.kernel()
+        z = (0.0,) * self.dimension
+        if points is not None:
+            import numpy as np
+
+            pts = np.asarray(points, dtype=float).reshape(-1, self.dimension)
+            z = tuple(pts[int(np.argmin(self.evaluate_points(pts)))].tolist())
+        curvature, directions = _symmetric_eigh(kernel.hessian(*z))
         if curvature[0] < 0.0:
-            z = z + 1e-3 * directions[:, 0]
-        v = self(z)
+            z = tuple(zi + 1e-3 * di for zi, di in zip(z, directions[0]))
+        v = kernel.value(*z)
         for _ in range(200):
-            g = self.gradient_points(z)
-            curvature, directions = np.linalg.eigh(self.hessian_points(z))
-            if curvature[0] >= 0.0 and np.max(np.abs(g)) <= 1e-12:
+            g = kernel.gradient(*z)
+            curvature, directions = _symmetric_eigh(kernel.hessian(*z))
+            if curvature[0] >= 0.0 and max(map(abs, g)) <= 1e-12:
                 return z, v
-            along = directions.T @ g
-            coords = -along / np.where(curvature > 0.0, curvature, 1.0)
+            along = [sum(di * gi for di, gi in zip(d, g)) for d in directions]
+            coords = [-a / (c if c > 0.0 else 1.0) for a, c in zip(along, curvature)]
             if curvature[0] < 0.0:
                 coords[0] -= math.copysign(1.0, along[0])
-            step = directions @ coords
+            step = [sum(x * d[i] for x, d in zip(coords, directions)) for i in range(self.dimension)]
             for _ in range(60):
-                v_trial = self(z + step)
+                trial = tuple(zi + si for zi, si in zip(z, step))
+                v_trial = kernel.value(*trial)
                 if v_trial <= v + 4e-15 * (1.0 + abs(v)):  # a rise within rounding is none
                     break
-                step = 0.5 * step
+                step = [0.5 * si for si in step]
             else:
                 break
-            z, v = z + step, v_trial
+            z, v = trial, v_trial
         raise NumericalError("potential minimum search did not converge")
 
     def scaled(self, alpha: float) -> "PolynomialPotential":

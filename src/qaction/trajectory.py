@@ -12,10 +12,12 @@ import contextlib
 import math
 import os
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .model import ActionSpec, PolynomialPotential, _as_integer, _derivative_terms, _polynomial_source
+
+if TYPE_CHECKING:
+    import numpy as np
 
 NEWTON_RTOL = 1e-10
 MAX_NEWTON = 60
@@ -69,8 +71,7 @@ class TrajectorySolution:
 
 
 def hamiltonian_energy(action: ActionSpec, state: PhaseState) -> float:
-    p = np.asarray(state.momentum)
-    return float(np.dot(p, p) / (2.0 * action.mass) + action.potential(state.position))
+    return sum(p * p for p in state.momentum) / (2.0 * action.mass) + action.potential(state.position)
 
 
 # -- Euclidean boundary value problem ---------------------------------------
@@ -83,6 +84,8 @@ def _el_defect(path: np.ndarray, dt: float, m: float, pot: PolynomialPotential) 
     the convergence test meaningful: the raw second difference carries an
     irreducible eps*m*|x|/dt^2 rounding floor.
     """
+    import numpy as np
+
     grad = pot.gradient_points(path[1:-1])
     acc = (path[2:] - 2.0 * path[1:-1] + path[:-2]) / dt**2
     mags = m * (np.abs(path[2:]) + 2.0 * np.abs(path[1:-1]) + np.abs(path[:-2])) / dt**2
@@ -95,6 +98,8 @@ def _newton_relax(pot, m, path, dt):
 
     Each iterate evaluates the defect once: the accepted line-search trial's
     defect is the next iterate's."""
+    import numpy as np
+
     from . import _lapack
 
     n, dim = path.shape
@@ -135,6 +140,8 @@ def _newton_relax(pot, m, path, dt):
 
 
 def _straight_line(x_i, x_f, n_nodes):
+    import numpy as np
+
     s = np.linspace(0.0, 1.0, n_nodes)[:, None]
     return (1.0 - s) * x_i[None, :] + s * x_f[None, :]
 
@@ -152,6 +159,8 @@ def solve_euclidean_bvp(
     Falls back to continuation over T/2^k (reusing the normalized-time path
     between rungs) when the straight-line start does not converge.
     """
+    import numpy as np
+
     if T <= 0:
         raise ValueError(f"transition time must be positive, got {T}")
     if not MIN_NODES <= n_nodes <= MAX_NODES:
@@ -197,6 +206,8 @@ def _finish_solution(action, path, T, res, ok) -> TrajectorySolution:
     is exactly the Newton stencil, so its parameter derivatives along a
     converged path are the partial derivatives of the summand.
     """
+    import numpy as np
+
     n = path.shape[0]
     times = np.linspace(0.0, T, n)
     dt = T / (n - 1)

@@ -280,6 +280,7 @@ def test_criterion_8_chaos_pipeline():
     sec = generate_section(unc, spec, ics)
     ellipse_dev = 0.0
     for ic, pts in zip(ics, sec.orbits):
+        pts = np.asarray(pts)
         e_x = ic.momentum[0] ** 2 / 2.0 + 0.5 * ic.position[0] ** 2
         ellipse_dev = max(
             ellipse_dev,

@@ -21,7 +21,7 @@ from qaction import (
     section_initial_conditions,
     section_occupancy,
 )
-from qaction.chaos import _R2_ALPHA, MAX_START_INDEX, _plane_extent
+from qaction.chaos import _R2_ALPHA, MAX_ORBITS, MAX_START_INDEX, _allowed_boxes, _plane_extent
 from qaction.trajectory import MAX_STEPS
 
 
@@ -59,6 +59,7 @@ def test_uncoupled_crossings_on_invariant_ellipse(uncoupled_section):
     _, ics, sec = uncoupled_section
     assert sec.n_points == 120
     for ic, pts in zip(ics, sec.orbits):
+        pts = np.asarray(pts)
         e_x = ic.momentum[0] ** 2 / 2.0 + ic.position[0] ** 2 / 2.0
         dev = np.max(np.abs(pts[:, 1] ** 2 / 2.0 + pts[:, 0] ** 2 / 2.0 - e_x))
         assert dev < 1e-10
@@ -102,7 +103,7 @@ def test_mirror_symmetry_is_exact(coupled):
     sec_a = generate_section(coupled, spec, ics)
     sec_b = generate_section(coupled, dataclasses.replace(spec, orientation=1), mirrored)
     for a, b in zip(sec_a.orbits, sec_b.orbits):
-        assert np.max(np.abs(a + b)) == 0.0
+        assert np.max(np.abs(np.asarray(a) + np.asarray(b))) == 0.0
 
 
 def test_plane_axis_0_is_the_swapped_plane_axis_1(coupled):
@@ -120,7 +121,7 @@ def test_plane_axis_0_is_the_swapped_plane_axis_1(coupled):
     assert sec_x.n_points == sec_y.n_points == 40
     assert sec_x.extent() == sec_y.extent()
     for a, b in zip(sec_x.orbits, sec_y.orbits):
-        assert np.max(np.abs(a - b)) < 1e-10
+        assert np.max(np.abs(np.asarray(a) - np.asarray(b))) < 1e-10
     assert section_occupancy(sec_x, (16, 16)) == section_occupancy(sec_y, (16, 16))
 
 
@@ -235,6 +236,26 @@ def test_section_spec_validation(coupled):
     assert not any(f.name == "initial_conditions" for f in dataclasses.fields(SectionSpec))
 
 
+@pytest.mark.parametrize("dt", [5e-324, 1e-320, 9.99e-7, 0.0, -1e-3])
+def test_a_step_below_its_bound_is_refused(dt):
+    """A step of 1e-320 once ran past a 20 s alarm: the spec bounds dt below as well as above."""
+    with pytest.raises(ValueError, match=r"time step must lie in \[1e-6, 1e-2\]"):
+        SectionSpec(energy=2.0, dt=dt)
+    assert SectionSpec(energy=2.0, dt=1e-6).dt == 1e-6
+
+
+def test_an_orbit_count_beyond_its_bound_is_refused(coupled):
+    spec = SectionSpec(energy=2.0)
+    for n_orbits in (0, MAX_ORBITS + 1, 10**5):
+        with pytest.raises(ValueError, match=r"n_orbits must lie in \[1, 4096\]"):
+            section_initial_conditions(coupled, spec, n_orbits)
+    for n_orbits in (2.5, 2.0, True):  # a fractional count once drew 3 orbits for 2.5
+        with pytest.raises(ValueError, match="n_orbits must be an integer"):
+            section_initial_conditions(coupled, spec, n_orbits)
+    assert len(section_initial_conditions(coupled, spec, np.int64(3))) == 3
+    assert len(section_initial_conditions(coupled, spec, MAX_ORBITS)) == MAX_ORBITS == 4096
+
+
 @pytest.mark.parametrize("max_steps", [0, -1, MAX_STEPS + 1, 2**64 + 3])
 def test_max_steps_beyond_its_bound_is_refused(max_steps):
     """The C step loop takes a long long, and ctypes wraps a larger count
@@ -314,3 +335,41 @@ def test_section_spec_reads_numbers_and_integers_by_the_one_rule(coupled, field,
     and a float plane axis to fail with a TypeError inside the stepper."""
     with pytest.raises(ValueError, match=field):
         SectionSpec(**{"energy": 2.0, field: value})
+
+
+def _numpy_thickness(section, n_angle_bins=32):
+    """orbit_thickness written with numpy's hypot, arctan2, std and mean."""
+    x_max, p_max = section.extent()
+    out = []
+    for pts in section.orbits:
+        pts = np.asarray(pts)
+        u, v = pts[:, 0] / x_max, pts[:, 1] / p_max
+        r = np.hypot(u, v)
+        bins = np.clip(((np.arctan2(v, u) + np.pi) / (2.0 * np.pi) * n_angle_bins).astype(int), 0, n_angle_bins - 1)
+        out.append(np.mean([np.std(r[bins == b]) for b in range(n_angle_bins) if np.count_nonzero(bins == b) >= 3]))
+    return out
+
+
+@pytest.mark.parametrize("energy", [2.0, 30.0])
+def test_orbit_thickness_matches_a_numpy_reference(coupled, energy):
+    spec = SectionSpec(energy=energy, dt=2e-3, max_crossings=200)
+    section = generate_section(coupled, spec, section_initial_conditions(coupled, spec, 3))
+    assert all(len(pts) == 200 for pts in section.orbits)
+    for n_angle_bins in (8, 32):
+        th = orbit_thickness(section, n_angle_bins)
+        np.testing.assert_allclose(th, _numpy_thickness(section, n_angle_bins), rtol=1e-14, atol=0.0)
+        assert all(t > 0.0 for t in th)
+
+
+@pytest.mark.parametrize("boxes", [(2, 2), (48, 48), (17, 33), (2, 4096), (4096, 2), (331, 1024)])
+def test_allowed_boxes_match_a_broadcast_count(coupled, coupled_section_high, boxes):
+    """Bisecting each column's room into the sorted kinetic terms counts the
+    box centers of the old (nx, npx) comparison table, exactly."""
+    section = coupled_section_high
+    x_max, p_max = section.extent()
+    nx, npx = boxes
+    cx = -x_max + (np.arange(nx) + 0.5) * (2.0 * x_max / nx)
+    cp = -p_max + (np.arange(npx) + 0.5) * (2.0 * p_max / npx)
+    room = section.e_absolute - coupled.potential.evaluate_points(np.column_stack((cx, np.zeros(nx))))
+    expected = int(np.count_nonzero(cp[None, :] ** 2 / (2.0 * coupled.mass) <= room[:, None]))
+    assert _allowed_boxes(section, boxes, x_max, p_max) == expected

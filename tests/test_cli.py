@@ -782,6 +782,30 @@ def test_poincare_loads_no_scipy(tmp_path):
     assert (out / "section_quantum.csv").exists()
 
 
+def test_import_cli_loads_no_numpy():
+    assert _fresh_run(None, "numpy") == (0, [])
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json", "gnuplot"])
+def test_poincare_with_a_fit_result_loads_no_numpy(tmp_path, fmt):
+    """The section path, orbit thicknesses and every table format included,
+    runs on floats: no numpy module is loaded."""
+    fit_path = tmp_path / "fitres.json"
+    fit_path.write_text(json.dumps({"quantum": COUPLED_TRIAL}))
+    cfg = write_cfg(
+        tmp_path,
+        "poinc.json",
+        {"action": COUPLED, "energy": 2.0, "n_orbits": 2, "max_crossings": 96, "fit_result": str(fit_path)},
+    )
+    out = tmp_path / "p"
+    assert _fresh_run(["poincare", "--config", cfg, "--out", str(out), "--format", fmt], "numpy") == (0, [])
+    comparison = json.loads((out / "comparison.json").read_text())
+    thickness = comparison["thickness_classical"] + comparison["thickness_quantum"]
+    assert len(thickness) == 4 and all(t is not None and t > 0.0 for t in thickness)
+    suffix = {"csv": ".csv", "json": ".json", "gnuplot": ".dat"}[fmt]
+    assert (out / f"section_quantum{suffix}").exists()
+
+
 def test_propagate_analytic_and_fit_skip_scipy_optimize(tmp_path, prop_cfg):
     """Every command solves through numpy's LAPACK and loads no scipy at all:
     the 1-D ones, and a 2-D propagate and fit."""
@@ -1125,6 +1149,29 @@ def test_subnormal_mass_exits_2_leaving_no_files(tmp_path):
     ids=["boxes", "start_index"],
 )
 def test_poincare_value_outside_its_range_exits_2_leaving_no_files(tmp_path, payload):
+    cfg = write_cfg(tmp_path, "range.json", payload)
+    out = tmp_path / "range"
+    assert main(["poincare", "--config", cfg, "--out", str(out)]) == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        dict(POINCARE_BASE, dt=1e-320),
+        dict(POINCARE_BASE, dt=9.9e-7),
+        dict(POINCARE_BASE, n_orbits=10**5),
+        dict(POINCARE_BASE, n_orbits=4097),
+    ],
+    ids=["dt-1e-320", "dt-below-1e-6", "n_orbits-1e5", "n_orbits-4097"],
+)
+def test_poincare_dt_or_orbit_count_outside_its_range_exits_2_before_any_step(tmp_path, monkeypatch, payload):
+    """A step of 1e-320 once stepped past a 20 s alarm, and so did 10^5 orbits."""
+
+    def no_step_loop(*args):
+        raise AssertionError("a refused config reached the step loop")
+
+    monkeypatch.setattr(chaos, "_step_loop", no_step_loop)
     cfg = write_cfg(tmp_path, "range.json", payload)
     out = tmp_path / "range"
     assert main(["poincare", "--config", cfg, "--out", str(out)]) == 2

@@ -7,7 +7,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 import scipy.optimize
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qaction import (
@@ -17,7 +17,7 @@ from qaction import (
     ScaleTransform,
     apply_scale_transform,
 )
-from qaction.model import _bisect_root
+from qaction.model import _bisect_root, _symmetric_eigh
 
 
 def test_evaluate_coupled_2d_at_unit_point():
@@ -33,6 +33,9 @@ def test_evaluate_origin_without_constant_term_is_zero():
 def test_evaluate_ho_at_two():
     pot = PolynomialPotential(1, {(2,): 0.5})
     assert pot((2.0,)) == pytest.approx(2.0, abs=1e-15)
+    # a bare real is a 1-D point, numpy scalars and arrays of one coordinate too
+    for point in (2.0, 2, np.float32(2.0), np.int64(2), [2.0], np.array([2.0])):
+        assert pot(point) == pot((2.0,))
 
 
 def test_evaluation_linear_in_coefficients():
@@ -47,6 +50,14 @@ def test_arity_mismatch_rejected():
     pot = PolynomialPotential(1, {(2,): 0.5})
     with pytest.raises(ValueError):
         pot((1.0, 1.0))
+    for point in (np.ones((1, 1)), [[1.0]], (1.0, "1.0"), [1j], np.array([1.0 + 0j])):
+        with pytest.raises(ValueError):
+            pot(point)
+    pot2 = PolynomialPotential(2, {(2, 0): 0.5, (0, 2): 0.5})
+    for point in (np.ones((1, 2)), np.ones((2, 1)), [[1.0, 1.0]], [[1.0], [1.0]], (1.0, 1.0, 1.0), 1.0, np.ones(3)):
+        with pytest.raises(ValueError):
+            pot2(point)
+    assert pot2(np.array([1.0, 2.0])) == pot2([np.float32(1.0), np.int64(2)]) == pot2((1.0, 2.0)) == 2.5
     with pytest.raises(ValueError):
         PolynomialPotential(1, {(2, 0): 0.5})
 
@@ -106,6 +117,17 @@ def test_one_input_rule_for_numbers_and_integers():
     spec = ActionSpec(mass=np.float32(2.0), potential=PolynomialPotential(np.int64(1), {(np.int64(2),): 1}))
     assert (spec.mass, spec.potential.terms) == (2.0, (((2,), 1.0),))
     assert Grid((np.float64(8.0),), (np.int32(401),)).npoints == (401,)
+    for mass in (np.float16(2.0), np.float32(2.0), np.longdouble(2.0), np.int8(2), np.uint64(2)):
+        assert ActionSpec(mass=mass, potential=pot).mass == 2.0
+    for dim in (np.int8(1), np.uint16(1), np.int64(1)):
+        assert PolynomialPotential(dim, {(2,): 0.5}).dimension == 1
+    # numpy's bool and complex values are neither numbers nor integers here
+    for mass in (np.bool_(True), 1 + 0j, np.complex128(1.0), np.str_("1.0")):
+        with pytest.raises(ValueError):
+            ActionSpec(mass=mass, potential=pot)
+    for dim in (np.bool_(True), np.float64(1.0), 1 + 0j):
+        with pytest.raises(ValueError):
+            PolynomialPotential(dim, {(2,): 0.5})
 
 
 @pytest.mark.parametrize(
@@ -376,6 +398,45 @@ def test_minimum_leaves_a_saddle_on_a_symmetry_line():
     assert np.max(np.abs(pot.gradient_points(z))) <= 1e-12
     assert np.linalg.eigvalsh(pot.hessian_points(z))[0] > 0.0
     assert v < pot((z[0], 0.0))
+
+
+_ENTRIES = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    st.one_of(
+        st.tuples(_ENTRIES, _ENTRIES, _ENTRIES),
+        st.tuples(_ENTRIES, st.just(0.0), _ENTRIES),  # already diagonal
+        st.tuples(_ENTRIES, _ENTRIES).map(lambda ab: (ab[0], ab[1], ab[0])),  # equal diagonals
+    )
+)
+@example((-2.0, 0.5, -3.0))  # negative definite
+@example((1.0, 2.0, 1.0))  # indefinite, equal diagonals
+@example((2.0, 0.0, 1.0))  # diagonal, out of order
+@example((1.0, 0.0, 1.0))  # a multiple of the identity
+@example((0.0, 0.0, 0.0))
+@example((1.0, 1e-9, 1.0 + 1e-12))  # nearly degenerate
+@example((0.0, 7.2e-171, 7.2e-171))  # entries whose squares underflow
+def test_symmetric_eigh_matches_lapack(upper):
+    """The closed-form 2x2 eigensolve of the minimum search against numpy's
+    eigh: values to a few ulp of the matrix norm, orthonormal vectors, and a
+    residual at rounding level."""
+    a, b, c = upper
+    h = np.array([[a, b], [b, c]])
+    values, vectors = _symmetric_eigh(upper)
+    reference = np.linalg.eigh(h)[0]
+    eps, norm = np.finfo(float).eps, np.max(np.abs(h))  # the largest entry: a norm whose square cannot underflow
+    tol = 8.0 * eps * norm + 1e-300
+    assert values[0] <= values[1]
+    assert np.max(np.abs(np.array(values) - reference)) <= tol
+    v = np.array(vectors).T  # one eigenvector per column, as eigh returns them
+    assert np.max(np.abs(v.T @ v - np.eye(2))) <= 4.0 * eps
+    assert np.max(np.abs(h @ v - v * np.array(values))) <= 2.0 * tol
+
+
+def test_symmetric_eigh_of_a_1x1_matrix():
+    assert _symmetric_eigh((-3.5,)) == ((-3.5,), ((1.0,),))
 
 
 @st.composite
